@@ -20,7 +20,7 @@ from .errors import (
     SingularSystem,
     TrueBreakdown,
 )
-from .linalg import Matrix, as_vector, least_squares, matvec, solve_dense, transpose_matvec
+from .linalg import Matrix, as_vector, matvec, solve_dense, transpose_matvec
 from .moments import MomentSequence, apply_functional, compute_moments, hankel_det, hankel_is_zero
 from .oracle import (
     FAMILY_P,
@@ -28,10 +28,7 @@ from .oracle import (
     Polynomial,
     oracle_p,
     oracle_p1,
-    poly_add,
     poly_matrix_apply,
-    poly_scale,
-    poly_shift_mul,
     polynomial,
 )
 from .recurrences import (

@@ -200,10 +200,13 @@ def cmd_solve(args) -> int:
     meta.update({"rows": matrix.rows, "cols": matrix.cols, "nnz": matrix.nnz})
 
     b = build_rhs(args.rhs, matrix.rows)
-    config = solver.SolverConfig(
-        tol=args.tol, max_iter=args.max_iter,
-        max_restarts=args.max_restarts, seed=args.seed,
-    )
+    try:
+        config = solver.SolverConfig(
+            tol=args.tol, max_iter=args.max_iter,
+            max_restarts=args.max_restarts, seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     x, report = solver.solve(matrix, b, config=config)
 
     doc = {

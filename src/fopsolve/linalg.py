@@ -9,11 +9,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient, SingularSystem
+from .errors import DimensionMismatch, SingularSystem
 
 SOLVE_DENSE_MAX_N = 10
 _PIVOT_RTOL = 1e-13
-_RANK_RTOL = 1e-12
 
 
 def as_vector(values) -> np.ndarray:
@@ -188,29 +187,3 @@ def solve_dense(M: Matrix | np.ndarray, b) -> np.ndarray:
         x[i] = (rhs[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
     return x
 
-
-def least_squares(M: Matrix | np.ndarray, b, allow_rank_deficient: bool = False):
-    """Minimize ||M w - b||_2 for a tall matrix (m >= n).
-
-    Returns (coeffs, residual_norm). Rank deficiency is flagged when the
-    smallest singular value drops below 1e-12 times the largest column
-    norm; pass allow_rank_deficient=True to accept the minimum-norm
-    solution instead of raising RankDeficient.
-    """
-    a = M.to_dense() if isinstance(M, Matrix) else np.asarray(M, dtype=float)
-    rhs = as_vector(b)
-    m, n = a.shape
-    if m < n:
-        raise DimensionMismatch(f"least_squares needs m >= n, got {a.shape}")
-    if len(rhs) != m:
-        raise DimensionMismatch("least_squares: rhs length does not match matrix")
-
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    col_scale = np.linalg.norm(a, axis=0).max()
-    tol = _RANK_RTOL * col_scale
-    if s[-1] <= tol and not allow_rank_deficient:
-        raise RankDeficient(f"smallest singular value {s[-1]:.3e} below {tol:.3e}")
-    s_inv = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
-    coeffs = vt.T @ (s_inv * (u.T @ rhs))
-    residual_norm = float(np.linalg.norm(a @ coeffs - rhs))
-    return coeffs, residual_norm

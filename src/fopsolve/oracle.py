@@ -27,7 +27,7 @@ class Polynomial:
 
     family tags membership: "P" requires coeffs[0] == 1 exactly, "P1"
     requires a unit leading coefficient (monic). Untagged polynomials
-    are unconstrained scratch values from the structural operations.
+    are unconstrained.
     """
 
     coeffs: np.ndarray
@@ -115,25 +115,6 @@ def poly_matrix_apply(p: Polynomial, A: linalg.Matrix, v) -> np.ndarray:
     for cj in coeffs[-2::-1]:
         out = linalg.matvec(A, out) + cj * vec
     return out
-
-
-def poly_add(p: Polynomial, q: Polynomial) -> Polynomial:
-    n = max(p.coeffs.size, q.coeffs.size)
-    out = np.zeros(n)
-    out[:p.coeffs.size] += p.coeffs
-    out[:q.coeffs.size] += q.coeffs
-    return polynomial(out)
-
-
-def poly_scale(p: Polynomial, s: float) -> Polynomial:
-    return polynomial(p.coeffs * float(s))
-
-
-def poly_shift_mul(p: Polynomial, j: int) -> Polynomial:
-    """Multiply by x^j, i.e. shift the coefficients up by j places."""
-    if j < 0:
-        raise ValueError("shift must be >= 0")
-    return polynomial(np.concatenate([np.zeros(j), p.coeffs]))
 
 
 def _check_degree(k: int) -> None:

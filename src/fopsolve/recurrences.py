@@ -204,10 +204,8 @@ def a13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> A13Coeffs:
     determinant -> GhostBreakdown; vanishing C_k -> NormalizationBreakdown.
     All tests are relative to the magnitudes in play, with threshold eps.
     """
-    scale = max(abs(v) for v in sp.as_tuple())
+    _step_scale(sp, eps)
     denom = sp.c1_xkm3_p1km3
-    if abs(denom) <= eps * scale:
-        raise TrueBreakdown(f"c1(x^(k-3) P1_(k-3)) = {denom:.3e} underflows the step scale")
     e_k = -sp.c_xkm2_pkm2 / denom
 
     a11, a13 = sp.c_xkm2_pkm2, denom
@@ -220,9 +218,7 @@ def a13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> A13Coeffs:
     system = np.array([[a11, 0.0, a13], [a21, a22, a23], [a31, a32, a33]])
     rhs = np.array([b1, b2, b3])
     delta = a11 * (a22 * a33 - a32 * a23) + a13 * (a21 * a32 - a31 * a22)
-    if abs(delta) <= eps * np.abs(system).max() ** 3:
-        raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
-    b_k, c_k, f_k = linalg.solve_dense(system, rhs)
+    b_k, c_k, f_k = _solve_system(system, rhs, delta, eps)
     if abs(c_k) <= eps * max(1.0, abs(b_k), abs(f_k)):
         raise NormalizationBreakdown(f"C_k = {c_k:.3e}; 1/C_k is undefined")
     return A13Coeffs(
@@ -241,12 +237,11 @@ def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
     and a'_23 are back-substitution divisors in that closed form, so their
     underflow is flagged as DivisorBreakdown.
     """
-    scale = max(abs(v) for v in sp.as_tuple())
+    scale = _step_scale(sp, eps)
     denom = sp.c1_xkm3_p1km3
-    if abs(denom) <= eps * scale:
-        raise TrueBreakdown(f"c1(x^(k-3) P1_(k-3)) = {denom:.3e} underflows the step scale")
     c_k = -sp.c1_xkm2_p1km2 / denom
 
+    # a'_23 equals a'_12, so the closed form has a single divisor.
     a11, a12 = denom, sp.c1_xkm2_p1km2
     a21, a22, a23 = sp.c1_xkm2_p1km3, sp.c1_xkm1_p1km2, a12
     a31, a32, a33 = sp.c1_xkm1_p1km3, sp.c1_xk_p1km2, a22
@@ -257,16 +252,36 @@ def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
     system = np.array([[a11, a12, 0.0], [a21, a22, a23], [a31, a32, a33]])
     rhs = np.array([b1, b2, b3])
     delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23)
-    if abs(delta) <= eps * np.abs(system).max() ** 3:
-        raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
-    if abs(a12) <= eps * scale or abs(a23) <= eps * scale:
-        raise DivisorBreakdown(f"back-substitution divisor {min(abs(a12), abs(a23)):.3e} underflows")
-    d_k, f_k, g_k = linalg.solve_dense(system, rhs)
+    d_k, f_k, g_k = _solve_system(system, rhs, delta, eps, divisor=a12, scale=scale)
     return B13Coeffs(
         c_k=float(c_k), d_k=float(d_k), f_k=float(f_k), g_k=float(g_k),
         delta_prime_k=float(delta),
         system=tuple(tuple(row) for row in system), rhs=tuple(rhs),
     )
+
+
+def _step_scale(sp: ScalarProducts, eps: float) -> float:
+    """Largest functional value of the step, after the TrueBreakdown test
+    of the shared denominator c1(x^{k-3} P1_{k-3}) against it."""
+    scale = max(abs(v) for v in sp.as_tuple())
+    denom = sp.c1_xkm3_p1km3
+    if abs(denom) <= eps * scale:
+        raise TrueBreakdown(f"c1(x^(k-3) P1_(k-3)) = {denom:.3e} underflows the step scale")
+    return scale
+
+
+def _solve_system(system: np.ndarray, rhs: np.ndarray, delta: float, eps: float,
+                  divisor: float | None = None, scale: float = 0.0) -> np.ndarray:
+    """GhostBreakdown test of the determinant delta, then the 3x3 solve.
+
+    A closed-form back-substitution `divisor`, when given, is tested
+    against the step `scale` between the two (DivisorBreakdown).
+    """
+    if abs(delta) <= eps * np.abs(system).max() ** 3:
+        raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
+    if divisor is not None and abs(divisor) <= eps * scale:
+        raise DivisorBreakdown(f"back-substitution divisor {abs(divisor):.3e} underflows")
+    return linalg.solve_dense(system, rhs)
 
 
 def fit_relation(form: RelationForm, c: moments.MomentSequence, k: int) -> FitReport:
@@ -307,8 +322,8 @@ def fit_relation(form: RelationForm, c: moments.MomentSequence, k: int) -> FitRe
     t_aug = np.concatenate([t, [1.0]])
 
     w = _fit_multipliers(m_aug, t_aug)
-    residual = float(np.linalg.norm(m @ w - t) / np.linalg.norm(t))
-    fitted = polynomial_from_fit(m, w)
+    fitted = m @ w
+    residual = float(np.linalg.norm(fitted - t) / np.linalg.norm(t))
     if form.target_family == oracle.FAMILY_P:
         normalization_ok = abs(fitted[0] - 1.0) <= EXISTS_TOL
     else:
@@ -319,11 +334,6 @@ def fit_relation(form: RelationForm, c: moments.MomentSequence, k: int) -> FitRe
         relative_residual=residual, exists=residual < EXISTS_TOL,
         normalization_ok=bool(normalization_ok),
     )
-
-
-def polynomial_from_fit(m: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Coefficients of the polynomial the fitted multipliers reconstruct."""
-    return m @ w
 
 
 def _fit_multipliers(m_aug: np.ndarray, t_aug: np.ndarray) -> np.ndarray:

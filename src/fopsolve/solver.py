@@ -20,7 +20,7 @@ A^T.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +67,9 @@ class SolverState:
     The windows hold exactly what one combined step consumes: the two
     previous iterates and residuals, three auxiliary vectors, and the
     five left vectors u_{k-2}..u_{k+2} (u_{j+1} = A^T u_j by
-    construction). `history` is append-only across restarts.
+    construction). `step` advances the state in place. `history` is
+    append-only across restarts, and `iterations` counts its bootstrap
+    and step entries of degree k >= 1.
     """
 
     k: int
@@ -81,6 +83,7 @@ class SolverState:
     z_km3: np.ndarray | None = None
     u_window: list | None = None
     history: list = field(default_factory=list)
+    iterations: int = 0
     best_x: np.ndarray | None = None
     best_resnorm: float = np.inf
     restarts: int = 0
@@ -158,6 +161,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
         if not np.isfinite(rn):
             raise NumericOverflow("bootstrap residual overflowed")
         state.history.append((j, rn, "bootstrap"))
+        state.iterations += 1
         if rn < state.best_resnorm:
             state.best_resnorm, state.best_x = rn, xs[j].copy()
         if rn <= conv_floor:
@@ -179,10 +183,11 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
 
 
 def step(state: SolverState, A: linalg.Matrix, b, eps: float = 1e-12) -> SolverState:
-    """Advance one degree: new r, x, z and a one-slot shift of the left window.
+    """Advance one degree in place: new r, x, z and a one-slot shift of the left window.
 
-    Exactly 6 applications of A plus 1 of A^T. Breakdowns from the
-    coefficient computation propagate before any state is modified.
+    Exactly 6 applications of A plus 1 of A^T. Returns `state` itself.
+    Breakdowns from the coefficient computation and overflow of the new
+    iterates propagate before any state is modified.
     """
     if state.k < BOOTSTRAP_DEGREE + 1 or state.u_window is None:
         raise ValueError("state is not positioned for recurrence steps")
@@ -205,20 +210,17 @@ def step(state: SolverState, A: linalg.Matrix, b, eps: float = 1e-12) -> SolverS
     if not (np.isfinite(rn) and np.all(np.isfinite(z_k)) and np.all(np.isfinite(x_k))):
         raise NumericOverflow(f"iterate overflowed at degree {state.k}")
 
-    u_next = linalg.transpose_matvec(A, state.u_window[-1])
-    new = replace(
-        state,
-        k=state.k + 1,
-        x_km1=x_k, x_km2=state.x_km1,
-        r_km1=r_k, r_km2=state.r_km1,
-        z_km1=z_k, z_km2=state.z_km1, z_km3=state.z_km2,
-        u_window=state.u_window[1:] + [u_next],
-        history=state.history + [(state.k, rn, "step")],
-        restart_causes=list(state.restart_causes),
-    )
-    if rn < new.best_resnorm:
-        new.best_resnorm, new.best_x = rn, x_k.copy()
-    return new
+    state.u_window.append(linalg.transpose_matvec(A, state.u_window[-1]))
+    del state.u_window[0]
+    state.history.append((state.k, rn, "step"))
+    state.iterations += 1
+    state.k += 1
+    state.x_km1, state.x_km2 = x_k, state.x_km1
+    state.r_km1, state.r_km2 = r_k, state.r_km1
+    state.z_km1, state.z_km2, state.z_km3 = z_k, state.z_km1, state.z_km2
+    if rn < state.best_resnorm:
+        state.best_resnorm, state.best_x = rn, x_k
+    return state
 
 
 def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig,
@@ -227,43 +229,48 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig,
 
     Short-circuits to a converged state when the best residual already
     meets the tolerance. Every bootstrap attempt consumes one unit of the
-    restart budget; RestartsExhausted is raised when it runs out. History
-    is carried over append-only.
+    restart budget; RestartsExhausted is raised when it runs out, with
+    `state` left as it was. Otherwise the run record (history, restart
+    causes and count, iteration count, best iterate) moves on to the
+    fresh bootstrap state, history append-only.
     """
     bv = linalg.as_vector(b)
     bn = float(np.linalg.norm(bv))
     if state.best_resnorm <= config.tol * bn:
-        done = replace(state, converged=True, solution=state.best_x,
-                       history=list(state.history), restart_causes=list(state.restart_causes))
-        return done
+        state.converged = True
+        state.solution = state.best_x
+        return state
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    history = list(state.history)
-    causes = list(state.restart_causes)
+    entries = []
+    causes = []
     restarts = state.restarts
-    best_x, best_rn = state.best_x, state.best_resnorm
     k_at_failure = state.k
     while True:
         restarts += 1
         if restarts > config.max_restarts:
             raise RestartsExhausted(f"{restarts - 1} restarts used without convergence")
         causes.append(cause)
-        history.append((k_at_failure, best_rn, f"restart:{cause}"))
-        y = _draw_left_seed(rng, A, bv, best_x)
+        entries.append((k_at_failure, state.best_resnorm, f"restart:{cause}"))
+        y = _draw_left_seed(rng, A, bv, state.best_x)
         try:
-            fresh = bootstrap(A, bv, best_x, y, tol=config.tol)
+            fresh = bootstrap(A, bv, state.best_x, y, tol=config.tol)
         except (BreakdownError, NumericOverflow) as exc:
             cause = _cause_label(exc)
             k_at_failure = 0
             continue
         break
 
-    fresh.history = history + fresh.history
+    state.history.extend(entries)
+    state.history.extend(fresh.history)
+    fresh.history = state.history
+    state.restart_causes.extend(causes)
+    fresh.restart_causes = state.restart_causes
     fresh.restarts = restarts
-    fresh.restart_causes = causes
-    if best_rn < fresh.best_resnorm:
-        fresh.best_resnorm, fresh.best_x = best_rn, best_x
+    fresh.iterations += state.iterations
+    if state.best_resnorm < fresh.best_resnorm:
+        fresh.best_resnorm, fresh.best_x = state.best_resnorm, state.best_x
     return fresh
 
 
@@ -301,7 +308,7 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
         if state.converged:
             status = STATUS_CONVERGED
             break
-        if _iterations(state.history) >= max_iter:
+        if state.iterations >= max_iter:
             status = STATUS_MAX_ITERATIONS
             break
         try:
@@ -318,10 +325,6 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
             state.solution = state.x_km1
     x = state.solution if state.solution is not None else state.best_x
     return x, _report(state, status, bn)
-
-
-def _iterations(history) -> int:
-    return sum(1 for k, _, ev in history if k >= 1 and ev in ("bootstrap", "step"))
 
 
 def _cause_label(exc) -> str:
@@ -347,7 +350,7 @@ def _report(state: SolverState, status: str, bn: float) -> SolveReport:
     denom = bn if bn > 0 else 1.0
     return SolveReport(
         status=status,
-        iterations=_iterations(state.history),
+        iterations=state.iterations,
         restarts=state.restarts,
         restart_causes=tuple(state.restart_causes),
         entries=tuple(state.history),

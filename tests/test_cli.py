@@ -163,6 +163,9 @@ def test_cmd_solve_usage_errors():
     assert run(["solve", "--gen", "identity:4", "--matrix", "x.mtx"]) == cli.EXIT_USAGE
     assert run(["solve", "--gen", "nope:4"]) == cli.EXIT_USAGE
     assert run(["nonsense"]) == cli.EXIT_USAGE
+    assert run(["solve", "--gen", "identity:4", "--tol", "-1"]) == cli.EXIT_USAGE
+    assert run(["solve", "--gen", "identity:4", "--max-iter", "0"]) == cli.EXIT_USAGE
+    assert run(["solve", "--gen", "identity:4", "--max-restarts", "-1"]) == cli.EXIT_USAGE
 
 
 def test_cmd_solve_from_matrix_market(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fopsolve as fs
-from fopsolve.errors import DimensionMismatch, RankDeficient, SingularSystem
+from fopsolve.errors import DimensionMismatch, SingularSystem
 
 
 def test_matvec_identity():
@@ -128,39 +128,3 @@ def test_solve_dense_size_cap():
     with pytest.raises(DimensionMismatch):
         fs.solve_dense(fs.Matrix.identity(11), np.ones(11))
 
-
-def test_least_squares_identity():
-    coeffs, resid = fs.least_squares(fs.Matrix.identity(3), [1.0, 2.0, 3.0])
-    assert np.allclose(coeffs, [1.0, 2.0, 3.0])
-    assert resid <= 1e-14
-
-
-def test_least_squares_column_of_ones():
-    coeffs, resid = fs.least_squares(np.array([[1.0], [1.0]]), [0.0, 2.0])
-    assert np.allclose(coeffs, [1.0])
-    assert abs(resid - np.sqrt(2.0)) <= 1e-12
-
-
-def test_least_squares_consistent_overdetermined():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((8, 3))
-    w = rng.standard_normal(3)
-    b = a @ w
-    coeffs, resid = fs.least_squares(a, b)
-    assert resid <= 1e-12 * np.linalg.norm(b)
-    assert np.allclose(coeffs, w, atol=1e-10)
-
-
-def test_least_squares_rank_deficient_raises_then_allows():
-    a = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
-    with pytest.raises(RankDeficient):
-        fs.least_squares(a, [1.0, 2.0, 3.0])
-    coeffs, resid = fs.least_squares(a, [1.0, 2.0, 3.0], allow_rank_deficient=True)
-    assert resid <= 1e-12
-    # minimum-norm member of the solution family
-    assert np.allclose(coeffs, [0.2, 0.4], atol=1e-12)
-
-
-def test_least_squares_shape_contract():
-    with pytest.raises(DimensionMismatch):
-        fs.least_squares(np.ones((2, 3)), [1.0, 1.0])

@@ -120,15 +120,6 @@ def test_poly_matrix_apply_eigen_identity():
     assert np.allclose(got, expected, rtol=1e-12)
 
 
-def test_structural_ops():
-    x2 = fs.poly_shift_mul(fs.polynomial([1.0]), 2)
-    assert np.array_equal(x2.coeffs, [0.0, 0.0, 1.0])
-    summed = fs.poly_add(fs.polynomial([1.0, -1.0]), fs.polynomial([0.0, 1.0]))
-    assert np.array_equal(summed.coeffs, [1.0])  # exact cancellation trims
-    scaled = fs.poly_scale(fs.polynomial([1.0, -1.5, 0.5]), 2.0)
-    assert np.array_equal(scaled.coeffs, [2.0, -3.0, 1.0])
-
-
 def test_polynomial_family_invariants():
     with pytest.raises(ValueError):
         fs.Polynomial(np.array([0.5, 1.0]), fs.FAMILY_P)

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import fopsolve as fs
 from fopsolve.cli import random_sdd_matrix, ring_spectrum_fixture
-from fopsolve.errors import BootstrapBreakdown, RestartsExhausted
+from fopsolve.errors import BootstrapBreakdown, BreakdownError, RestartsExhausted
 from fopsolve.solver import (
     STATUS_BREAKDOWN_EXHAUSTED,
     STATUS_CONVERGED,
@@ -35,13 +37,16 @@ class CountingMatrix:
 
 
 def drive_steps(A, b, y, tol=1e-8, n_steps=4):
-    """Bootstrap then advance n_steps, collecting per-degree vectors."""
+    """Bootstrap then advance n_steps, snapshotting k, r_km1, z_km1 and x_km1
+    after each step (the step advances one state in place)."""
     state = fs.bootstrap(A, b, np.zeros(A.rows), y, tol=tol)
-    states = []
+    snapshots = []
     for _ in range(n_steps):
-        state = fs.step(state, A, b)
-        states.append(state)
-    return states
+        fs.step(state, A, b)
+        snapshots.append(SimpleNamespace(
+            k=state.k, r_km1=state.r_km1.copy(), z_km1=state.z_km1.copy(), x_km1=state.x_km1.copy(),
+        ))
+    return snapshots
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +164,25 @@ def test_step_history_append_only():
     state = fs.bootstrap(A, r0, np.zeros(12), y, tol=1e-14)
     before = list(state.history)
     after = fs.step(state, A, r0)
+    assert after is state
     assert after.history[:len(before)] == before
     assert after.history[-1][2] == "step"
+
+
+def test_failed_step_leaves_state_untouched():
+    A, r0, y = ring_spectrum_fixture(12, 2)
+    state = fs.bootstrap(A, r0, np.zeros(12), y, tol=1e-14)
+    names = ("x_km1", "x_km2", "r_km1", "r_km2", "z_km1", "z_km2", "z_km3")
+    before = {name: getattr(state, name).copy() for name in names}
+    u_before = [u.copy() for u in state.u_window]
+    k, n_history, iterations = state.k, len(state.history), state.iterations
+    with pytest.raises(BreakdownError):
+        fs.step(state, A, r0, eps=0.5)
+    assert (state.k, len(state.history), state.iterations) == (k, n_history, iterations)
+    for name in names:
+        assert np.array_equal(getattr(state, name), before[name])
+    assert len(state.u_window) == len(u_before)
+    assert all(np.array_equal(u, v) for u, v in zip(state.u_window, u_before))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +316,15 @@ def test_solve_converged_report_invariant():
     assert report.final_relative_residual <= cfg.tol
     ks = [k for k, _ in report.residual_history]
     assert ks == sorted(ks)
+
+
+def test_solve_iterations_count_bootstrap_and_step_entries_across_restarts():
+    A = fs.Matrix.tridiagonal(50)
+    b = fs.matvec(A, np.ones(50))
+    _, report = fs.solve(A, b, config=fs.SolverConfig(seed=0))
+    assert report.restarts > 0
+    counted = sum(1 for k, _, ev in report.entries if k >= 1 and ev in ("bootstrap", "step"))
+    assert report.iterations == counted
 
 
 def test_solver_config_validation():
