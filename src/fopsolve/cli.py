@@ -7,14 +7,16 @@ Two commands:
 
 `solve` writes a JSON report and a CSV residual history; its exit code
 encodes the outcome (0 converged, 1 iteration cap, 2 breakdown budget
-exhausted, 64 usage error, 65 unreadable input). `verify` fits the five
-candidate recurrence shapes on twenty seeded fixtures and exits 0 iff
-the existence consensus matches the expected dichotomy: A13, A14 and B13
-representable, A11 and B11 not.
+exhausted, 64 usage error, 65 unreadable input or unwritable output).
+`verify` fits the five candidate recurrence shapes on twenty seeded
+fixtures and exits 0 iff the existence consensus matches the expected
+dichotomy: A13, A14 and B13 representable, A11 and B11 not; it also
+exits 65 on an unwritable --report path.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import statistics
@@ -183,6 +185,16 @@ def ring_spectrum_fixture(n: int, seed: int) -> tuple[linalg.Matrix, np.ndarray,
     return linalg.Matrix.from_dense(a), r0, y
 
 
+@contextlib.contextmanager
+def _output(path: str, newline: str | None = None):
+    """An output file opened for writing; failing to open or write it is an InputError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write file ({exc})") from exc
+
+
 # ---------------------------------------------------------------------------
 # solve command
 # ---------------------------------------------------------------------------
@@ -228,16 +240,16 @@ def cmd_solve(args) -> int:
     text = json.dumps(doc, sort_keys=True, indent=2)
     print(text)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with _output(args.report) as fh:
             fh.write(text + "\n")
     if args.history:
-        with open(args.history, "w", encoding="utf-8", newline="") as fh:
+        with _output(args.history, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k", "residual_norm", "event"])
             for k, rn, ev in report.entries:
                 writer.writerow([k, repr(rn), ev])
     if args.solution:
-        with open(args.solution, "w", encoding="utf-8") as fh:
+        with _output(args.solution) as fh:
             fh.write("\n".join(repr(float(v)) for v in x) + "\n")
 
     if report.status == solver.STATUS_CONVERGED:
@@ -309,7 +321,7 @@ def cmd_verify(args) -> int:
     print("all_ok:", doc["all_ok"])
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        with _output(args.report) as fh:
             fh.write(text + "\n")
     else:
         print(text)

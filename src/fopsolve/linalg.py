@@ -1,10 +1,15 @@
 """Dense/sparse matrix and vector kernels.
 
 Everything is double precision and immutable after construction; the
-functions here are pure and safe to share across threads.
+functions here are pure and safe to share across threads. Matrix and
+vector products run in numpy; the small pivoted solve (`solve_dense`,
+n <= 10) runs on Python floats, because at that size numpy's per-call
+overhead costs more than the arithmetic.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -152,38 +157,82 @@ def transpose_matvec(M: Matrix, v) -> np.ndarray:
     return M.rmatvec(np.asarray(v, dtype=float))
 
 
-def solve_dense(M: Matrix | np.ndarray, b) -> np.ndarray:
+def solve_dense(M: Matrix | np.ndarray | Sequence[Sequence[float]], b) -> np.ndarray:
     """Solve a small square system by Gaussian elimination with row pivoting.
 
-    Restricted to n <= 10; the only consumers are moment systems and the
-    3x3 recurrence-coefficient systems. Raises SingularSystem (carrying
-    the offending elimination step) when a pivot falls below
-    1e-13 * max|M|.
+    The single elimination routine of the package: its consumers are the
+    3x3 recurrence-coefficient systems, the bootstrap's degree 1..4
+    orthogonality systems and the oracle's Hankel moment systems, all
+    with n <= 10. `M` is a Matrix, an ndarray or a sequence of rows and is
+    not modified; the arithmetic runs on Python floats. The pivot of each
+    column is the first row with the largest |entry|; back substitution
+    accumulates each row's dot product with fused multiply-adds. Raises
+    SingularSystem (carrying the offending elimination step) when that
+    pivot falls below 1e-13 * max|M|, ValueError on non-finite entries.
     """
-    a = M.to_dense() if isinstance(M, Matrix) else np.array(M, dtype=float)
-    rhs = as_vector(b).copy()
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise DimensionMismatch(f"solve_dense needs a square matrix, got {a.shape}")
+    if isinstance(M, Matrix):
+        M = M.to_dense()
+    try:
+        a = [list(map(float, row)) for row in _as_list(M)]
+        rhs = list(map(float, _as_list(b)))
+    except TypeError as exc:
+        raise DimensionMismatch("solve_dense needs a matrix of rows and a 1-D right-hand side") from exc
+    n = len(a)
+    if n < 1 or any(len(row) != n for row in a):
+        raise DimensionMismatch(f"solve_dense needs a square matrix, got rows of lengths {[len(r) for r in a]}")
     if n > SOLVE_DENSE_MAX_N:
         raise DimensionMismatch(f"solve_dense is limited to n <= {SOLVE_DENSE_MAX_N}, got n = {n}")
     if len(rhs) != n:
         raise DimensionMismatch("solve_dense: rhs length does not match matrix")
+    if not all(map(math.isfinite, itertools.chain(rhs, *a))):
+        raise ValueError("solve_dense: entries must be finite")
 
-    pivot_floor = _PIVOT_RTOL * np.abs(a).max()
+    pivot_floor = _PIVOT_RTOL * max(map(abs, itertools.chain(*a)))
     for col in range(n):
-        p = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[p, col]) <= pivot_floor:
+        p, big = col, abs(a[col][col])
+        for i in range(col + 1, n):
+            if abs(a[i][col]) > big:
+                p, big = i, abs(a[i][col])
+        if big <= pivot_floor:
             raise SingularSystem(col)
-        if p != col:
-            a[[col, p]] = a[[p, col]]
-            rhs[[col, p]] = rhs[[p, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= np.outer(factors, a[col, col:])
-        rhs[col + 1:] -= factors * rhs[col]
+        a[col], a[p] = a[p], a[col]
+        rhs[col], rhs[p] = rhs[p], rhs[col]
+        pivot_row, pivot = a[col], a[col][col]
+        for i in range(col + 1, n):
+            row = a[i]
+            factor = row[col] / pivot
+            for j in range(col + 1, n):
+                row[j] -= factor * pivot_row[j]
+            rhs[i] -= factor * rhs[col]
 
-    x = np.zeros(n)
+    x = [0.0] * n
     for i in range(n - 1, -1, -1):
-        x[i] = (rhs[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
+        row = a[i]
+        dot = 0.0
+        for j in range(i + 1, n):
+            dot = _fma(row[j], x[j], dot)
+        x[i] = (rhs[i] - dot) / row[i]
+    return np.array(x)
 
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once: the fused multiply-add with which BLAS dot
+    kernels accumulate, so the back substitution rounds as numpy's
+    `row @ x` does with an FMA BLAS, on any machine.
+
+    Exact on the operands' integer ratios (floats are dyadic); int true
+    division rounds correctly. Adding a zero c is exact as it stands.
+    """
+    if not c:
+        return a * b + c
+    try:
+        (na, da), (nb, db), (nc, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+        d = max(da * db, dc)
+        return (na * nb * (d // (da * db)) + nc * (d // dc)) / d
+    except (OverflowError, ValueError):  # an infinite or NaN operand, or an overflowing result
+        return a * b + c
+
+
+def _as_list(values):
+    """An ndarray as nested lists of Python numbers; other sequences as they are."""
+    return values.tolist() if isinstance(values, np.ndarray) else values

@@ -13,7 +13,9 @@ Two jobs:
   (`assemble_scalar_products`) and expanded into the orthogonality
   conditions against the test functions N_{k-4}..N_{k-1}
   (`ScalarProducts.rows`); the power basis N_j = x^j is the special
-  case beta_j = alpha_j = 0, gamma_j = 1;
+  case beta_j = alpha_j = 0, gamma_j = 1. The values, the rows and the
+  two 3x3 systems are Python floats, solved by `linalg.solve_dense`;
+  a pivot below its floor is reported as GhostBreakdown;
 
 * numerically certify which candidate relation shapes exist at all, by
   least-squares fitting expanded multiplier candidates against oracle
@@ -36,6 +38,7 @@ from .errors import (
     GhostBreakdown,
     NormalizationBreakdown,
     RankDeficient,
+    SingularSystem,
     TrueBreakdown,
 )
 
@@ -268,11 +271,12 @@ def a13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> A13Coeffs:
     The lowest row, against N_{k-4}, gives E_k = -c(N_{k-4} x^2 P_{k-2}) /
     c1(N_{k-4} x P1_{k-3}); B_k, C_k, F_k solve the 3x3 system whose rows
     are the conditions against N_{k-3}..N_{k-1}; A_k = 1 / C_k. The 3x3 is
-    solved by pivoted elimination (the explicit cofactor formulas of the
+    solved by `linalg.solve_dense` (the explicit cofactor formulas of the
     power basis are kept in the test suite as an equivalence check).
 
     Breakdowns: vanishing denominator -> TrueBreakdown; vanishing system
-    determinant -> GhostBreakdown; vanishing C_k -> NormalizationBreakdown.
+    determinant or elimination pivot -> GhostBreakdown; vanishing C_k ->
+    NormalizationBreakdown.
     All tests are relative to the magnitudes in play, with threshold eps.
     """
     p0, p1, p2, q0, q1 = sp.rows[:5]
@@ -287,11 +291,7 @@ def a13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> A13Coeffs:
     b_k, c_k, f_k = _solve_system(rows, rhs, delta, eps)
     if abs(c_k) <= eps * max(1.0, abs(b_k), abs(f_k)):
         raise NormalizationBreakdown(f"C_k = {c_k:.3e}; 1/C_k is undefined")
-    return A13Coeffs(
-        a_k=1.0 / c_k, b_k=float(b_k), c_k=float(c_k), e_k=float(e_k), f_k=float(f_k),
-        delta_k=float(delta),
-        system=tuple(rows), rhs=rhs,
-    )
+    return A13Coeffs(a_k=1.0 / c_k, b_k=b_k, c_k=c_k, e_k=e_k, f_k=f_k, delta_k=delta, system=tuple(rows), rhs=rhs)
 
 
 def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
@@ -299,7 +299,7 @@ def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
 
     The lowest row gives C_k = -c1(N_{k-4} x^2 P1_{k-2}) /
     c1(N_{k-4} x P1_{k-3}); D_k, F_k, G_k solve the remaining 3x3
-    orthogonality system (pivoted elimination here, cofactor
+    orthogonality system (`linalg.solve_dense` here, cofactor
     back-substitution kept as a test check). The entries a'_12 and a'_23
     are back-substitution divisors in that closed form, so their
     underflow is flagged as DivisorBreakdown.
@@ -315,11 +315,7 @@ def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
     delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23)
     # a'_12 and a'_23 are the closed form's divisors; they are equal in the power basis.
     d_k, f_k, g_k = _solve_system(rows, rhs, delta, eps, divisor=min(abs(a12), abs(a23)), scale=scale)
-    return B13Coeffs(
-        c_k=float(c_k), d_k=float(d_k), f_k=float(f_k), g_k=float(g_k),
-        delta_prime_k=float(delta),
-        system=tuple(rows), rhs=rhs,
-    )
+    return B13Coeffs(c_k=c_k, d_k=d_k, f_k=f_k, g_k=g_k, delta_prime_k=delta, system=tuple(rows), rhs=rhs)
 
 
 def _step_scale(sp: ScalarProducts, eps: float) -> float:
@@ -332,17 +328,23 @@ def _step_scale(sp: ScalarProducts, eps: float) -> float:
 
 
 def _solve_system(rows, rhs, delta: float, eps: float,
-                  divisor: float | None = None, scale: float = 0.0) -> np.ndarray:
+                  divisor: float | None = None, scale: float = 0.0) -> list[float]:
     """GhostBreakdown test of the determinant delta, then the 3x3 solve.
 
     A closed-form back-substitution `divisor`, when given, is tested
-    against the step `scale` between the two (DivisorBreakdown).
+    against the step `scale` between the two (DivisorBreakdown). A pivot
+    below the elimination's own floor is a vanishing system too, so
+    SingularSystem surfaces as GhostBreakdown; with breakdown_eps below
+    about 1e-13 the determinant test alone lets such systems through.
     """
     if abs(delta) <= eps * max(map(abs, itertools.chain.from_iterable(rows))) ** 3:
         raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
     if divisor is not None and abs(divisor) <= eps * scale:
         raise DivisorBreakdown(f"back-substitution divisor {abs(divisor):.3e} underflows")
-    return linalg.solve_dense(np.array(rows), rhs)
+    try:
+        return linalg.solve_dense(rows, rhs).tolist()
+    except SingularSystem as exc:
+        raise GhostBreakdown(f"coefficient system singular at pivot {exc.pivot_index}") from exc
 
 
 def fit_relation(form: RelationForm, c: moments.MomentSequence, k: int) -> FitReport:

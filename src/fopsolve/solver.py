@@ -319,6 +319,12 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     Returns (x, SolveReport). Never raises on numerical failure; every
     failure mode lands in the report status. The convergence test is
     ||r_k|| <= tol * ||b||.
+
+    The iteration runs on b and x0 scaled by 2^-e, e the binary exponent
+    of max|b|, so that norms of b near the ends of the double range
+    neither overflow nor underflow; x and the residual norms of the
+    report are scaled back. Power-of-two scaling is exact, so the result
+    is the unit-scale solve times 2^e, bit for bit.
     """
     cfg = config if config is not None else SolverConfig()
     bv = linalg.as_vector(b)
@@ -326,6 +332,8 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     if A.cols != n or len(bv) != n:
         raise DimensionMismatch("solve needs a square matrix matching b")
     x0v = np.zeros(n) if x0 is None else linalg.as_vector(x0)
+    exponent = math.frexp(float(np.max(np.abs(bv))))[1]
+    bv, x0v = np.ldexp(bv, -exponent), np.ldexp(x0v, -exponent)
     max_iter = cfg.max_iter if cfg.max_iter is not None else 2 * n + 10
     rng = np.random.default_rng(cfg.seed)
     bn = float(np.linalg.norm(bv))
@@ -341,7 +349,7 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
         try:
             state = restart(seed_state, A, bv, cfg, cause=_cause_label(exc), rng=rng)
         except RestartsExhausted:
-            return seed_state.best_x, _report(seed_state, STATUS_BREAKDOWN_EXHAUSTED, bn)
+            return np.ldexp(seed_state.best_x, exponent), _report(seed_state, STATUS_BREAKDOWN_EXHAUSTED, bn, exponent)
 
     while True:
         if state.converged:
@@ -363,7 +371,7 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
             state.converged = True
             state.solution = state.x_km1
     x = state.solution if state.solution is not None else state.best_x
-    return x, _report(state, status, bn)
+    return np.ldexp(x, exponent), _report(state, status, bn, exponent)
 
 
 def _cause_label(exc) -> str:
@@ -385,13 +393,21 @@ def _draw_left_seed(rng, A, b, x0, max_tries: int = 1000) -> np.ndarray:
     raise RuntimeError("could not draw a usable left seed")
 
 
-def _report(state: SolverState, status: str, bn: float) -> SolveReport:
+def _report(state: SolverState, status: str, bn: float, exponent: int) -> SolveReport:
+    """The run record, residual norms scaled by 2^exponent back to the caller's b.
+
+    The history entries are rescaled in place, one at a time, so a long
+    history is never held twice.
+    """
     denom = bn if bn > 0 else 1.0
+    history = state.history
+    for i, (k, rn, ev) in enumerate(history):
+        history[i] = (k, math.ldexp(rn, exponent), ev)
     return SolveReport(
         status=status,
         iterations=state.iterations,
         restarts=state.restarts,
         restart_causes=tuple(state.restart_causes),
-        entries=tuple(state.history),
+        entries=tuple(history),
         final_relative_residual=state.best_resnorm / denom,
     )

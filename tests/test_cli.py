@@ -168,6 +168,13 @@ def test_cmd_solve_usage_errors():
     assert run(["solve", "--gen", "identity:4", "--max-restarts", "-1"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", ["--report", "--history", "--solution"])
+def test_cmd_solve_unwritable_output_is_an_input_error(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "out"
+    assert run(["solve", "--gen", "identity:4", flag, str(path)]) == cli.EXIT_INPUT
+    assert str(path) in capsys.readouterr().err
+
+
 def test_cmd_solve_from_matrix_market(tmp_path):
     path = tmp_path / "d.mtx"
     path.write_text(
@@ -207,3 +214,9 @@ def test_verify_json_round_trip(tmp_path):
     text = report.read_text().rstrip("\n")
     doc = json.loads(text)
     assert json.dumps(doc, sort_keys=True, indent=2) == text
+
+
+def test_cmd_verify_unwritable_report_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "verify.json"
+    assert run(["verify", "--report", str(path)]) == cli.EXIT_INPUT
+    assert str(path) in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,92 @@ def test_solve_dense_size_cap():
     with pytest.raises(DimensionMismatch):
         fs.solve_dense(fs.Matrix.identity(11), np.ones(11))
 
+
+
+def _forms(a):
+    """The same matrix as a Matrix, an ndarray and a tuple of row tuples."""
+    return fs.Matrix.from_dense(a), a, tuple(tuple(row) for row in a.tolist())
+
+
+def test_solve_dense_agrees_with_lapack_in_every_input_form():
+    rng = np.random.default_rng(5)
+    for n in range(1, 11):
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        b = rng.standard_normal(n)
+        ref = np.linalg.solve(a, b)
+        for m in _forms(a):
+            x = fs.solve_dense(m, tuple(b))
+            assert isinstance(x, np.ndarray) and x.shape == (n,)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_solve_dense_pivots_on_the_first_largest_entry():
+    # Rows 0 and 1 tie in column 0. Back substitution through row 0 and
+    # through row 1 round differently here, so the result shows the choice.
+    a01, a11, b0, b1 = 0.5, -1.0, -0.1, 0.4
+    x1 = (b1 + b0) / (a11 + a01)
+    through_row0 = (b0 - a01 * x1) / 2.0
+    through_row1 = (b1 - a11 * x1) / -2.0
+    assert through_row0 != through_row1
+    x = fs.solve_dense([[2.0, a01], [-2.0, a11]], [b0, b1])
+    assert x[1] == x1
+    assert x[0] == through_row0
+
+
+def test_solve_dense_back_substitution_fuses_each_multiply_add():
+    # Unit upper-triangular rows need no elimination, so x0 = r - dot, where
+    # dot accumulates b_j * x_j with one rounding per term (as a BLAS dot
+    # kernel with fused multiply-adds does).
+    rng = np.random.default_rng(9)
+    fused_differs = 0
+    for _ in range(200):
+        r, a1, a2, a3, x1, x2, x3 = rng.standard_normal(7).tolist()
+        dot = 0.0
+        for coef, xj in ((a1, x1), (a2, x2), (a3, x3)):
+            dot = float(Fraction(coef) * Fraction(xj) + Fraction(dot))
+        fused_differs += dot != a1 * x1 + a2 * x2 + a3 * x3
+        rows = [[1.0, a1, a2, a3], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+        assert fs.solve_dense(rows, [r, x1, x2, x3])[0] == r - dot
+    assert fused_differs > 0
+
+
+@pytest.mark.parametrize("rows, index", [
+    ([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]], 0),
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]], 2),
+])
+def test_solve_dense_singular_pivot_index(rows, index):
+    with pytest.raises(SingularSystem) as info:
+        fs.solve_dense(rows, [1.0, 1.0, 1.0])
+    assert info.value.pivot_index == index
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_dense_rejects_nonfinite_entries(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    for m in (a, a.tolist()):
+        with pytest.raises(ValueError):
+            fs.solve_dense(m, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        fs.solve_dense(np.eye(3), [1.0, bad, 1.0])
+
+
+def test_solve_dense_rejects_non_square_and_ragged_input():
+    for m in ([[1.0, 2.0]], [[1.0, 2.0], [3.0]], [1.0, 2.0], np.ones((2, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            fs.solve_dense(m, [1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        fs.solve_dense(np.eye(2), [1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        fs.solve_dense(np.eye(2), [[1.0], [1.0]])
+
+
+def test_solve_dense_leaves_its_input_unmodified():
+    a = np.array([[1.0, 2.0, 0.5], [4.0, -1.0, 3.0], [-2.0, 0.5, 1.0]])  # row swaps needed
+    b = np.array([1.0, -2.0, 0.5])
+    rows = a.tolist()
+    a_copy, b_copy, rows_copy = a.copy(), b.copy(), [list(r) for r in rows]
+    fs.solve_dense(a, b)
+    fs.solve_dense(rows, b)
+    assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
+    assert rows == rows_copy

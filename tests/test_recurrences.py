@@ -282,6 +282,14 @@ def test_a13_ghost_breakdown_on_singular_system():
         fs.a13_coefficients(sp)
 
 
+def test_a13_singular_pivot_below_the_determinant_test_is_ghost():
+    # det = 1e-14 passes the determinant test at eps = 1e-15, but the second
+    # elimination pivot (-1e-14) falls below solve_dense's 1e-13 floor.
+    sp = sp_from_values([0.0, 1e-7, 1.0, 0.0], [1.0, 0.0, 0.5, 0.0], [1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(GhostBreakdown, match="pivot 1"):
+        fs.a13_coefficients(sp, eps=1e-15)
+
+
 def test_a13_normalization_breakdown():
     # engineered so the 3x3 is regular but its second unknown is exactly zero
     sp = sp_from_values([1.0, 0.0, 1.0, 0.0], [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0])

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -330,6 +331,28 @@ def test_solve_iterations_count_bootstrap_and_step_entries_across_restarts():
     assert report.restarts > 0
     counted = sum(1 for k, _, ev in report.entries if k >= 1 and ev in ("bootstrap", "step"))
     assert report.iterations == counted
+
+
+def test_solve_is_exactly_scale_invariant_in_b():
+    # Each case is (unit-scale b, e) with the solved b = unit * 2^e: b * 2^600,
+    # b * 2^-600 and the constant vectors 1e300 and 1e-300, whose mantissas
+    # m in [0.5, 1) give the unit-scale vectors m * ones.
+    A = fs.Matrix.tridiagonal(16)
+    b = np.random.default_rng(4).standard_normal(16)
+    cases = [(b, 600), (b, -600)]
+    for big in (1e300, 1e-300):
+        m, e = math.frexp(big)
+        cases.append((np.full(16, m), e))
+    assert np.array_equal(np.ldexp(cases[2][0], cases[2][1]), np.full(16, 1e300))
+    assert np.array_equal(np.ldexp(cases[3][0], cases[3][1]), np.full(16, 1e-300))
+    for unit, e in cases:
+        x_unit, report_unit = fs.solve(A, unit)
+        assert report_unit.status == STATUS_CONVERGED
+        x, report = fs.solve(A, np.ldexp(unit, e))
+        assert np.array_equal(x, np.ldexp(x_unit, e))
+        assert report.entries == tuple((k, math.ldexp(rn, e), ev) for k, rn, ev in report_unit.entries)
+        assert report.final_relative_residual == report_unit.final_relative_residual
+        assert report.status == report_unit.status
 
 
 def test_solver_config_validation():
