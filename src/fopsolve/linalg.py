@@ -1,7 +1,9 @@
 """Dense/sparse matrix and vector kernels.
 
 Everything is double precision and immutable after construction; the
-functions here are pure and safe to share across threads. Matrix and
+functions here are pure and safe to share across threads. A `Matrix` has
+one of three storages: dense, its three diagonals (the tridiagonal
+stencil), or coordinate triplets (general sparse input). Matrix and
 vector products run in numpy; the small pivoted solve (`solve_dense`,
 n <= 10) runs on Python floats, because at that size numpy's per-call
 overhead costs more than the arithmetic.
@@ -31,19 +33,23 @@ def as_vector(values) -> np.ndarray:
 
 
 class Matrix:
-    """Real matrix, stored either dense (row-ordered) or as coordinate triplets.
+    """Real matrix, stored dense (row-ordered), as three diagonals or as
+    coordinate triplets.
 
-    Duplicate (row, col) triplets are rejected, all values must be finite.
+    The diagonal storage `bands` is (main, upper, lower): the entries at
+    offsets 0, +1 and -1, of lengths n, n - 1 and n - 1. Duplicate
+    (row, col) triplets are rejected, all values must be finite.
     Instances are read-only; build new ones instead of mutating.
     """
 
-    def __init__(self, shape, dense=None, coo=None):
+    def __init__(self, shape, dense=None, coo=None, bands=None):
         rows, cols = int(shape[0]), int(shape[1])
         if rows < 1 or cols < 1:
             raise DimensionMismatch(f"invalid shape {shape}")
         self._shape = (rows, cols)
         self._dense = dense
         self._coo = coo
+        self._bands = bands
 
     # -- constructors -------------------------------------------------
 
@@ -89,12 +95,14 @@ class Matrix:
 
     @classmethod
     def tridiagonal(cls, n: int) -> "Matrix":
-        """The (-1, 2, -1) stencil of size n, as coordinate triplets."""
+        """The (-1, 2, -1) stencil of size n, stored as its three diagonals."""
         n = int(n)
-        trips = [(i, i, 2.0) for i in range(n)]
-        trips += [(i, i + 1, -1.0) for i in range(n - 1)]
-        trips += [(i + 1, i, -1.0) for i in range(n - 1)]
-        return cls.from_triplets((n, n), trips)
+        if n < 1:
+            raise DimensionMismatch(f"invalid shape {(n, n)}")
+        bands = (np.full(n, 2.0), np.full(n - 1, -1.0), np.full(n - 1, -1.0))
+        for band in bands:
+            band.setflags(write=False)
+        return cls((n, n), bands=bands)
 
     # -- queries ------------------------------------------------------
 
@@ -118,23 +126,46 @@ class Matrix:
     def nnz(self) -> int:
         if self._dense is not None:
             return int(np.count_nonzero(self._dense))
+        if self._bands is not None:
+            return sum(band.size for band in self._bands)
         return int(self._coo[0].size)
 
     def to_dense(self) -> np.ndarray:
         if self._dense is not None:
             return self._dense.copy()
+        if self._bands is not None:
+            main, upper, lower = self._bands
+            out = np.diag(main)
+            np.fill_diagonal(out[:, 1:], upper)
+            np.fill_diagonal(out[1:], lower)
+            return out
         r, c, v = self._coo
         out = np.zeros(self._shape)
         out[r, c] = v
         return out
 
     # -- products -----------------------------------------------------
+    #
+    # The diagonal products add each row's terms in the order main, upper,
+    # lower: the order in which the coordinate kernel's np.bincount adds
+    # the stencil's triplets when they are listed diagonal by diagonal, so
+    # both storages give the same bits. (np.bincount starts each sum from
+    # +0.0, so a row whose terms are all -0.0 sums to +0.0 there and to
+    # -0.0 here.) `head += ...` on a bound view updates `y` in place
+    # without the copy-back of `y[:-1] += ...`.
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if len(v) != self.cols:
             raise DimensionMismatch(f"matvec: matrix is {self._shape}, vector has length {len(v)}")
         if self._dense is not None:
             return self._dense @ v
+        if self._bands is not None:
+            main, upper, lower = self._bands
+            y = main * v
+            head, tail = y[:-1], y[1:]
+            head += upper * v[1:]
+            tail += lower * v[:-1]
+            return y
         r, c, vals = self._coo
         return np.bincount(r, weights=vals * v[c], minlength=self.rows)
 
@@ -143,6 +174,13 @@ class Matrix:
             raise DimensionMismatch(f"transpose matvec: matrix is {self._shape}, vector has length {len(v)}")
         if self._dense is not None:
             return self._dense.T @ v
+        if self._bands is not None:
+            main, upper, lower = self._bands
+            y = main * v
+            head, tail = y[:-1], y[1:]
+            tail += upper * v[:-1]
+            head += lower * v[1:]
+            return y
         r, c, vals = self._coo
         return np.bincount(c, weights=vals * v[r], minlength=self.cols)
 

@@ -268,10 +268,12 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig,
 
     Short-circuits to a converged state when the best residual already
     meets the tolerance. Every bootstrap attempt consumes one unit of the
-    restart budget; RestartsExhausted is raised when it runs out, with
-    `state` left as it was. Otherwise the run record (history, restart
-    causes and count, iteration count, best iterate) moves on to the
-    fresh bootstrap state, history append-only.
+    restart budget and is recorded on `state` (history entry, cause,
+    count); a failed attempt, including one whose seed draw overflows,
+    names its cause to the next. RestartsExhausted is raised when the
+    budget runs out. Otherwise the run record (history, restart causes
+    and count, iteration count, best iterate) moves on to the fresh
+    bootstrap state, history append-only.
     """
     bv = linalg.as_vector(b)
     bn = float(np.linalg.norm(bv))
@@ -282,31 +284,25 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig,
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    entries = []
-    causes = []
-    restarts = state.restarts
+    fresh = None
     k_at_failure = state.k
-    while True:
-        restarts += 1
-        if restarts > config.max_restarts:
-            raise RestartsExhausted(f"{restarts - 1} restarts used without convergence")
-        causes.append(cause)
-        entries.append((k_at_failure, state.best_resnorm, f"restart:{cause}"))
-        y = _draw_left_seed(rng, A, bv, state.best_x)
+    while fresh is None and state.restarts < config.max_restarts:
+        state.restarts += 1
+        state.restart_causes.append(cause)
+        state.history.append((k_at_failure, state.best_resnorm, f"restart:{cause}"))
         try:
+            y = _draw_left_seed(rng, A, bv, state.best_x)
             fresh = bootstrap(A, bv, state.best_x, y, tol=config.tol)
         except (BreakdownError, NumericOverflow) as exc:
             cause = _cause_label(exc)
             k_at_failure = 0
-            continue
-        break
+    if fresh is None:
+        raise RestartsExhausted(f"{state.restarts} restarts used without convergence")
 
-    state.history.extend(entries)
     state.history.extend(fresh.history)
     fresh.history = state.history
-    state.restart_causes.extend(causes)
     fresh.restart_causes = state.restart_causes
-    fresh.restarts = restarts
+    fresh.restarts = state.restarts
     fresh.iterations += state.iterations
     if state.best_resnorm < fresh.best_resnorm:
         fresh.best_resnorm, fresh.best_x = state.best_resnorm, state.best_x
@@ -339,8 +335,9 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     bn = float(np.linalg.norm(bv))
     conv_floor = cfg.tol * bn
 
-    y = _draw_left_seed(rng, A, bv, x0v)
+    y = None
     try:
+        y = _draw_left_seed(rng, A, bv, x0v)
         state = bootstrap(A, bv, x0v, y, tol=cfg.tol)
     except (BreakdownError, NumericOverflow) as exc:
         r0n = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
@@ -381,9 +378,14 @@ def _cause_label(exc) -> str:
 
 
 def _draw_left_seed(rng, A, b, x0, max_tries: int = 1000) -> np.ndarray:
-    """Unit-normal y, rejected while nearly orthogonal to the current residual."""
+    """Unit-normal y, rejected while nearly orthogonal to the current residual.
+
+    Raises NumericOverflow when that residual is not finite.
+    """
     r0 = b - linalg.matvec(A, x0)
     r0n = float(np.linalg.norm(r0))
+    if not math.isfinite(r0n):
+        raise NumericOverflow("residual of the starting iterate overflowed")
     for _ in range(max_tries):
         y = rng.standard_normal(len(b))
         if r0n == 0.0:

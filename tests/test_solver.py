@@ -313,6 +313,35 @@ def test_solve_reports_failure_without_raising():
     assert len(x) == 12
 
 
+@pytest.mark.parametrize("scale, cause", [(1e200, "Overflow"), (1e-200, "True")])
+def test_exhausted_restart_budget_reports_every_bootstrap_tried(scale, cause):
+    # A far from unit scale fails every bootstrap, the first one included:
+    # its Krylov powers overflow, or underflow into a singular system. Each
+    # restart counts, with the cause of the failure that led to it.
+    A = fs.Matrix.from_dense(scale * fs.Matrix.tridiagonal(12).to_dense())
+    cfg = fs.SolverConfig()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, report = fs.solve(A, np.ones(12), config=cfg)
+    assert report.status == STATUS_BREAKDOWN_EXHAUSTED
+    assert report.restarts == cfg.max_restarts
+    assert report.restart_causes == (cause,) * cfg.max_restarts
+    assert [ev for _, _, ev in report.entries] == ["bootstrap"] + [f"restart:{cause}"] * cfg.max_restarts
+    assert np.array_equal(x, np.zeros(12))
+
+
+@pytest.mark.parametrize("A, x0", [
+    (fs.Matrix.from_dense(1e200 * fs.Matrix.tridiagonal(8).to_dense()), np.full(8, 1e200)),
+    (fs.Matrix.diagonal([1e300] * 8), np.full(8, 1e300)),
+], ids=["A-x0-nan", "A-x0-inf"])
+def test_solve_reports_an_overflowing_initial_residual(A, x0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, report = fs.solve(A, np.ones(8), x0=x0)
+    assert report.status == STATUS_BREAKDOWN_EXHAUSTED
+    assert report.restart_causes == ("Overflow",) * report.restarts
+    assert report.restarts == fs.SolverConfig().max_restarts
+    assert np.array_equal(x, x0)
+
+
 def test_solve_converged_report_invariant():
     A = fs.Matrix.tridiagonal(16)
     b = np.ones(16)
