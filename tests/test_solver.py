@@ -198,7 +198,7 @@ def test_failed_step_leaves_state_untouched():
 def test_restart_short_circuits_when_converged():
     A = fs.Matrix.identity(3)
     b = np.ones(3)
-    state = SolverState(k=5, y=np.ones(3), best_x=np.ones(3), best_resnorm=1e-12)
+    state = SolverState(k=5, best_x=np.ones(3), best_resnorm=1e-12)
     out = fs.restart(state, A, b, fs.SolverConfig(tol=1e-8), cause="Ghost")
     assert out.converged
     assert np.array_equal(out.solution, np.ones(3))
@@ -211,7 +211,7 @@ def test_restart_recovers_from_failed_bootstrap():
     with pytest.raises(BootstrapBreakdown):
         fs.bootstrap(A, b, np.zeros(4), bad_y)
     seed_state = SolverState(
-        k=0, y=bad_y, best_x=np.zeros(4), best_resnorm=float(np.linalg.norm(b)),
+        k=0, best_x=np.zeros(4), best_resnorm=float(np.linalg.norm(b)),
         history=[(0, float(np.linalg.norm(b)), "bootstrap")],
     )
     rng = np.random.default_rng(123)
@@ -225,8 +225,7 @@ def test_restart_recovers_from_failed_bootstrap():
 def test_restart_budget_exhaustion():
     A = fs.Matrix.identity(3)
     b = np.ones(3)
-    state = SolverState(k=5, y=np.ones(3), best_x=np.zeros(3), best_resnorm=1.0,
-                        restarts=2)
+    state = SolverState(k=5, best_x=np.zeros(3), best_resnorm=1.0, restarts=2)
     with pytest.raises(RestartsExhausted):
         fs.restart(state, A, b, fs.SolverConfig(max_restarts=2), cause="Ghost")
 
