@@ -29,6 +29,11 @@ class NumericOverflow(Exception):
     """A non-finite value appeared in an intermediate computation."""
 
 
+class KrylovOverflow(NumericOverflow):
+    """The residual r0 or one of its powers A^i r0 overflowed: a failure of
+    A, b and x0 alone, which no choice of left seed avoids."""
+
+
 class MomentRangeExceeded(Exception):
     """A functional evaluation needs a moment index beyond the cached range."""
 

@@ -195,80 +195,76 @@ def transpose_matvec(M: Matrix, v) -> np.ndarray:
     return M.rmatvec(np.asarray(v, dtype=float))
 
 
-def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b) -> np.ndarray:
+def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b) -> list[float]:
     """Solve a small square system by Gaussian elimination with row pivoting.
 
     The single elimination routine of the package: its consumers are the
     3x3 recurrence-coefficient systems, the bootstrap's degree 1..4
     orthogonality systems and the oracle's Hankel moment systems, all
     with n <= 10. `M` is an ndarray or a sequence of rows and is not
-    modified; the arithmetic runs on Python floats. The pivot of each
-    column is the first row with the largest |entry|; back substitution
-    accumulates each row's dot product with fused multiply-adds. Raises
-    SingularSystem (carrying the offending elimination step) when that
-    pivot falls below 1e-13 * max|M|, ValueError on non-finite entries.
+    modified; the arithmetic runs on Python floats, and the solution is a
+    list of them. The pivot of each column is the first row with the
+    largest |entry|; back substitution accumulates each row's dot product
+    with fused multiply-adds. Raises SingularSystem (carrying the
+    offending elimination step) when that pivot falls below
+    1e-13 * max|M|, ValueError on non-finite entries.
     """
     try:
-        a = [list(map(float, row)) for row in _as_list(M)]
-        rhs = list(map(float, _as_list(b)))
+        rows = M.tolist() if isinstance(M, np.ndarray) else M
+        rhs = list(map(float, b.tolist() if isinstance(b, np.ndarray) else b))
+        n = len(rows)
+        # Eliminate on the augmented rows [M | b].
+        a = [[*map(float, row), value] for row, value in zip(rows, rhs)]
     except TypeError as exc:
         raise DimensionMismatch("solve_dense needs a matrix of rows and a 1-D right-hand side") from exc
-    n = len(a)
-    if n < 1 or any(len(row) != n for row in a):
-        raise DimensionMismatch(f"solve_dense needs a square matrix, got rows of lengths {[len(r) for r in a]}")
-    if n > SOLVE_DENSE_MAX_N:
-        raise DimensionMismatch(f"solve_dense is limited to n <= {SOLVE_DENSE_MAX_N}, got n = {n}")
-    if len(rhs) != n:
-        raise DimensionMismatch("solve_dense: rhs length does not match matrix")
-    if not all(map(math.isfinite, itertools.chain(rhs, *a))):
+    if not 1 <= n <= SOLVE_DENSE_MAX_N or len(rhs) != n or list(map(len, a)) != [n + 1] * n:
+        raise DimensionMismatch(f"solve_dense needs an n x n matrix, n <= {SOLVE_DENSE_MAX_N}, and n right-hand "
+                                f"side entries; got {n} rows of lengths {[len(r) - 1 for r in a]}, {len(rhs)} entries")
+    entries = [*itertools.chain(*a)]
+    if not all(map(math.isfinite, entries)):
         raise ValueError("solve_dense: entries must be finite")
+    del entries[n::n + 1]  # the right-hand side
 
-    pivot_floor = _PIVOT_RTOL * max(map(abs, itertools.chain(*a)))
+    pivot_floor = _PIVOT_RTOL * max(max(entries), -min(entries))  # max|M|
     for col in range(n):
         p, big = col, abs(a[col][col])
         for i in range(col + 1, n):
-            if abs(a[i][col]) > big:
-                p, big = i, abs(a[i][col])
+            if (candidate := abs(a[i][col])) > big:
+                p, big = i, candidate
         if big <= pivot_floor:
             raise SingularSystem(col)
         a[col], a[p] = a[p], a[col]
-        rhs[col], rhs[p] = rhs[p], rhs[col]
-        pivot_row, pivot = a[col], a[col][col]
-        for i in range(col + 1, n):
-            row = a[i]
+        pivot_row = a[col]
+        pivot = pivot_row[col]
+        for row in a[col + 1:]:
             factor = row[col] / pivot
-            for j in range(col + 1, n):
+            for j in range(col + 1, n + 1):
                 row[j] -= factor * pivot_row[j]
-            rhs[i] -= factor * rhs[col]
 
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
         row = a[i]
         dot = 0.0
         for j in range(i + 1, n):
-            dot = _fma(row[j], x[j], dot)
-        x[i] = (rhs[i] - dot) / row[i]
-    return np.array(x)
+            dot = _fma(row[j], x[j], dot) if dot else row[j] * x[j] + dot
+        x[i] = (row[n] - dot) / row[i]
+    return x
 
 
 def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once: the fused multiply-add with which BLAS dot
-    kernels accumulate, so the back substitution rounds as numpy's
-    `row @ x` does with an FMA BLAS, on any machine.
+    """a * b + c rounded once, for a nonzero c: the fused multiply-add with
+    which BLAS dot kernels accumulate, so the back substitution rounds as
+    numpy's `row @ x` does with an FMA BLAS, on any machine. (A zero c adds
+    exactly as `a * b + c`.)
 
-    Exact on the operands' integer ratios (floats are dyadic); int true
-    division rounds correctly. Adding a zero c is exact as it stands.
+    Exact on the operands' integer ratios, whose denominators are powers
+    of two; int true division rounds correctly.
     """
-    if not c:
-        return a * b + c
     try:
         (na, da), (nb, db), (nc, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
-        d = max(da * db, dc)
-        return (na * nb * (d // (da * db)) + nc * (d // dc)) / d
+        d = da * db
+        if d < dc:
+            return (na * nb * (dc // d) + nc) / dc
+        return (na * nb + nc * (d // dc)) / d
     except (OverflowError, ValueError):  # an infinite or NaN operand, or an overflowing result
         return a * b + c
-
-
-def _as_list(values):
-    """An ndarray as nested lists of Python numbers; other sequences as they are."""
-    return values.tolist() if isinstance(values, np.ndarray) else values

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, MomentRangeExceeded, NumericOverflow
+from .errors import DimensionMismatch, KrylovOverflow, MomentRangeExceeded, NumericOverflow
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def krylov_vectors(A: linalg.Matrix, v, count: int) -> list[np.ndarray]:
     for _ in range(count):
         nxt = linalg.matvec(A, vs[-1])
         if not np.all(np.isfinite(nxt)):
-            raise NumericOverflow("matrix power overflowed")
+            raise KrylovOverflow("matrix power overflowed")
         vs.append(nxt)
     return vs
 

@@ -25,7 +25,7 @@ algorithm literature to index relations between the families P and P1.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +36,7 @@ from .errors import (
     DivisorBreakdown,
     GhostBreakdown,
     NormalizationBreakdown,
+    NumericOverflow,
     RankDeficient,
     SingularSystem,
     TrueBreakdown,
@@ -67,7 +68,9 @@ class ScalarProducts:
     qa = c1(N_i x^a P1_{k-3}) and sa = c1(N_i x^a P1_{k-2}), the rows of
     both recurrences' conditions. Values that vanish by orthogonality
     (c(N_j P_{k-2}) for j < k-2, c1(N_j P1_m) for j < m) are set to zero;
-    N_{k-5} enters as zero. `scale` is the largest magnitude among them.
+    N_{k-5} enters as zero. The rows are tuples of Python floats, expanded
+    with unrolled arithmetic. `scale` is the largest magnitude among them,
+    or inf when one is not finite.
     """
 
     c_xkm2_pkm2: float
@@ -87,32 +90,34 @@ class ScalarProducts:
     scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = self.columns
-        p0 = [0.0, 0.0, self.c_xkm2_pkm2, self.c_xkm1_pkm2, self.c_xk_pkm2, self.c_xkp1_pkm2]
-        q0 = [0.0, self.c1_xkm3_p1km3, self.c1_xkm2_p1km3, self.c1_xkm1_p1km3, self.c1_xk_p1km3]
-        s0 = [0.0, 0.0, self.c1_xkm2_p1km2, self.c1_xkm1_p1km2, self.c1_xk_p1km2, self.c1_xkp1_p1km2]
-        p1 = _times_x(b, p0)
-        p2 = _times_x(b, p1)
-        q1 = _times_x(b, q0)
-        s1 = _times_x(b, s0)
-        s2 = _times_x(b, s1)
-        rows = (p0[:4], p1[:4], p2, q0[:4], q1, s0[:4], s1[:4], s2)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "scale", max(map(abs, itertools.chain.from_iterable(rows))))
+        p0, p1, p2 = _times_x_twice(self.columns, self.c_xkm2_pkm2, self.c_xkm1_pkm2, self.c_xk_pkm2, self.c_xkp1_pkm2)
+        s0, s1, s2 = _times_x_twice(self.columns, self.c1_xkm2_p1km2, self.c1_xkm1_p1km2, self.c1_xk_p1km2,
+                                    self.c1_xkp1_p1km2)
+        (b0, a0, g0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), _ = self.columns
+        q0 = (_, q3, q4, q5) = (0.0, self.c1_xkm3_p1km3, self.c1_xkm2_p1km3, self.c1_xkm1_p1km3)
+        q1 = (b0 * 0.0 + a0 * 0.0 + g0 * q3, b1 * 0.0 + a1 * q3 + g1 * q4,
+              b2 * q3 + a2 * q4 + g2 * q5, b3 * q4 + a3 * q5 + g3 * self.c1_xk_p1km3)
+        flat = (*p0, *p1, *p2, *q0, *q1, *s0, *s1, *s2)
+        total = sum(flat)  # NaN when an entry is NaN; an infinite entry makes max or -min infinite
+        object.__setattr__(self, "rows", (p0, p1, p2, q0, q1, s0, s1, s2))
+        object.__setattr__(self, "scale", math.inf if total != total else max(max(flat), -min(flat)))
 
 
-def _times_x(columns, values, lo: float = 0.0) -> list[float]:
-    """Values against x N_j from those against N_{j-1}, N_j, N_{j+1}.
+def _times_x_twice(columns, v2: float, v3: float, v4: float, v5: float) -> tuple:
+    """Rows (v, x v, x^2 v) over N_{k-4}..N_{k-1}, from the values v against
+    N_{k-4}..N_{k+1}, the first two zero, and the columns of j = k-4..k.
 
-    values[i] belongs to N_{j0+i} and `lo` to N_{j0-1}; columns[i] holds
-    (beta_j, alpha_j, gamma_j) of j = j0+i. One output per column that fits.
+    x N_j = beta_j N_{j-1} + alpha_j N_j + gamma_j N_{j+1}, unrolled with
+    every term kept, zeros and N_{k-5} included, so that signed zeros and
+    non-finite values propagate as in the summed form.
     """
-    out = []
-    mid = values[0]
-    for (beta, alpha, gamma), hi in zip(columns, values[1:]):
-        out.append(beta * lo + alpha * mid + gamma * hi)
-        lo, mid = mid, hi
-    return out
+    (b0, a0, g0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4) = columns
+    x0, x1, x2, x3 = x = (b0 * 0.0 + a0 * 0.0 + g0 * 0.0, b1 * 0.0 + a1 * 0.0 + g1 * v2,
+                          b2 * 0.0 + a2 * v2 + g2 * v3, b3 * v2 + a3 * v3 + g3 * v4)
+    x4 = b4 * v3 + a4 * v4 + g4 * v5
+    return ((0.0, 0.0, v2, v3), x,
+            (b0 * 0.0 + a0 * x0 + g0 * x1, b1 * x0 + a1 * x1 + g1 * x2, b2 * x1 + a2 * x2 + g2 * x3,
+             b3 * x2 + a3 * x3 + g3 * x4))
 
 
 @dataclass(frozen=True)
@@ -212,19 +217,21 @@ def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns, head: int = 0
     row `head` on, and row s of the (7, 3) `columns` holds (beta_j,
     alpha_j, gamma_j) of the v_j in row s (the newest row's is unused).
     The 21 products of the window with r_{k-2}, z_{k-3} and z_{k-2} give
-    the c values directly and the c1 values through c1(N_j q) = c(x N_j q).
+    the c values directly and the c1 values through c1(N_j q) = c(x N_j q),
+    on Python floats.
     """
     if len(window) != 7 or len(columns) != 7:
         raise DimensionMismatch(f"left window must hold 7 vectors, got {len(window)}")
-    r, z3, z2 = (_from_head((window @ q).tolist(), head) for q in (r_km2, z_km3, z_km2))
-    cols = _from_head(columns.tolist(), head)  # j = k-4..k+2
-    return ScalarProducts(*r[2:6], *_times_x(cols[1:5], z3[1:6], z3[0]), *_times_x(cols[2:6], z2[2:7], z2[1]),
-                          columns=tuple([tuple(c) for c in cols[:5]]))
-
-
-def _from_head(values: list, head: int) -> list:
-    """Values of a cyclic window in logical order, oldest first."""
-    return values[head:] + values[:head]
+    r, z3, z2, cols = ((values[head:] + values[:head]) for values in (
+        window.dot(r_km2).tolist(), window.dot(z_km3).tolist(), window.dot(z_km2).tolist(), columns.tolist()))
+    c0, (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4), (b5, a5, g5), _ = cols  # j = k-4..k+2
+    # c1(N_j q) = c(x N_j q) = beta_j c(N_{j-1} q) + alpha_j c(N_j q) + gamma_j c(N_{j+1} q)
+    return ScalarProducts(*r[2:6],
+                          b1 * z3[0] + a1 * z3[1] + g1 * z3[2], b2 * z3[1] + a2 * z3[2] + g2 * z3[3],
+                          b3 * z3[2] + a3 * z3[3] + g3 * z3[4], b4 * z3[3] + a4 * z3[4] + g4 * z3[5],
+                          b2 * z2[1] + a2 * z2[2] + g2 * z2[3], b3 * z2[2] + a3 * z2[3] + g3 * z2[4],
+                          b4 * z2[3] + a4 * z2[4] + g4 * z2[5], b5 * z2[4] + a5 * z2[5] + g5 * z2[6],
+                          columns=(tuple(c0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4)))
 
 
 def a13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> A13Coeffs:
@@ -246,8 +253,8 @@ def a13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> A13Coeffs:
     e_k = -p2[0] / q1[0]
 
     # p0[1] = c(N_{k-3} P_{k-2}) vanishes by orthogonality.
-    rows = [(p1[i], p0[i], q0[i]) for i in (1, 2, 3)]
-    rhs = [-p2[i] - e_k * q1[i] for i in (1, 2, 3)]
+    rows = ((p1[1], p0[1], q0[1]), (p1[2], p0[2], q0[2]), (p1[3], p0[3], q0[3]))
+    rhs = (-p2[1] - e_k * q1[1], -p2[2] - e_k * q1[2], -p2[3] - e_k * q1[3])
     (a11, _, a13), (a21, a22, a23), (a31, a32, a33) = rows
     delta = a11 * (a22 * a33 - a32 * a23) + a13 * (a21 * a32 - a31 * a22)
     b_k, c_k, f_k = _solve_system(rows, rhs, delta, eps)
@@ -271,8 +278,8 @@ def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
     c_k = -s2[0] / q1[0]
 
     # s0[1] = c1(N_{k-3} P1_{k-2}) vanishes by orthogonality.
-    rows = [(q0[i], s1[i], s0[i]) for i in (1, 2, 3)]
-    rhs = [-s2[i] - c_k * q1[i] for i in (1, 2, 3)]
+    rows = ((q0[1], s1[1], s0[1]), (q0[2], s1[2], s0[2]), (q0[3], s1[3], s0[3]))
+    rhs = (-s2[1] - c_k * q1[1], -s2[2] - c_k * q1[2], -s2[3] - c_k * q1[3])
     (a11, a12, _), (a21, a22, a23), (a31, a32, a33) = rows
     delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23)
     # a'_12 and a'_23 are the closed form's divisors; they are equal in the power basis.
@@ -282,7 +289,10 @@ def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
 
 def _step_scale(sp: ScalarProducts, eps: float) -> float:
     """The step scale, after the TrueBreakdown test of the shared
-    denominator c1(N_{k-4} x P1_{k-3}) against it."""
+    denominator c1(N_{k-4} x P1_{k-3}) against it. Non-finite values are
+    NumericOverflow, raised before any breakdown test."""
+    if sp.scale == math.inf:
+        raise NumericOverflow("non-finite functional value")
     denom = sp.rows[4][0]
     if abs(denom) <= eps * sp.scale:
         raise TrueBreakdown(f"c1(N_(k-4) x P1_(k-3)) = {denom:.3e} underflows the step scale")
@@ -299,12 +309,13 @@ def _solve_system(rows, rhs, delta: float, eps: float,
     SingularSystem surfaces as GhostBreakdown; with breakdown_eps below
     about 1e-13 the determinant test alone lets such systems through.
     """
-    if abs(delta) <= eps * max(map(abs, itertools.chain.from_iterable(rows))) ** 3:
+    entries = (*rows[0], *rows[1], *rows[2])
+    if abs(delta) <= eps * max(max(entries), -min(entries)) ** 3:  # max|a_ij|^3
         raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
     if divisor is not None and abs(divisor) <= eps * scale:
         raise DivisorBreakdown(f"back-substitution divisor {abs(divisor):.3e} underflows")
     try:
-        return linalg.solve_dense(rows, rhs).tolist()
+        return linalg.solve_dense(rows, rhs)
     except SingularSystem as exc:
         raise GhostBreakdown(f"coefficient system singular at pivot {exc.pivot_index}") from exc
 

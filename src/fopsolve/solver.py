@@ -38,6 +38,7 @@ from .errors import (
     BootstrapBreakdown,
     BreakdownError,
     DimensionMismatch,
+    KrylovOverflow,
     NumericOverflow,
     RestartsExhausted,
     SingularSystem,
@@ -203,11 +204,11 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
     w = linalg.transpose_matvec(A, v)
     beta = 0.0
     if v_prev is not None:
-        beta = float(v_prev @ w)
+        beta = float(v_prev.dot(w))
         w -= np.multiply(beta, v_prev, out=out)
-    alpha = float(v @ w)
+    alpha = float(v.dot(w))
     w -= np.multiply(alpha, v, out=out)
-    gamma = math.sqrt(float(w @ w))
+    gamma = math.sqrt(float(w.dot(w)))
     np.divide(w, gamma if gamma > 0.0 else 1.0, out=out)
     return beta, alpha, gamma
 
@@ -239,8 +240,8 @@ def step(state: SolverState, A: linalg.Matrix, b, eps: float = 1e-12) -> SolverS
     a2z2 = linalg.matvec(A, az2)
     z_k = cb.c_k * az3 + cb.d_k * state.z_km3 + a2z2 + cb.f_k * az2 + cb.g_k * state.z_km2
 
-    rn = float(np.linalg.norm(r_k))
-    if not (np.isfinite(rn) and np.all(np.isfinite(z_k)) and np.all(np.isfinite(x_k))):
+    rn = math.sqrt(float(r_k.dot(r_k)))  # np.linalg.norm's arithmetic, without its dispatch
+    if not (math.isfinite(rn) and np.isfinite(z_k).all() and np.isfinite(x_k).all()):
         raise NumericOverflow(f"iterate overflowed at degree {state.k}")
 
     window, newest = state.u_window, (head - 1) % WINDOW
@@ -266,9 +267,11 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig,
     restart budget and is recorded on `state` (history entry, cause,
     count); a failed attempt, including one whose seed draw overflows,
     names its cause to the next. RestartsExhausted is raised when the
-    budget runs out. Otherwise the run record (history, restart causes
-    and count, iteration count, best iterate) moves on to the fresh
-    bootstrap state, history append-only.
+    budget runs out, or after the first attempt whose Krylov vectors
+    overflow (KrylovOverflow), which no other seed changes. Otherwise
+    the run record (history, restart causes and count, iteration count,
+    best iterate) moves on to the fresh bootstrap state, history
+    append-only.
     """
     bv = linalg.as_vector(b)
     bn = float(np.linalg.norm(bv))
@@ -291,6 +294,8 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig,
         except (BreakdownError, NumericOverflow) as exc:
             cause = _cause_label(exc)
             k_at_failure = 0
+            if isinstance(exc, KrylovOverflow):
+                break  # the same products fail again with any other seed
     if fresh is None:
         raise RestartsExhausted(f"{state.restarts} restarts used without convergence")
 
@@ -373,12 +378,12 @@ def _cause_label(exc) -> str:
 def _draw_left_seed(rng, A, b, x0, max_tries: int = 1000) -> np.ndarray:
     """Unit-normal y, rejected while nearly orthogonal to the current residual.
 
-    Raises NumericOverflow when that residual is not finite.
+    Raises KrylovOverflow when that residual is not finite.
     """
     r0 = b - linalg.matvec(A, x0)
     r0n = float(np.linalg.norm(r0))
     if not math.isfinite(r0n):
-        raise NumericOverflow("residual of the starting iterate overflowed")
+        raise KrylovOverflow("residual of the starting iterate overflowed")
     for _ in range(max_tries):
         y = rng.standard_normal(len(b))
         if r0n == 0.0:

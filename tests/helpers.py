@@ -2,10 +2,22 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
+import struct
+import types
 
 import numpy as np
 
 import fopsolve as fs
+from fopsolve.errors import (
+    DimensionMismatch,
+    DivisorBreakdown,
+    GhostBreakdown,
+    NormalizationBreakdown,
+    SingularSystem,
+    TrueBreakdown,
+)
 
 # (beta_j, alpha_j, gamma_j) of the power basis N_j = x^j: x N_j = N_{j+1}.
 PURE_SHIFT = ((0.0, 0.0, 1.0),) * 5
@@ -145,3 +157,190 @@ def reconstruct_from_relation(blocks, bases, k):
             seg = mj * base.coeffs
             out[j:j + seg.size] += seg
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference coefficient path: a verbatim copy of the list-based expansion
+# (`_times_x`), `_solve_system` and `solve_dense` that the flat-float
+# implementation in `fopsolve` replaced. The bit-equality tests compare the
+# two on random windows, random systems and along seeded solves.
+# ---------------------------------------------------------------------------
+
+def reference_scalar_products(window, r_km2, z_km3, z_km2, columns, head=0):
+    """The twelve values, the rows and the scale, as a namespace."""
+    r, z3, z2 = (_reference_from_head((window @ q).tolist(), head) for q in (r_km2, z_km3, z_km2))
+    cols = _reference_from_head(columns.tolist(), head)  # j = k-4..k+2
+    values = (*r[2:6], *_reference_times_x(cols[1:5], z3[1:6], z3[0]),
+              *_reference_times_x(cols[2:6], z2[2:7], z2[1]))
+    return reference_expand(values, tuple([tuple(c) for c in cols[:5]]))
+
+
+def reference_expand(values, columns):
+    """`ScalarProducts.__post_init__`: the eight rows and the scale."""
+    b = columns
+    p0 = [0.0, 0.0, *values[0:4]]
+    q0 = [0.0, *values[4:8]]
+    s0 = [0.0, 0.0, *values[8:12]]
+    p1 = _reference_times_x(b, p0)
+    p2 = _reference_times_x(b, p1)
+    q1 = _reference_times_x(b, q0)
+    s1 = _reference_times_x(b, s0)
+    s2 = _reference_times_x(b, s1)
+    rows = (p0[:4], p1[:4], p2, q0[:4], q1, s0[:4], s1[:4], s2)
+    return types.SimpleNamespace(values=tuple(values), columns=columns, rows=rows,
+                                 scale=max(map(abs, itertools.chain.from_iterable(rows))))
+
+
+def _reference_times_x(columns, values, lo: float = 0.0) -> list[float]:
+    out = []
+    mid = values[0]
+    for (beta, alpha, gamma), hi in zip(columns, values[1:]):
+        out.append(beta * lo + alpha * mid + gamma * hi)
+        lo, mid = mid, hi
+    return out
+
+
+def _reference_from_head(values: list, head: int) -> list:
+    return values[head:] + values[:head]
+
+
+def reference_a13(sp, eps: float = 1e-12):
+    """(a_k, b_k, c_k, e_k, f_k, delta_k) of `a13_coefficients`."""
+    p0, p1, p2, q0, q1 = sp.rows[:5]
+    _reference_step_scale(sp, eps)
+    e_k = -p2[0] / q1[0]
+    rows = [(p1[i], p0[i], q0[i]) for i in (1, 2, 3)]
+    rhs = [-p2[i] - e_k * q1[i] for i in (1, 2, 3)]
+    (a11, _, a13), (a21, a22, a23), (a31, a32, a33) = rows
+    delta = a11 * (a22 * a33 - a32 * a23) + a13 * (a21 * a32 - a31 * a22)
+    b_k, c_k, f_k = _reference_solve_system(rows, rhs, delta, eps)
+    if abs(c_k) <= eps * max(1.0, abs(b_k), abs(f_k)):
+        raise NormalizationBreakdown(f"C_k = {c_k:.3e}; 1/C_k is undefined")
+    return 1.0 / c_k, b_k, c_k, e_k, f_k, delta
+
+
+def reference_b13(sp, eps: float = 1e-12):
+    """(c_k, d_k, f_k, g_k, delta_prime_k) of `b13_coefficients`."""
+    _, _, _, q0, q1, s0, s1, s2 = sp.rows
+    scale = _reference_step_scale(sp, eps)
+    c_k = -s2[0] / q1[0]
+    rows = [(q0[i], s1[i], s0[i]) for i in (1, 2, 3)]
+    rhs = [-s2[i] - c_k * q1[i] for i in (1, 2, 3)]
+    (a11, a12, _), (a21, a22, a23), (a31, a32, a33) = rows
+    delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23)
+    d_k, f_k, g_k = _reference_solve_system(rows, rhs, delta, eps, divisor=min(abs(a12), abs(a23)), scale=scale)
+    return c_k, d_k, f_k, g_k, delta
+
+
+def _reference_step_scale(sp, eps: float) -> float:
+    denom = sp.rows[4][0]
+    if abs(denom) <= eps * sp.scale:
+        raise TrueBreakdown(f"c1(N_(k-4) x P1_(k-3)) = {denom:.3e} underflows the step scale")
+    return sp.scale
+
+
+def _reference_solve_system(rows, rhs, delta: float, eps: float,
+                            divisor: float | None = None, scale: float = 0.0) -> list[float]:
+    if abs(delta) <= eps * max(map(abs, itertools.chain.from_iterable(rows))) ** 3:
+        raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
+    if divisor is not None and abs(divisor) <= eps * scale:
+        raise DivisorBreakdown(f"back-substitution divisor {abs(divisor):.3e} underflows")
+    try:
+        return reference_solve_dense(rows, rhs).tolist()
+    except SingularSystem as exc:
+        raise GhostBreakdown(f"coefficient system singular at pivot {exc.pivot_index}") from exc
+
+
+def reference_solve_dense(M, b) -> np.ndarray:
+    try:
+        a = [list(map(float, row)) for row in _reference_as_list(M)]
+        rhs = list(map(float, _reference_as_list(b)))
+    except TypeError as exc:
+        raise DimensionMismatch("solve_dense needs a matrix of rows and a 1-D right-hand side") from exc
+    n = len(a)
+    if n < 1 or any(len(row) != n for row in a):
+        raise DimensionMismatch(f"solve_dense needs a square matrix, got rows of lengths {[len(r) for r in a]}")
+    if n > 10:
+        raise DimensionMismatch(f"solve_dense is limited to n <= 10, got n = {n}")
+    if len(rhs) != n:
+        raise DimensionMismatch("solve_dense: rhs length does not match matrix")
+    if not all(map(math.isfinite, itertools.chain(rhs, *a))):
+        raise ValueError("solve_dense: entries must be finite")
+
+    pivot_floor = 1e-13 * max(map(abs, itertools.chain(*a)))
+    for col in range(n):
+        p, big = col, abs(a[col][col])
+        for i in range(col + 1, n):
+            if abs(a[i][col]) > big:
+                p, big = i, abs(a[i][col])
+        if big <= pivot_floor:
+            raise SingularSystem(col)
+        a[col], a[p] = a[p], a[col]
+        rhs[col], rhs[p] = rhs[p], rhs[col]
+        pivot_row, pivot = a[col], a[col][col]
+        for i in range(col + 1, n):
+            row = a[i]
+            factor = row[col] / pivot
+            for j in range(col + 1, n):
+                row[j] -= factor * pivot_row[j]
+            rhs[i] -= factor * rhs[col]
+
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        dot = 0.0
+        for j in range(i + 1, n):
+            dot = _reference_fma(row[j], x[j], dot)
+        x[i] = (rhs[i] - dot) / row[i]
+    return np.array(x)
+
+
+def _reference_fma(a: float, b: float, c: float) -> float:
+    if not c:
+        return a * b + c
+    try:
+        (na, da), (nb, db), (nc, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+        d = max(da * db, dc)
+        return (na * nb * (d // (da * db)) + nc * (d // dc)) / d
+    except (OverflowError, ValueError):
+        return a * b + c
+
+
+def _reference_as_list(values):
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def assert_same_coefficient_path(sp, ref, eps=1e-12):
+    """A ScalarProducts and the coefficients of both recurrences, or the
+    class of what they raise, equal the reference path's bit for bit.
+    Returns both coefficient outcomes: "ok" or the class raised."""
+    assert float_bits(scalar_values(sp)) == float_bits(ref.values)
+    assert sp.columns == ref.columns
+    assert all(float_bits(got) == float_bits(want) for got, want in zip(sp.rows, ref.rows))
+    assert float_bits(sp.scale) == float_bits(ref.scale)
+    seen = []
+    for fn, ref_fn, fields in ((fs.a13_coefficients, reference_a13, ("a_k", "b_k", "c_k", "e_k", "f_k", "delta_k")),
+                               (fs.b13_coefficients, reference_b13, ("c_k", "d_k", "f_k", "g_k", "delta_prime_k"))):
+        got, want = outcome(fn, sp, eps=eps), outcome(ref_fn, ref, eps=eps)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert float_bits([getattr(got[1], f) for f in fields]) == float_bits(want[1])
+        else:
+            assert got[1] is want[1]
+        seen.append(got[1] if got[0] == "raised" else "ok")
+    return seen
+
+
+def float_bits(values) -> bytes:
+    """The IEEE bits of a float or a sequence of floats: equal bits, signed
+    zeros and NaN payloads included."""
+    values = [values] if isinstance(values, float) else list(values)
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def outcome(fn, *args, **kwargs):
+    """("ok", result) or ("raised", exception class): what a call did."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001  the class is what is compared
+        return "raised", type(exc)

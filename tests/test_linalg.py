@@ -10,6 +10,8 @@ import pytest
 import fopsolve as fs
 from fopsolve.errors import DimensionMismatch, SingularSystem
 
+from helpers import float_bits, outcome, reference_solve_dense
+
 
 def test_matvec_identity():
     assert np.array_equal(fs.matvec(fs.Matrix.identity(2), [3.0, 4.0]), [3.0, 4.0])
@@ -201,8 +203,33 @@ def test_solve_dense_agrees_with_lapack_in_every_input_form():
         ref = np.linalg.solve(a, b)
         for m in _forms(a):
             x = fs.solve_dense(m, tuple(b))
-            assert isinstance(x, np.ndarray) and x.shape == (n,)
+            assert type(x) is list and len(x) == n and all(type(v) is float for v in x)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_solve_dense_matches_the_reference_bit_for_bit():
+    # Normal, small-integer (exactly singular and tied pivots) and
+    # exponent-spread (long integer ratios in the fused multiply-adds)
+    # systems of every size, in the three input forms.
+    rng = np.random.default_rng(77)
+    raised = 0
+    for i in range(20000):
+        n = 1 + i % 10
+        if i % 3 == 1:
+            a, b = rng.integers(-2, 3, size=(n, n)).astype(float), rng.integers(-2, 3, size=n).astype(float)
+        else:
+            a, b = rng.standard_normal((n, n)), rng.standard_normal(n)
+            if i % 3 == 2:
+                a, b = np.ldexp(a, rng.integers(-40, 41, size=(n, n))), np.ldexp(b, rng.integers(-40, 41, size=n))
+        m = (a, a.tolist(), tuple(map(tuple, a.tolist())))[i % 3]
+        got, want = outcome(fs.solve_dense, m, b), outcome(reference_solve_dense, m, b)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert float_bits(got[1]) == float_bits(want[1])
+        else:
+            assert got[1] is want[1] is SingularSystem
+            raised += 1
+    assert raised > 1000
 
 
 def test_solve_dense_pivots_on_the_first_largest_entry():

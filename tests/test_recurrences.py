@@ -8,6 +8,7 @@ from fopsolve.errors import (
     DivisorBreakdown,
     GhostBreakdown,
     NormalizationBreakdown,
+    NumericOverflow,
     TrueBreakdown,
 )
 from fopsolve.recurrences import EXISTS_TOL, NONEXISTENCE_TOL
@@ -16,6 +17,7 @@ from helpers import (
     PURE_SHIFT,
     a13_closed_form_check,
     apply_functional,
+    assert_same_coefficient_path,
     b13_closed_form_check,
     bridged_scalar_products,
     d3b_fixture,
@@ -24,6 +26,7 @@ from helpers import (
     power_scalar_products,
     power_window,
     reconstruct_from_relation,
+    reference_scalar_products,
     scalar_values,
 )
 
@@ -95,6 +98,47 @@ def test_pure_shift_window_matches_power_products_at_every_head():
             assert sp.columns == PURE_SHIFT
             for got, want in zip(scalar_values(sp), scalar_values(ref)):
                 assert abs(got - want) <= 1e-12 * ref.scale
+
+
+def random_window_case(rng, mode, n=4):
+    """A random (7, n) window, three vectors and (7, 3) columns.
+
+    Mode 0 is standard normal; mode 1 draws small integers, whose exact
+    cancellations make every breakdown class appear; mode 2 spreads the
+    binary exponents over +-60; mode 3 zeroes random column entries."""
+    shapes = ((7, n), (n,), (n,), (n,), (7, 3))
+    if mode == 1:
+        return [rng.integers(-2, 3, size=s).astype(float) for s in shapes]
+    parts = [rng.standard_normal(s) for s in shapes]
+    if mode == 2:
+        parts = [np.ldexp(x, rng.integers(-60, 61, size=x.shape)) for x in parts]
+    if mode == 3:
+        parts[4][rng.random((7, 3)) < 0.3] = 0.0
+    return parts
+
+
+def test_flat_float_path_matches_the_reference_on_random_windows():
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for i in range(20000):
+        window, r_km2, z_km3, z_km2, columns = random_window_case(rng, i % 4)
+        head = int(rng.integers(7))
+        sp = fs.assemble_scalar_products(window, r_km2, z_km3, z_km2, columns=columns, head=head)
+        ref = reference_scalar_products(window, r_km2, z_km3, z_km2, columns, head)
+        seen.update(assert_same_coefficient_path(sp, ref))
+    assert seen == {"ok", TrueBreakdown, GhostBreakdown, NormalizationBreakdown, DivisorBreakdown}
+
+
+@pytest.mark.parametrize("field", range(12))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_functional_value_is_numeric_overflow(field, bad):
+    values = [1.0] * 12
+    values[field] = bad
+    sp = fs.ScalarProducts(*values, columns=PURE_SHIFT)
+    with pytest.raises(NumericOverflow):
+        fs.a13_coefficients(sp)
+    with pytest.raises(NumericOverflow):
+        fs.b13_coefficients(sp)
 
 
 # ---------------------------------------------------------------------------

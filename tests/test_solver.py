@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import fopsolve as fs
-from fopsolve.cli import random_sdd_matrix, ring_spectrum_fixture
+from fopsolve import linalg, recurrences
+from fopsolve.cli import build_generator, random_sdd_matrix, ring_spectrum_fixture
 from fopsolve.errors import BootstrapBreakdown, BreakdownError, RestartsExhausted
 from fopsolve.solver import (
     STATUS_BREAKDOWN_EXHAUSTED,
@@ -14,7 +15,14 @@ from fopsolve.solver import (
     _draw_left_seed,
 )
 
-from helpers import d3b_fixture
+from helpers import (
+    assert_same_coefficient_path,
+    d3b_fixture,
+    float_bits,
+    outcome,
+    reference_scalar_products,
+    reference_solve_dense,
+)
 
 
 class CountingMatrix:
@@ -154,6 +162,14 @@ def test_step_residual_consistency_every_step():
     for state in drive_steps(A, r0, y, tol=1e-14):
         direct = r0 - fs.matvec(A, state.x_km1)
         assert np.linalg.norm(direct - state.r_km1) <= 1e-6 * bn
+
+
+def test_step_records_numpys_residual_norm():
+    A, r0, y = ring_spectrum_fixture(12, 0)
+    state = fs.bootstrap(A, r0, np.zeros(12), y, tol=1e-14)
+    for _ in range(4):
+        fs.step(state, A, r0)
+        assert state.history[-1][1] == float(np.linalg.norm(state.r_km1))
 
 
 def test_step_matvec_budget():
@@ -316,15 +332,18 @@ def test_solve_reports_failure_without_raising():
 def test_exhausted_restart_budget_reports_every_bootstrap_tried(scale, cause):
     # A far from unit scale fails every bootstrap, the first one included:
     # its Krylov powers overflow, or underflow into a singular system. Each
-    # restart counts, with the cause of the failure that led to it.
+    # restart counts, with the cause of the failure that led to it. Krylov
+    # powers overflow whatever the left seed, so the first restart that
+    # meets them is the last.
     A = fs.Matrix.from_dense(scale * fs.Matrix.tridiagonal(12).to_dense())
     cfg = fs.SolverConfig()
     with np.errstate(over="ignore", invalid="ignore"):
         x, report = fs.solve(A, np.ones(12), config=cfg)
+    restarts = 1 if cause == "Overflow" else cfg.max_restarts
     assert report.status == STATUS_BREAKDOWN_EXHAUSTED
-    assert report.restarts == cfg.max_restarts
-    assert report.restart_causes == (cause,) * cfg.max_restarts
-    assert [ev for _, _, ev in report.entries] == ["bootstrap"] + [f"restart:{cause}"] * cfg.max_restarts
+    assert report.restarts == restarts
+    assert report.restart_causes == (cause,) * restarts
+    assert [ev for _, _, ev in report.entries] == ["bootstrap"] + [f"restart:{cause}"] * restarts
     assert np.array_equal(x, np.zeros(12))
 
 
@@ -336,9 +355,39 @@ def test_solve_reports_an_overflowing_initial_residual(A, x0):
     with np.errstate(over="ignore", invalid="ignore"):
         x, report = fs.solve(A, np.ones(8), x0=x0)
     assert report.status == STATUS_BREAKDOWN_EXHAUSTED
-    assert report.restart_causes == ("Overflow",) * report.restarts
-    assert report.restarts == fs.SolverConfig().max_restarts
+    assert report.restart_causes == ("Overflow",)
+    assert report.restarts == 1  # the overflowing residual does not depend on the left seed
     assert np.array_equal(x, x0)
+
+
+@pytest.mark.parametrize("problem", ["ring:40", "tridiag:30", "tridiag:100"])
+def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, monkeypatch):
+    # Every step's functional values, rows and coefficients, and every
+    # elimination (the bootstrap's included), against the reference path.
+    A = ring_spectrum_fixture(40, 3)[0] if problem == "ring:40" else build_generator(problem)[0]
+    b = np.random.default_rng(8).standard_normal(A.rows)
+    assemble, solve_dense, steps, solves = recurrences.assemble_scalar_products, linalg.solve_dense, [], []
+
+    def checked_assemble(window, r_km2, z_km3, z_km2, columns, head=0):
+        sp = assemble(window, r_km2, z_km3, z_km2, columns=columns, head=head)
+        steps.append(assert_same_coefficient_path(sp, reference_scalar_products(window, r_km2, z_km3, z_km2,
+                                                                                columns, head)))
+        return sp
+
+    def checked_solve_dense(M, rhs):
+        got, want = outcome(solve_dense, M, rhs), outcome(reference_solve_dense, M, rhs)
+        if got[0] == "ok":
+            assert want[0] == "ok" and float_bits(got[1]) == float_bits(want[1])
+        else:
+            assert got == want
+        solves.append(got[0])
+        return solve_dense(M, rhs)
+
+    monkeypatch.setattr(recurrences, "assemble_scalar_products", checked_assemble)
+    monkeypatch.setattr(linalg, "solve_dense", checked_solve_dense)
+    _, report = fs.solve(A, b)
+    assert len(steps) >= sum(ev == "step" for _, _, ev in report.entries) > 10
+    assert len(solves) > 2 * len(steps)
 
 
 def test_solve_converged_report_invariant():
