@@ -231,7 +231,7 @@ def cmd_solve(args) -> int:
             "tol": config.tol,
             "max_iter": config.max_iter,
             "max_restarts": config.max_restarts,
-            "breakdown_eps": config.breakdown_eps,
+            "breakdown_eps": recurrences.BREAKDOWN_EPS,
             "seed": config.seed,
         },
         "matrix": meta,

@@ -28,6 +28,8 @@ class RankDeficient(Exception):
 class NumericOverflow(Exception):
     """A non-finite value appeared in an intermediate computation."""
 
+    cause = "Overflow"
+
 
 class KrylovOverflow(NumericOverflow):
     """The residual r0 or one of its powers A^i r0 overflowed: a failure of

@@ -52,12 +52,6 @@ class Polynomial:
     def degree(self) -> int:
         return self.coeffs.size - 1
 
-    def __call__(self, x: float) -> float:
-        out = 0.0
-        for c in self.coeffs[::-1]:
-            out = out * x + c
-        return out
-
 
 def polynomial(coeffs, family: str | None = None) -> Polynomial:
     """Build a Polynomial, trimming structurally zero trailing coefficients."""

@@ -44,6 +44,7 @@ from .errors import (
 
 EXISTS_TOL = 1e-8
 NONEXISTENCE_TOL = 1e-3
+BREAKDOWN_EPS = 1e-12  # relative threshold of every A13/B13 breakdown test
 
 
 @dataclass(frozen=True)
@@ -191,19 +192,20 @@ class FitReport:
     k: int
     multipliers: tuple[tuple[float, ...], ...]
     relative_residual: float
-    exists: bool
     normalization_ok: bool
 
     def __post_init__(self):
         if self.relative_residual < 0:
             raise ValueError("residual must be >= 0")
-        if self.exists != (self.relative_residual < EXISTS_TOL):
-            raise ValueError("exists flag inconsistent with residual")
+
+    @property
+    def exists(self) -> bool:
+        return self.relative_residual < EXISTS_TOL
 
     @property
     def classification(self) -> str:
         """'exists', 'nonexistent', or 'indeterminate' (the gray band between)."""
-        if self.relative_residual < EXISTS_TOL:
+        if self.exists:
             return "exists"
         if self.relative_residual > NONEXISTENCE_TOL:
             return "nonexistent"
@@ -234,7 +236,7 @@ def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns, head: int = 0
                           columns=(tuple(c0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4)))
 
 
-def a13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> A13Coeffs:
+def a13_coefficients(sp: ScalarProducts) -> A13Coeffs:
     """Closed-form coefficients of the residual-family recurrence.
 
     The lowest row, against N_{k-4}, gives E_k = -c(N_{k-4} x^2 P_{k-2}) /
@@ -246,10 +248,11 @@ def a13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> A13Coeffs:
     Breakdowns: vanishing denominator -> TrueBreakdown; vanishing system
     determinant or elimination pivot -> GhostBreakdown; vanishing C_k ->
     NormalizationBreakdown.
-    All tests are relative to the magnitudes in play, with threshold eps.
+    All tests are relative to the magnitudes in play, with threshold
+    BREAKDOWN_EPS.
     """
     p0, p1, p2, q0, q1 = sp.rows[:5]
-    _step_scale(sp, eps)
+    _step_scale(sp)
     e_k = -p2[0] / q1[0]
 
     # p0[1] = c(N_{k-3} P_{k-2}) vanishes by orthogonality.
@@ -257,13 +260,13 @@ def a13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> A13Coeffs:
     rhs = (-p2[1] - e_k * q1[1], -p2[2] - e_k * q1[2], -p2[3] - e_k * q1[3])
     (a11, _, a13), (a21, a22, a23), (a31, a32, a33) = rows
     delta = a11 * (a22 * a33 - a32 * a23) + a13 * (a21 * a32 - a31 * a22)
-    b_k, c_k, f_k = _solve_system(rows, rhs, delta, eps)
-    if abs(c_k) <= eps * max(1.0, abs(b_k), abs(f_k)):
+    b_k, c_k, f_k = _solve_system(rows, rhs, delta)
+    if abs(c_k) <= BREAKDOWN_EPS * max(1.0, abs(b_k), abs(f_k)):
         raise NormalizationBreakdown(f"C_k = {c_k:.3e}; 1/C_k is undefined")
     return A13Coeffs(a_k=1.0 / c_k, b_k=b_k, c_k=c_k, e_k=e_k, f_k=f_k, delta_k=delta)
 
 
-def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
+def b13_coefficients(sp: ScalarProducts) -> B13Coeffs:
     """Closed-form coefficients of the monic-family recurrence.
 
     The lowest row gives C_k = -c1(N_{k-4} x^2 P1_{k-2}) /
@@ -274,7 +277,7 @@ def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
     underflow is flagged as DivisorBreakdown.
     """
     _, _, _, q0, q1, s0, s1, s2 = sp.rows
-    scale = _step_scale(sp, eps)
+    scale = _step_scale(sp)
     c_k = -s2[0] / q1[0]
 
     # s0[1] = c1(N_{k-3} P1_{k-2}) vanishes by orthogonality.
@@ -283,36 +286,35 @@ def b13_coefficients(sp: ScalarProducts, eps: float = 1e-12) -> B13Coeffs:
     (a11, a12, _), (a21, a22, a23), (a31, a32, a33) = rows
     delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23)
     # a'_12 and a'_23 are the closed form's divisors; they are equal in the power basis.
-    d_k, f_k, g_k = _solve_system(rows, rhs, delta, eps, divisor=min(abs(a12), abs(a23)), scale=scale)
+    d_k, f_k, g_k = _solve_system(rows, rhs, delta, divisor=min(abs(a12), abs(a23)), scale=scale)
     return B13Coeffs(c_k=c_k, d_k=d_k, f_k=f_k, g_k=g_k, delta_prime_k=delta)
 
 
-def _step_scale(sp: ScalarProducts, eps: float) -> float:
+def _step_scale(sp: ScalarProducts) -> float:
     """The step scale, after the TrueBreakdown test of the shared
     denominator c1(N_{k-4} x P1_{k-3}) against it. Non-finite values are
     NumericOverflow, raised before any breakdown test."""
     if sp.scale == math.inf:
         raise NumericOverflow("non-finite functional value")
     denom = sp.rows[4][0]
-    if abs(denom) <= eps * sp.scale:
+    if abs(denom) <= BREAKDOWN_EPS * sp.scale:
         raise TrueBreakdown(f"c1(N_(k-4) x P1_(k-3)) = {denom:.3e} underflows the step scale")
     return sp.scale
 
 
-def _solve_system(rows, rhs, delta: float, eps: float,
-                  divisor: float | None = None, scale: float = 0.0) -> list[float]:
+def _solve_system(rows, rhs, delta: float, divisor: float | None = None, scale: float = 0.0) -> list[float]:
     """GhostBreakdown test of the determinant delta, then the 3x3 solve.
 
     A closed-form back-substitution `divisor`, when given, is tested
     against the step `scale` between the two (DivisorBreakdown). A pivot
     below the elimination's own floor is a vanishing system too, so
-    SingularSystem surfaces as GhostBreakdown; with breakdown_eps below
+    SingularSystem surfaces as GhostBreakdown; with BREAKDOWN_EPS below
     about 1e-13 the determinant test alone lets such systems through.
     """
     entries = (*rows[0], *rows[1], *rows[2])
-    if abs(delta) <= eps * max(max(entries), -min(entries)) ** 3:  # max|a_ij|^3
+    if abs(delta) <= BREAKDOWN_EPS * max(max(entries), -min(entries)) ** 3:  # max|a_ij|^3
         raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
-    if divisor is not None and abs(divisor) <= eps * scale:
+    if divisor is not None and abs(divisor) <= BREAKDOWN_EPS * scale:
         raise DivisorBreakdown(f"back-substitution divisor {abs(divisor):.3e} underflows")
     try:
         return linalg.solve_dense(rows, rhs)
@@ -367,8 +369,7 @@ def fit_relation(form: RelationForm, c: moments.MomentSequence, k: int) -> FitRe
     multipliers = tuple(tuple(w[splits[i]:splits[i + 1]]) for i in range(len(form.terms)))
     return FitReport(
         form=form, k=k, multipliers=multipliers,
-        relative_residual=residual, exists=residual < EXISTS_TOL,
-        normalization_ok=bool(normalization_ok),
+        relative_residual=residual, normalization_ok=bool(normalization_ok),
     )
 
 

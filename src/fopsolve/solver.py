@@ -57,7 +57,6 @@ class SolverConfig:
     tol: float = 1e-8
     max_iter: int | None = None  # defaults to 2n + 10 at solve time
     max_restarts: int = 5
-    breakdown_eps: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -67,8 +66,6 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if not (0.0 < self.breakdown_eps < 1e-6):
-            raise ValueError("breakdown_eps must lie in (0, 1e-6)")
 
 
 @dataclass
@@ -82,7 +79,8 @@ class SolverState:
     `u_columns` holds (beta_j, alpha_j, gamma_j) of the v_j in row s
     (the newest row's is not yet known). `step` advances the state in
     place. `history` is append-only across restarts, and `iterations`
-    counts its bootstrap and step entries of degree k >= 1.
+    counts its bootstrap and step entries of degree k >= 1. `best_x`,
+    the iterate of least residual norm, is the solution once `converged`.
     """
 
     k: int
@@ -100,10 +98,12 @@ class SolverState:
     iterations: int = 0
     best_x: np.ndarray | None = None
     best_resnorm: float = np.inf
-    restarts: int = 0
     restart_causes: list = field(default_factory=list)
     converged: bool = False
-    solution: np.ndarray | None = None
+
+    @property
+    def restarts(self) -> int:
+        return len(self.restart_causes)
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,6 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
     state.history.append((0, state.best_resnorm, "bootstrap"))
     if state.best_resnorm <= conv_floor:
         state.converged = True
-        state.solution = x0v.copy()
         return state
 
     powers = moments.krylov_vectors(A, r0, 2 * BOOTSTRAP_DEGREE + 1)
@@ -182,7 +181,6 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
             state.best_resnorm, state.best_x = rn, x_j.copy()
         if rn <= conv_floor:
             state.converged = True
-            state.solution = x_j
             state.k = j + 1
             return state
 
@@ -213,7 +211,7 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
     return beta, alpha, gamma
 
 
-def step(state: SolverState, A: linalg.Matrix, b, eps: float = 1e-12) -> SolverState:
+def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     """Advance one degree in place: new r, x, z and one new left vector.
 
     Exactly 6 applications of A plus 1 of A^T. Returns `state` itself.
@@ -226,8 +224,8 @@ def step(state: SolverState, A: linalg.Matrix, b, eps: float = 1e-12) -> SolverS
     head = state.u_head
     sp = recurrences.assemble_scalar_products(state.u_window, state.r_km2, state.z_km3, state.z_km2,
                                               columns=state.u_columns, head=head)
-    ca = recurrences.a13_coefficients(sp, eps=eps)
-    cb = recurrences.b13_coefficients(sp, eps=eps)
+    ca = recurrences.a13_coefficients(sp)
+    cb = recurrences.b13_coefficients(sp)
 
     ar = linalg.matvec(A, state.r_km2)
     a2r = linalg.matvec(A, ar)
@@ -262,47 +260,40 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig,
             cause: str = "Unknown", rng=None) -> SolverState:
     """Answer a breakdown: keep the best iterate, reseed y, bootstrap again.
 
-    Short-circuits to a converged state when the best residual already
-    meets the tolerance. Every bootstrap attempt consumes one unit of the
-    restart budget and is recorded on `state` (history entry, cause,
-    count); a failed attempt, including one whose seed draw overflows,
-    names its cause to the next. RestartsExhausted is raised when the
-    budget runs out, or after the first attempt whose Krylov vectors
-    overflow (KrylovOverflow), which no other seed changes. Otherwise
-    the run record (history, restart causes and count, iteration count,
-    best iterate) moves on to the fresh bootstrap state, history
-    append-only.
+    Every bootstrap attempt consumes one unit of the restart budget and is
+    recorded on `state` (history entry and cause); a failed attempt,
+    including one whose seed draw overflows, names its cause to the next.
+    When the budget runs out, or after the first attempt whose Krylov
+    vectors overflow (KrylovOverflow), which no other seed changes, the
+    failure that ends the run is recorded as an `exhausted:<cause>`
+    history entry and RestartsExhausted is raised. Otherwise the run
+    record (history, restart causes, iteration count, best iterate) moves
+    on to the fresh bootstrap state, history append-only.
     """
     bv = linalg.as_vector(b)
-    bn = float(np.linalg.norm(bv))
-    if state.best_resnorm <= config.tol * bn:
-        state.converged = True
-        state.solution = state.best_x
-        return state
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
     fresh = None
     k_at_failure = state.k
     while fresh is None and state.restarts < config.max_restarts:
-        state.restarts += 1
         state.restart_causes.append(cause)
         state.history.append((k_at_failure, state.best_resnorm, f"restart:{cause}"))
         try:
             y = _draw_left_seed(rng, A, bv, state.best_x)
             fresh = bootstrap(A, bv, state.best_x, y, tol=config.tol)
         except (BreakdownError, NumericOverflow) as exc:
-            cause = _cause_label(exc)
+            cause = exc.cause
             k_at_failure = 0
             if isinstance(exc, KrylovOverflow):
                 break  # the same products fail again with any other seed
     if fresh is None:
+        state.history.append((k_at_failure, state.best_resnorm, f"exhausted:{cause}"))
         raise RestartsExhausted(f"{state.restarts} restarts used without convergence")
 
     state.history.extend(fresh.history)
     fresh.history = state.history
     fresh.restart_causes = state.restart_causes
-    fresh.restarts = state.restarts
     fresh.iterations += state.iterations
     if state.best_resnorm < fresh.best_resnorm:
         fresh.best_resnorm, fresh.best_x = state.best_resnorm, state.best_x
@@ -335,18 +326,23 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     bn = float(np.linalg.norm(bv))
     conv_floor = cfg.tol * bn
 
+    cause = None
     try:
         y = _draw_left_seed(rng, A, bv, x0v)
         state = bootstrap(A, bv, x0v, y, tol=cfg.tol)
     except (BreakdownError, NumericOverflow) as exc:
         r0n = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
-        seed_state = SolverState(k=0, best_x=x0v.copy(), best_resnorm=r0n, history=[(0, r0n, "bootstrap")])
-        try:
-            state = restart(seed_state, A, bv, cfg, cause=_cause_label(exc), rng=rng)
-        except RestartsExhausted:
-            return np.ldexp(seed_state.best_x, exponent), _report(seed_state, STATUS_BREAKDOWN_EXHAUSTED, bn, exponent)
+        state = SolverState(k=0, best_x=x0v.copy(), best_resnorm=r0n, history=[(0, r0n, "bootstrap")])
+        cause = exc.cause
 
     while True:
+        if cause is not None:
+            try:
+                state = restart(state, A, bv, cfg, cause=cause, rng=rng)
+            except RestartsExhausted:
+                status = STATUS_BREAKDOWN_EXHAUSTED
+                break
+            cause = None
         if state.converged:
             status = STATUS_CONVERGED
             break
@@ -354,25 +350,12 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
             status = STATUS_MAX_ITERATIONS
             break
         try:
-            state = step(state, A, bv, eps=cfg.breakdown_eps)
+            state = step(state, A)
         except (BreakdownError, NumericOverflow) as exc:
-            try:
-                state = restart(state, A, bv, cfg, cause=_cause_label(exc), rng=rng)
-            except RestartsExhausted:
-                status = STATUS_BREAKDOWN_EXHAUSTED
-                break
-            continue
-        if state.history[-1][1] <= conv_floor:
-            state.converged = True
-            state.solution = state.x_km1
-    x = state.solution if state.solution is not None else state.best_x
-    return np.ldexp(x, exponent), _report(state, status, bn, exponent)
-
-
-def _cause_label(exc) -> str:
-    if isinstance(exc, BreakdownError):
-        return exc.cause
-    return "Overflow"
+            cause = exc.cause
+        else:
+            state.converged = state.history[-1][1] <= conv_floor
+    return np.ldexp(state.best_x, exponent), _report(state, status, bn, exponent)
 
 
 def _draw_left_seed(rng, A, b, x0, max_tries: int = 1000) -> np.ndarray:

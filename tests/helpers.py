@@ -310,7 +310,7 @@ def _reference_as_list(values):
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 
-def assert_same_coefficient_path(sp, ref, eps=1e-12):
+def assert_same_coefficient_path(sp, ref):
     """A ScalarProducts and the coefficients of both recurrences, or the
     class of what they raise, equal the reference path's bit for bit.
     Returns both coefficient outcomes: "ok" or the class raised."""
@@ -321,7 +321,7 @@ def assert_same_coefficient_path(sp, ref, eps=1e-12):
     seen = []
     for fn, ref_fn, fields in ((fs.a13_coefficients, reference_a13, ("a_k", "b_k", "c_k", "e_k", "f_k", "delta_k")),
                                (fs.b13_coefficients, reference_b13, ("c_k", "d_k", "f_k", "g_k", "delta_prime_k"))):
-        got, want = outcome(fn, sp, eps=eps), outcome(ref_fn, ref, eps=eps)
+        got, want = outcome(fn, sp), outcome(ref_fn, ref)
         assert got[0] == want[0]
         if got[0] == "ok":
             assert float_bits([getattr(got[1], f) for f in fields]) == float_bits(want[1])

@@ -154,6 +154,16 @@ def test_cmd_solve_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("argv, code, status", [
+    (["--gen", "tridiag:100", "--rhs", "ones"], cli.EXIT_MAX_ITERATIONS, "MaxIterations"),
+    (["--gen", "tridiag:30", "--rhs", "rand:1", "--max-restarts", "0"], cli.EXIT_BREAKDOWN, "BreakdownExhausted"),
+])
+def test_cmd_solve_exit_code_names_the_status(tmp_path, argv, code, status):
+    report = tmp_path / "report.json"
+    assert run(["solve", *argv, "--report", str(report)]) == code
+    assert json.loads(report.read_text())["status"] == status
+
+
 def test_cmd_solve_missing_matrix_file():
     assert run(["solve", "--matrix", "does_not_exist.mtx"]) == cli.EXIT_INPUT
 

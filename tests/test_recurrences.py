@@ -11,6 +11,7 @@ from fopsolve.errors import (
     NumericOverflow,
     TrueBreakdown,
 )
+from fopsolve import recurrences
 from fopsolve.recurrences import EXISTS_TOL, NONEXISTENCE_TOL
 
 from helpers import (
@@ -261,7 +262,7 @@ def test_bounded_window_coefficients_match_power_basis():
             for name in ("c_k", "d_k", "f_k", "g_k"):
                 want = getattr(want_b, name)
                 assert abs(getattr(got_b, name) - want) <= 1e-8 * max(1.0, abs(want))
-            fs.step(state, A, r0)
+            fs.step(state, A)
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +346,13 @@ def test_a13_ghost_breakdown_on_singular_system():
         fs.a13_coefficients(sp)
 
 
-def test_a13_singular_pivot_below_the_determinant_test_is_ghost():
-    # det = 1e-14 passes the determinant test at eps = 1e-15, but the second
-    # elimination pivot (-1e-14) falls below solve_dense's 1e-13 floor.
+def test_a13_singular_pivot_below_the_determinant_test_is_ghost(monkeypatch):
+    # det = 1e-14 passes the determinant test at a threshold of 1e-15, but the
+    # second elimination pivot (-1e-14) falls below solve_dense's 1e-13 floor.
+    monkeypatch.setattr(recurrences, "BREAKDOWN_EPS", 1e-15)
     sp = sp_from_values([0.0, 1e-7, 1.0, 0.0], [1.0, 0.0, 0.5, 0.0], [1.0, 1.0, 1.0, 1.0])
     with pytest.raises(GhostBreakdown, match="pivot 1"):
-        fs.a13_coefficients(sp, eps=1e-15)
+        fs.a13_coefficients(sp)
 
 
 def test_a13_normalization_breakdown():
@@ -394,6 +396,11 @@ def test_registered_forms_reach_degree_k():
 
 def test_fit_report_classification_bands():
     report = fs.fit_relation(fs.A13, d3b_fixture()[2], 5)
-    assert report.exists == (report.relative_residual < EXISTS_TOL)
+    assert report.relative_residual < EXISTS_TOL
+    assert report.exists and report.classification == "exists"
+    assert EXISTS_TOL < 1e-5 < NONEXISTENCE_TOL < 0.5
+    for residual, band in ((0.5, "nonexistent"), (1e-5, "indeterminate")):
+        report = fs.FitReport(fs.A13, 5, ((1.0,),), residual, True)
+        assert not report.exists and report.classification == band
     with pytest.raises(ValueError):
-        fs.FitReport(fs.A13, 5, ((1.0,),), 0.5, True, True)
+        fs.FitReport(fs.A13, 5, ((1.0,),), -1.0, True)

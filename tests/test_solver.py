@@ -51,7 +51,7 @@ def drive_steps(A, b, y, tol=1e-8, n_steps=4):
     state = fs.bootstrap(A, b, np.zeros(A.rows), y, tol=tol)
     snapshots = []
     for _ in range(n_steps):
-        fs.step(state, A, b)
+        fs.step(state, A)
         snapshots.append(SimpleNamespace(
             k=state.k, r_km1=state.r_km1.copy(), z_km1=state.z_km1.copy(), x_km1=state.x_km1.copy(),
         ))
@@ -68,7 +68,7 @@ def test_bootstrap_identity_converges_at_one():
     state = fs.bootstrap(A, b, np.zeros(5), np.ones(5))
     assert state.converged
     assert max(k for k, _, _ in state.history) == 1
-    assert np.allclose(state.solution, b, atol=1e-12)
+    assert np.allclose(state.best_x, b, atol=1e-12)
 
 
 def test_bootstrap_d2_converges_at_two():
@@ -76,7 +76,7 @@ def test_bootstrap_d2_converges_at_two():
     state = fs.bootstrap(A, [1.0, 2.0], np.zeros(2), np.array([0.7, 0.3]))
     assert state.converged
     assert max(k for k, _, _ in state.history) <= 2
-    assert np.allclose(state.solution, [1.0, 1.0], atol=1e-10)
+    assert np.allclose(state.best_x, [1.0, 1.0], atol=1e-10)
 
 
 def test_bootstrap_tridiag30_partial_progress_and_consistency():
@@ -118,7 +118,7 @@ def test_bootstrap_breakdown_on_deficient_left_seed():
 def test_step_matches_oracle_on_d3b():
     A, ones, c = d3b_fixture()
     state = fs.bootstrap(A, ones, np.zeros(8), ones, tol=1e-12)
-    state = fs.step(state, A, ones)
+    state = fs.step(state, A)
     r5 = fs.poly_matrix_apply(fs.oracle_p(c, 5), A, ones)
     z5 = fs.poly_matrix_apply(fs.oracle_p1(c, 5), A, ones)
     scale = np.linalg.norm(ones)
@@ -168,7 +168,7 @@ def test_step_records_numpys_residual_norm():
     A, r0, y = ring_spectrum_fixture(12, 0)
     state = fs.bootstrap(A, r0, np.zeros(12), y, tol=1e-14)
     for _ in range(4):
-        fs.step(state, A, r0)
+        fs.step(state, A)
         assert state.history[-1][1] == float(np.linalg.norm(state.r_km1))
 
 
@@ -176,7 +176,7 @@ def test_step_matvec_budget():
     A, r0, y = ring_spectrum_fixture(12, 1)
     state = fs.bootstrap(A, r0, np.zeros(12), y, tol=1e-14)
     counter = CountingMatrix(A)
-    fs.step(state, counter, r0)
+    fs.step(state, counter)
     assert counter.n_matvec <= 6
     assert counter.n_rmatvec == 1
 
@@ -185,21 +185,22 @@ def test_step_history_append_only():
     A, r0, y = ring_spectrum_fixture(12, 2)
     state = fs.bootstrap(A, r0, np.zeros(12), y, tol=1e-14)
     before = list(state.history)
-    after = fs.step(state, A, r0)
+    after = fs.step(state, A)
     assert after is state
     assert after.history[:len(before)] == before
     assert after.history[-1][2] == "step"
 
 
-def test_failed_step_leaves_state_untouched():
+def test_failed_step_leaves_state_untouched(monkeypatch):
     A, r0, y = ring_spectrum_fixture(12, 2)
     state = fs.bootstrap(A, r0, np.zeros(12), y, tol=1e-14)
     names = ("x_km1", "x_km2", "r_km1", "r_km2", "z_km1", "z_km2", "z_km3")
     before = {name: getattr(state, name).copy() for name in names}
     u_before = [u.copy() for u in state.u_window]
     k, n_history, iterations = state.k, len(state.history), state.iterations
+    monkeypatch.setattr(recurrences, "BREAKDOWN_EPS", 0.5)
     with pytest.raises(BreakdownError):
-        fs.step(state, A, r0, eps=0.5)
+        fs.step(state, A)
     assert (state.k, len(state.history), state.iterations) == (k, n_history, iterations)
     for name in names:
         assert np.array_equal(getattr(state, name), before[name])
@@ -210,15 +211,6 @@ def test_failed_step_leaves_state_untouched():
 # ---------------------------------------------------------------------------
 # restart
 # ---------------------------------------------------------------------------
-
-def test_restart_short_circuits_when_converged():
-    A = fs.Matrix.identity(3)
-    b = np.ones(3)
-    state = SolverState(k=5, best_x=np.ones(3), best_resnorm=1e-12)
-    out = fs.restart(state, A, b, fs.SolverConfig(tol=1e-8), cause="Ghost")
-    assert out.converged
-    assert np.array_equal(out.solution, np.ones(3))
-
 
 def test_restart_recovers_from_failed_bootstrap():
     A = fs.Matrix.diagonal([1.0, 2.0, 3.0, 4.0])
@@ -241,9 +233,21 @@ def test_restart_recovers_from_failed_bootstrap():
 def test_restart_budget_exhaustion():
     A = fs.Matrix.identity(3)
     b = np.ones(3)
-    state = SolverState(k=5, best_x=np.zeros(3), best_resnorm=1.0, restarts=2)
+    state = SolverState(k=5, best_x=np.zeros(3), best_resnorm=1.0, restart_causes=["True", "Ghost"])
     with pytest.raises(RestartsExhausted):
         fs.restart(state, A, b, fs.SolverConfig(max_restarts=2), cause="Ghost")
+    assert state.restarts == 2
+    assert state.history == [(5, 1.0, "exhausted:Ghost")]
+
+
+def test_restart_keeps_the_older_best_iterate():
+    A = fs.Matrix.tridiagonal(30)
+    b = np.ones(30)
+    best_x = np.zeros(30)
+    state = SolverState(k=12, best_x=best_x, best_resnorm=1e-6)
+    out = fs.restart(state, A, b, fs.SolverConfig(), cause="Ghost")
+    assert out is not state and out.restart_causes == ["Ghost"]
+    assert out.best_x is best_x and out.best_resnorm == 1e-6
 
 
 def test_left_seed_rejection_rule():
@@ -343,7 +347,8 @@ def test_exhausted_restart_budget_reports_every_bootstrap_tried(scale, cause):
     assert report.status == STATUS_BREAKDOWN_EXHAUSTED
     assert report.restarts == restarts
     assert report.restart_causes == (cause,) * restarts
-    assert [ev for _, _, ev in report.entries] == ["bootstrap"] + [f"restart:{cause}"] * restarts
+    assert [ev for _, _, ev in report.entries] == (["bootstrap"] + [f"restart:{cause}"] * restarts
+                                                   + [f"exhausted:{cause}"])
     assert np.array_equal(x, np.zeros(12))
 
 
@@ -388,6 +393,29 @@ def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, mon
     _, report = fs.solve(A, b)
     assert len(steps) >= sum(ev == "step" for _, _, ev in report.entries) > 10
     assert len(solves) > 2 * len(steps)
+
+
+def test_solve_ends_on_an_exhausted_budget_after_a_failed_step():
+    A = fs.Matrix.tridiagonal(50)
+    b = fs.matvec(A, np.ones(50))
+    x, report = fs.solve(A, b, config=fs.SolverConfig(max_restarts=0))
+    assert report.status == STATUS_BREAKDOWN_EXHAUSTED
+    assert report.iterations == 26 and report.restarts == 0 and report.restart_causes == ()
+    (k, _, last_step), (k_end, rn_end, exhausted) = report.entries[-2:]
+    assert last_step == "step" and exhausted.startswith("exhausted:")
+    assert k_end == k + 1 and rn_end == min(rn for _, rn, _ in report.entries[:-1])
+    assert np.isfinite(x).all()
+
+
+def test_solve_converges_at_the_starting_iterate():
+    A = fs.Matrix.tridiagonal(30)
+    x0 = np.random.default_rng(2).standard_normal(30)
+    b = fs.matvec(A, x0)
+    x, report = fs.solve(A, b, x0=x0)
+    assert report.status == STATUS_CONVERGED
+    assert report.iterations == 0
+    assert report.entries == ((0, 0.0, "bootstrap"),)
+    assert np.array_equal(x, x0)
 
 
 def test_solve_converged_report_invariant():
@@ -437,5 +465,3 @@ def test_solver_config_validation():
         fs.SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         fs.SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        fs.SolverConfig(breakdown_eps=1e-3)
