@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import statistics
 import sys
 
@@ -154,6 +155,8 @@ def build_rhs(descriptor: str, n: int) -> np.ndarray:
             raise InputError(f"{arg}: rhs file must hold whitespace-separated reals ({exc})") from exc
         if len(values) != n:
             raise InputError(f"{arg}: rhs has {len(values)} entries, matrix needs {n}")
+        if not all(map(math.isfinite, values)):
+            raise InputError(f"{arg}: rhs entries must be finite")
         return np.array(values)
     raise UsageError(f"unknown rhs descriptor {descriptor!r} (expected ones, rand:SEED, file:PATH)")
 
@@ -271,13 +274,12 @@ def run_verification(seeds: int = VERIFY_SEEDS, n: int = VERIFY_N, k: int = VERI
     below 1e-8 for the representable shapes, residual above 1e-3 in at
     least 95 percent of runs for the unrepresentable ones).
     """
-    needed = 2 * k + 2
+    needed = 2 * k  # c_0..c_2k: the fits read P_j and P1_j for j <= k
     rows = []
     results = {name: [] for name in recurrences.FORMS}
     skipped = {name: 0 for name in recurrences.FORMS}
     for seed in range(seeds):
-        matrix, r0, y = ring_spectrum_fixture(n, seed)
-        c = moments.compute_moments(matrix, r0, y, needed)
+        c = moments.compute_moments(*ring_spectrum_fixture(n, seed), needed)
         for name, form in recurrences.FORMS.items():
             try:
                 report = recurrences.fit_relation(form, c, k)

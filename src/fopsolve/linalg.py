@@ -195,7 +195,7 @@ def transpose_matvec(M: Matrix, v) -> np.ndarray:
     return M.rmatvec(np.asarray(v, dtype=float))
 
 
-def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b) -> list[float]:
+def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b, *more_b) -> list[float] | list[list[float]]:
     """Solve a small square system by Gaussian elimination with row pivoting.
 
     The single elimination routine of the package: its consumers are the
@@ -208,15 +208,21 @@ def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b) -> list[float]:
     with fused multiply-adds. Raises SingularSystem (carrying the
     offending elimination step) when that pivot falls below
     1e-13 * max|M|, ValueError on non-finite entries.
+
+    Further right-hand sides `more_b` ride along the one elimination of
+    `M`; the result is then one solution list per right-hand side, in
+    order, each bit-identical to solving for that right-hand side alone.
     """
     try:
         rows = M.tolist() if isinstance(M, np.ndarray) else M
         rhs = list(map(float, b.tolist() if isinstance(b, np.ndarray) else b))
         n = len(rows)
-        # Eliminate on the augmented rows [M | b].
+        # Eliminate on the augmented rows [M | b | more_b].
         a = [[*map(float, row), value] for row, value in zip(rows, rhs)]
+        if more_b:
+            more = [list(map(float, v.tolist() if isinstance(v, np.ndarray) else v)) for v in more_b]
     except TypeError as exc:
-        raise DimensionMismatch("solve_dense needs a matrix of rows and a 1-D right-hand side") from exc
+        raise DimensionMismatch("solve_dense needs a matrix of rows and 1-D right-hand sides") from exc
     if not 1 <= n <= SOLVE_DENSE_MAX_N or len(rhs) != n or list(map(len, a)) != [n + 1] * n:
         raise DimensionMismatch(f"solve_dense needs an n x n matrix, n <= {SOLVE_DENSE_MAX_N}, and n right-hand "
                                 f"side entries; got {n} rows of lengths {[len(r) - 1 for r in a]}, {len(rhs)} entries")
@@ -224,6 +230,16 @@ def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b) -> list[float]:
     if not all(map(math.isfinite, entries)):
         raise ValueError("solve_dense: entries must be finite")
     del entries[n::n + 1]  # the right-hand side
+    width = n + 1
+    if more_b:
+        if list(map(len, more)) != [n] * len(more):
+            raise DimensionMismatch(f"solve_dense needs n = {n} entries in each right-hand side, "
+                                    f"got {[n, *map(len, more)]}")
+        if not all(map(math.isfinite, itertools.chain(*more))):
+            raise ValueError("solve_dense: entries must be finite")
+        for row, values in zip(a, zip(*more)):
+            row += values
+        width += len(more)
 
     pivot_floor = _PIVOT_RTOL * max(max(entries), -min(entries))  # max|M|
     for col in range(n):
@@ -238,16 +254,24 @@ def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b) -> list[float]:
         pivot = pivot_row[col]
         for row in a[col + 1:]:
             factor = row[col] / pivot
-            for j in range(col + 1, n + 1):
+            for j in range(col + 1, width):
                 row[j] -= factor * pivot_row[j]
 
+    if more_b:
+        return [_back_substitute(a, j) for j in range(n, width)]
+    return _back_substitute(a, n)
+
+
+def _back_substitute(a: list[list[float]], rhs_col: int) -> list[float]:
+    """The solution for column `rhs_col` of the eliminated rows `a`."""
+    n = len(a)
     x = [0.0] * n
     for i in range(n - 1, -1, -1):
         row = a[i]
         dot = 0.0
         for j in range(i + 1, n):
             dot = _fma(row[j], x[j], dot) if dot else row[j] * x[j] + dot
-        x[i] = (row[n] - dot) / row[i]
+        x[i] = (row[rhs_col] - dot) / row[i]
     return x
 
 

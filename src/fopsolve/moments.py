@@ -6,7 +6,7 @@ of both orthogonal polynomial families.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,12 +16,19 @@ from .errors import DimensionMismatch, KrylovOverflow, MomentRangeExceeded, Nume
 
 @dataclass(frozen=True)
 class MomentSequence:
-    """Cached moments c_0..c_m."""
+    """Cached moments c_0..c_m.
+
+    `hankel_solutions` is the oracle's memo: per degree k, the P_k and
+    P1_k solved from one elimination of `hankel_matrix(self, k)`, or the
+    SingularSystem that elimination raised. The moments are a read-only
+    copy of `values`, so the memo never goes stale.
+    """
 
     values: np.ndarray
+    hankel_solutions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy: no caller keeps a writable alias
         if v.ndim != 1 or v.size < 1:
             raise DimensionMismatch("moment sequence must hold at least c_0")
         if not np.all(np.isfinite(v)):

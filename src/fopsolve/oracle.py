@@ -3,9 +3,10 @@
 P_k is the degree-k polynomial with P_k(0) = 1 that is orthogonal to
 x^0..x^{k-1} under the functional c; P1_k is the monic degree-k
 polynomial orthogonal under the shifted functional c1. Both come from
-the same k x k moment system, solved directly. Direct moment systems are
-notoriously ill-conditioned, so the oracle is capped at k <= 10 and
-meant for desk-scale cross-checking only.
+the same k x k moment system, solved directly by one elimination whose
+two solutions are memoized on the moment sequence. Direct moment
+systems are notoriously ill-conditioned, so the oracle is capped at
+k <= 10 and meant for desk-scale cross-checking only.
 """
 from __future__ import annotations
 
@@ -71,13 +72,7 @@ def oracle_p(c: moments.MomentSequence, k: int) -> Polynomial:
     _check_degree(k)
     if k == 0:
         return Polynomial(np.array([1.0]), FAMILY_P)
-    h = moments.hankel_matrix(c, k)
-    rhs = -c.values[:k]
-    try:
-        alphas = linalg.solve_dense(h, rhs)
-    except SingularSystem as exc:
-        raise NonexistentPolynomial(k, FAMILY_P) from exc
-    return Polynomial(np.concatenate([[1.0], alphas]), FAMILY_P)
+    return _hankel_solutions(c, k, FAMILY_P)[0]
 
 
 def oracle_p1(c: moments.MomentSequence, k: int) -> Polynomial:
@@ -90,13 +85,31 @@ def oracle_p1(c: moments.MomentSequence, k: int) -> Polynomial:
         return Polynomial(np.array([1.0]), FAMILY_P1)
     if 2 * k > c.m:
         raise MomentRangeExceeded(2 * k, c.m)
-    h = moments.hankel_matrix(c, k)
-    rhs = -c.values[k + 1:2 * k + 1]
-    try:
-        betas = linalg.solve_dense(h, rhs)
-    except SingularSystem as exc:
-        raise NonexistentPolynomial(k, FAMILY_P1) from exc
-    return Polynomial(np.concatenate([betas, [1.0]]), FAMILY_P1)
+    return _hankel_solutions(c, k, FAMILY_P1)[1]
+
+
+def _hankel_solutions(c: moments.MomentSequence, k: int, family: str) -> tuple[Polynomial, Polynomial | None]:
+    """(P_k, P1_k) from one elimination of the Hankel matrix H_k, memoized on `c`.
+
+    P1_k is None when `c` stops short of c_2k. A singular H_k is memoized
+    too and raises NonexistentPolynomial for the asked `family`.
+    """
+    solved = c.hankel_solutions.get(k)
+    if solved is None:
+        h = moments.hankel_matrix(c, k)
+        try:
+            if 2 * k > c.m:
+                solved = (Polynomial(np.concatenate([[1.0], linalg.solve_dense(h, -c.values[:k])]), FAMILY_P), None)
+            else:
+                alphas, betas = linalg.solve_dense(h, -c.values[:k], -c.values[k + 1:2 * k + 1])
+                solved = (Polynomial(np.concatenate([[1.0], alphas]), FAMILY_P),
+                          Polynomial(np.concatenate([betas, [1.0]]), FAMILY_P1))
+        except SingularSystem as exc:
+            solved = exc.with_traceback(None)  # no frame, so no reference cycle through `c`
+        c.hankel_solutions[k] = solved
+    if isinstance(solved, SingularSystem):
+        raise NonexistentPolynomial(k, family) from solved
+    return solved
 
 
 def poly_matrix_apply(p: Polynomial, A: linalg.Matrix, v) -> np.ndarray:

@@ -164,6 +164,14 @@ def test_cmd_solve_exit_code_names_the_status(tmp_path, argv, code, status):
     assert json.loads(report.read_text())["status"] == status
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cmd_solve_nonfinite_rhs_file_is_an_input_error(tmp_path, capsys, bad):
+    rhs = tmp_path / "b.txt"
+    rhs.write_text(f"1 {bad} 3\n")
+    assert run(["solve", "--gen", "tridiag:3", "--rhs", f"file:{rhs}"]) == cli.EXIT_INPUT
+    assert str(rhs) in capsys.readouterr().err
+
+
 def test_cmd_solve_missing_matrix_file():
     assert run(["solve", "--matrix", "does_not_exist.mtx"]) == cli.EXIT_INPUT
 

@@ -302,3 +302,57 @@ def test_solve_dense_leaves_its_input_unmodified():
     fs.solve_dense(rows, b)
     assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
     assert rows == rows_copy
+
+
+def test_solve_dense_several_right_hand_sides_match_single_solves():
+    # Normal, small-integer (exactly singular and tied pivots), exponent-spread
+    # and nearly singular systems: one elimination for three right-hand sides
+    # gives, column by column, the bits (or the pivot error) of three solves.
+    rng = np.random.default_rng(31)
+    raised = 0
+    for i in range(2000):
+        n = 1 + i % 10
+        kind = i // 10 % 4
+        if kind == 1:
+            a, bs = rng.integers(-2, 3, size=(n, n)).astype(float), rng.integers(-2, 3, size=(3, n)).astype(float)
+        else:
+            a, bs = rng.standard_normal((n, n)), rng.standard_normal((3, n))
+            if kind == 2:
+                a, bs = np.ldexp(a, rng.integers(-40, 41, size=(n, n))), np.ldexp(bs, rng.integers(-40, 41, size=(3, n)))
+            elif kind == 3 and n > 1:
+                a[-1] = a[0] + 10.0 ** -rng.integers(11, 16) * rng.standard_normal(n)
+        m = (a, a.tolist())[i % 2]
+        got = outcome(fs.solve_dense, m, *bs)
+        singles = [outcome(fs.solve_dense, m, b) for b in bs]
+        if got[0] == "ok":
+            assert len(got[1]) == 3
+            assert [float_bits(x) for x in got[1]] == [float_bits(x) for _, x in singles]
+        else:
+            assert got == singles[0] == ("raised", SingularSystem)
+            raised += 1
+    assert raised > 100
+
+
+def test_solve_dense_pivot_floor_ignores_the_right_hand_sides():
+    m = [[1.0, 1.0], [1.0, 1.0 + 5e-14]]  # second pivot 5e-14 < 1e-13 * max|M|
+    for extra in ([1e300, -1e300], [1e-300, 1e-300]):
+        with pytest.raises(SingularSystem) as info:
+            fs.solve_dense(m, [1.0, 1.0], extra)
+        assert info.value.pivot_index == 1
+    m = [[1.0, 1.0], [1.0, 1.0 + 2e-13]]  # a huge right-hand side does not raise the floor
+    x, huge = fs.solve_dense(m, [1.0, 2.0], [1e200, -1e200])
+    assert x == fs.solve_dense(m, [1.0, 2.0]) and huge == fs.solve_dense(m, [1e200, -1e200])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_dense_rejects_a_nonfinite_extra_right_hand_side(bad):
+    with pytest.raises(ValueError):
+        fs.solve_dense(np.eye(3), [1.0, 1.0, 1.0], np.array([1.0, 1.0, bad]))
+
+
+def test_solve_dense_rejects_an_extra_right_hand_side_of_the_wrong_size():
+    for extra in ([1.0], [1.0, 1.0, 1.0], [[1.0], [1.0]], np.ones((2, 1)), 1.0):
+        with pytest.raises(DimensionMismatch):
+            fs.solve_dense(np.eye(2), [1.0, 1.0], extra)
+    with pytest.raises(DimensionMismatch):
+        fs.solve_dense(np.eye(2), [1.0, 1.0], [1.0, 1.0], [1.0])

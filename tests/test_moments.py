@@ -103,3 +103,12 @@ def test_moment_sequence_spot_reevaluation():
         direct = float(y @ v)
         assert abs(c[i] - direct) <= 1e-12 * max(1.0, abs(direct))
         v = fs.matvec(A, v)
+
+
+def test_moment_sequence_keeps_its_own_read_only_copy():
+    # The oracle memoizes on the sequence, so its values must not change.
+    base = np.arange(1.0, 6.0)
+    c = fs.MomentSequence(base[1:])
+    base[2] = 7.0
+    assert c.values.tolist() == [2.0, 3.0, 4.0, 5.0]
+    assert base.flags.writeable and not c.values.flags.writeable

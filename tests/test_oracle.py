@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import fopsolve as fs
+from fopsolve import cli, linalg, moments, recurrences
 from fopsolve.cli import ring_spectrum_fixture
-from fopsolve.errors import NonexistentPolynomial
+from fopsolve.errors import MomentRangeExceeded, NonexistentPolynomial
 
-from helpers import apply_functional, d2_fixture
+from helpers import apply_functional, d2_fixture, float_bits
 
 
 def test_oracle_p_degree_zero_is_one():
@@ -67,6 +68,65 @@ def test_nonexistent_polynomial_on_identity_fixture():
     assert info.value.degree == 2
     with pytest.raises(NonexistentPolynomial):
         fs.oracle_p1(c, 2)
+
+
+def test_memoized_oracle_matches_a_fresh_hankel_solve():
+    # P1 is asked first on odd seeds, so either family may fill the memo.
+    for seed in range(4):
+        A, r0, y = ring_spectrum_fixture(12, seed)
+        c = fs.compute_moments(A, r0, y, 20)
+        for k in range(11):
+            calls = [fs.oracle_p, fs.oracle_p1][::-1 if seed % 2 else 1]
+            got = {fn: fn(c, k).coeffs.tolist() for fn in calls}
+            if k == 0:
+                want_p, want_p1 = [1.0], [1.0]
+            else:
+                h = moments.hankel_matrix(c, k)
+                want_p = [1.0, *linalg.solve_dense(h, -c.values[:k])]
+                want_p1 = [*linalg.solve_dense(h, -c.values[k + 1:2 * k + 1]), 1.0]
+            assert float_bits(got[fs.oracle_p]) == float_bits(want_p)
+            assert float_bits(got[fs.oracle_p1]) == float_bits(want_p1)
+            for fn in calls:  # a repeated call returns the same polynomial
+                again = fn(c, k)
+                assert float_bits(again.coeffs.tolist()) == float_bits(got[fn])
+                assert k == 0 or again is fn(c, k)
+
+
+def test_memoized_singular_hankel_raises_for_the_asked_family_every_time():
+    c = fs.compute_moments(fs.Matrix.identity(4), np.ones(4), np.ones(4), 6)
+    for fn, family in [(fs.oracle_p, fs.FAMILY_P), (fs.oracle_p1, fs.FAMILY_P1)] * 2:
+        with pytest.raises(NonexistentPolynomial) as info:
+            fn(c, 2)
+        assert (info.value.degree, info.value.family) == (2, family)
+
+
+def test_oracle_p_at_the_shortest_moment_range():
+    # m = 2k - 1 holds H_k and P_k's right-hand side but not P1_k's.
+    A, r0, y = ring_spectrum_fixture(10, 3)
+    for k in range(1, 6):
+        c = fs.compute_moments(A, r0, y, 2 * k - 1)
+        want = [1.0, *linalg.solve_dense(moments.hankel_matrix(c, k), -c.values[:k])]
+        assert float_bits(fs.oracle_p(c, k).coeffs.tolist()) == float_bits(want)
+        with pytest.raises(MomentRangeExceeded):
+            fs.oracle_p1(c, k)
+        assert float_bits(fs.oracle_p(c, k).coeffs.tolist()) == float_bits(want)
+
+
+def test_fits_on_a_shared_moment_sequence_match_fits_on_fresh_copies():
+    # The verify fixtures: every form fitted on one MomentSequence (one memo)
+    # gives the bits of fits that each start from an empty memo.
+    k = cli.VERIFY_DEGREE
+    for seed in range(cli.VERIFY_SEEDS):
+        A, r0, y = ring_spectrum_fixture(cli.VERIFY_N, seed)
+        shared = fs.compute_moments(A, r0, y, 2 * k)
+        for form in recurrences.FORMS.values():
+            fresh = fs.MomentSequence(shared.values.copy())
+            got = recurrences.fit_relation(form, shared, k)
+            want = recurrences.fit_relation(form, fresh, k)
+            assert repr(got) == repr(want)
+            assert float_bits([got.relative_residual, *sum(got.multipliers, ())]) == \
+                float_bits([want.relative_residual, *sum(want.multipliers, ())])
+        assert len(shared.hankel_solutions) == 4  # H_3..H_6, each eliminated once
 
 
 def test_oracle_degree_cap():
