@@ -142,6 +142,8 @@ def build_rhs(descriptor: str, n: int) -> np.ndarray:
     if kind == "rand":
         try:
             seed = int(arg or 0)
+            if seed < 0:
+                raise ValueError("seeds are non-negative")
         except ValueError as exc:
             raise UsageError(f"bad rhs seed {arg!r}") from exc
         return np.random.default_rng(seed).standard_normal(n)

@@ -7,6 +7,15 @@ stencil), or coordinate triplets (general sparse input). Matrix and
 vector products run in numpy; the small pivoted solve (`solve_dense`,
 n <= 10) runs on Python floats, because at that size numpy's per-call
 overhead costs more than the arithmetic.
+
+On vectors longer than `BLOCK` rows, the diagonal-storage products, and
+the element-wise kernels that callers hand to `blockwise`, work one block
+of rows at a time, so that each block's operands stay in cache across
+all the operations that touch them instead of streaming every whole
+vector through memory once per operation. Each element still sees the same
+operations in the same order, so the results are bit-identical to the
+whole-vector code, which vectors of at most `BLOCK` rows keep: on them a
+one-block loop would only add per-call overhead.
 """
 from __future__ import annotations
 
@@ -20,6 +29,7 @@ from .errors import DimensionMismatch, SingularSystem
 
 SOLVE_DENSE_MAX_N = 10
 _PIVOT_RTOL = 1e-13
+BLOCK = 1 << 15  # rows per block of the long-vector kernels: 256 KiB of float64 per operand
 
 
 def as_vector(values) -> np.ndarray:
@@ -152,7 +162,8 @@ class Matrix:
     # both storages give the same bits. (np.bincount starts each sum from
     # +0.0, so a row whose terms are all -0.0 sums to +0.0 there and to
     # -0.0 here.) `head += ...` on a bound view updates `y` in place
-    # without the copy-back of `y[:-1] += ...`.
+    # without the copy-back of `y[:-1] += ...`. Vectors longer than BLOCK
+    # take `_banded_blocks`, which adds the same terms in the same order.
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if len(v) != self.cols:
@@ -161,6 +172,8 @@ class Matrix:
             return self._dense @ v
         if self._bands is not None:
             main, upper, lower = self._bands
+            if len(v) > BLOCK:
+                return _banded_blocks(v, main, (upper, 1), (lower, -1))
             y = main * v
             head, tail = y[:-1], y[1:]
             head += upper * v[1:]
@@ -176,6 +189,8 @@ class Matrix:
             return self._dense.T @ v
         if self._bands is not None:
             main, upper, lower = self._bands
+            if len(v) > BLOCK:
+                return _banded_blocks(v, main, (upper, -1), (lower, 1))
             y = main * v
             head, tail = y[:-1], y[1:]
             tail += upper * v[:-1]
@@ -183,6 +198,60 @@ class Matrix:
             return y
         r, c, vals = self._coo
         return np.bincount(c, weights=vals * v[r], minlength=self.cols)
+
+
+def _banded_blocks(v: np.ndarray, main: np.ndarray, *terms) -> np.ndarray:
+    """The diagonal-storage product y = main * v, then for each (band, offset)
+    of `terms` in order y[i] += band[..] * v[i + offset], BLOCK rows at a time.
+
+    Offset +1 pairs row i with band[i] (rows 0..n-2), offset -1 pairs it
+    with band[i - 1] (rows 1..n-1); a row at a block edge takes its
+    neighbour from `v`. The scratch block belongs to this call, so
+    products stay safe to share across threads.
+    """
+    n = len(v)
+    y = np.empty(n)
+    scratch = np.empty(BLOCK)
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        np.multiply(main[start:stop], v[start:stop], out=y[start:stop])
+        for band, offset in terms:
+            lo, hi = (start, min(stop, n - 1)) if offset > 0 else (max(start, 1), stop)
+            first = lo + min(offset, 0)  # band index of row lo
+            term = np.multiply(band[first:first + hi - lo], v[lo + offset:hi + offset], out=scratch[:hi - lo])
+            rows = y[lo:hi]
+            np.add(rows, term, out=rows)
+    return y
+
+
+def blockwise(kernel, *args) -> tuple[np.ndarray, ...] | None:
+    """Return kernel(*args), computed BLOCK rows at a time when its vectors
+    are longer than BLOCK.
+
+    The first argument is a vector; every ndarray argument is a vector of
+    that length and is cut into blocks, the others (coefficients) reach
+    each block unchanged. `kernel` must be element-wise: row i of what it
+    computes depends on row i of the vectors alone. It then gives each
+    element the same operations in the same order on a block as on the
+    whole vectors, so the blocked result is bit-identical; only its
+    temporaries are block-sized. The kernel either returns a tuple of new
+    vectors, which are assembled from the blocks, or writes into its
+    arguments in place and returns None.
+    """
+    n = len(args[0])
+    if n <= BLOCK:
+        return kernel(*args)
+    outs = None
+    for start in range(0, n, BLOCK):
+        rows = slice(start, start + BLOCK)
+        parts = kernel(*(a[rows] if isinstance(a, np.ndarray) else a for a in args))
+        if parts is None:
+            continue
+        if outs is None:
+            outs = tuple(np.empty(n) for _ in parts)
+        for out, part in zip(outs, parts):
+            out[rows] = part
+    return outs
 
 
 def matvec(M: Matrix, v) -> np.ndarray:

@@ -25,6 +25,14 @@ Cost contract per step: 6 applications of A (A*r_{k-2} and A*z_{k-3}
 products are reused between the r and x updates) plus one of A^T to
 advance the left window. Bootstrap costs 10 applications of A plus 7 of
 A^T.
+
+On vectors longer than `linalg.BLOCK` rows, the element-wise vector
+work (a step's r_k, x_k and z_k, the left-window projections, the
+bootstrap's combinations of Krylov vectors) runs one block of rows at a
+time through `linalg.blockwise`, with the whole-vector expressions on
+the block slices. Each element sees the same operations in the same
+order, so iterates and reports are bit-identical at any block size.
+Inner products stay whole-vector calls.
 """
 from __future__ import annotations
 
@@ -66,6 +74,8 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -128,7 +138,8 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
     j, P_j and P1_j solve their conditions against v_0..v_{j-1} (those of
     P1_j through A^T v_i = beta_i v_{i-1} + alpha_i v_i + gamma_i v_{i+1})
     applied to the Krylov vectors; r_j, z_j and x_j are linear
-    combinations of them (no further matvecs). Early convergence (some
+    combinations of them (no further matvecs), formed block by block on
+    long vectors; z_1, which no step reads, is not formed. Early convergence (some
     ||r_j|| <= tol * ||b||) short-circuits; a singular degree-j system
     raises BootstrapBreakdown(j).
     """
@@ -161,7 +172,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
                         for m, (beta, alpha, gamma) in enumerate(recurrence[:BOOTSTRAP_DEGREE])])
 
     x_prev = r_prev = z_prev = z_prev2 = None
-    x_j, r_j, z_j = x0v, r0, r0
+    x_j, r_j, z_j = x0v, r0, None
     for j in range(1, BOOTSTRAP_DEGREE + 1):
         try:
             a = linalg.solve_dense(gram[:j, 1:j + 1], -gram[:j, 0])
@@ -169,16 +180,15 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
         except SingularSystem as exc:
             raise BootstrapBreakdown(j) from exc
         x_prev, r_prev, z_prev2, z_prev = x_j, r_j, z_prev, z_j
-        r_j = powers[0] + sum(a[i - 1] * powers[i] for i in range(1, j + 1))
-        z_j = powers[j] + sum(c[i] * powers[i] for i in range(j))
-        x_j = x0v - sum(a[i - 1] * powers[i - 1] for i in range(1, j + 1))
+        r_j, x_j, *z = linalg.blockwise(_degree_vectors, x0v, a, c, *powers[:j + 1])
+        z_j = z[0] if z else None
         rn = float(np.linalg.norm(r_j))
         if not np.isfinite(rn):
             raise NumericOverflow("bootstrap residual overflowed")
         state.history.append((j, rn, "bootstrap"))
         state.iterations += 1
         if rn < state.best_resnorm:
-            state.best_resnorm, state.best_x = rn, x_j.copy()
+            state.best_resnorm, state.best_x = rn, x_j
         if rn <= conv_floor:
             state.converged = True
             state.k = j + 1
@@ -192,32 +202,62 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
     return state
 
 
+def _degree_vectors(x0, a, c, *p):
+    """r_j, x_j and z_j of bootstrap degree j = len(a), combined from x0 and
+    the Krylov vectors p = (r0, A r0, ..., A^j r0). z_1, which no step
+    reads, is left out."""
+    j = len(a)
+    r = p[0] + sum(a[i - 1] * p[i] for i in range(1, j + 1))
+    x = x0 - sum(a[i - 1] * p[i - 1] for i in range(1, j + 1))
+    if j == 1:
+        return r, x
+    return r, x, p[j] + sum(c[i] * p[i] for i in range(j))
+
+
 def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]:
     """Write v_{j+1} = (A^T v_j - beta_j v_{j-1} - alpha_j v_j) / gamma_j into `out`.
 
     beta_j and alpha_j project out v_{j-1}, then v_j; gamma_j makes v_{j+1}
     a unit vector (a zero remainder stays zero). One transpose product;
-    `out` doubles as scratch space. Returns (beta_j, alpha_j, gamma_j).
+    `out` doubles as scratch space. On long vectors each projection runs
+    block by block (`linalg.blockwise`); the dot products stay whole-vector calls, whose
+    summation order a blocked reduction would change. Returns (beta_j,
+    alpha_j, gamma_j).
     """
     w = linalg.transpose_matvec(A, v)
     beta = 0.0
     if v_prev is not None:
         beta = float(v_prev.dot(w))
-        w -= np.multiply(beta, v_prev, out=out)
+        linalg.blockwise(_subtract_multiple, w, v_prev, out, beta)
     alpha = float(v.dot(w))
-    w -= np.multiply(alpha, v, out=out)
+    linalg.blockwise(_subtract_multiple, w, v, out, alpha)
     gamma = math.sqrt(float(w.dot(w)))
     np.divide(w, gamma if gamma > 0.0 else 1.0, out=out)
     return beta, alpha, gamma
 
 
+def _subtract_multiple(w, u, scratch, coefficient) -> None:
+    """w -= coefficient * u in place; the product goes through `scratch`."""
+    w -= np.multiply(coefficient, u, out=scratch)
+
+
+def _advance(r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb):
+    """r_k, x_k and z_k from the vectors of degree k - 2 and k - 3 and their products."""
+    return (ca.a_k * (a2r + ca.b_k * ar + ca.c_k * r2 + ca.e_k * a2z3 + ca.f_k * az3),
+            x2 - ca.a_k * (ar + ca.b_k * r2 + ca.e_k * az3 + ca.f_k * z3),
+            cb.c_k * az3 + cb.d_k * z3 + a2z2 + cb.f_k * az2 + cb.g_k * z2)
+
+
 def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     """Advance one degree in place: new r, x, z and one new left vector.
 
-    Exactly 6 applications of A plus 1 of A^T. Returns `state` itself.
-    Breakdowns from the coefficient computation and overflow of the new
-    iterates propagate before any state is modified. The new left vector
-    v_{k+3} overwrites v_{k-4}, the oldest row of the window.
+    Exactly 6 applications of A plus 1 of A^T. All six products come
+    first; r_k, x_k and z_k are then formed together, block by block on
+    long vectors.
+    Returns `state` itself. Breakdowns from the coefficient computation
+    and overflow of the new iterates propagate before any state is
+    modified. The new left vector v_{k+3} overwrites v_{k-4}, the oldest
+    row of the window.
     """
     if state.k < BOOTSTRAP_DEGREE + 1 or state.u_window is None:
         raise ValueError("state is not positioned for recurrence steps")
@@ -231,12 +271,10 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     a2r = linalg.matvec(A, ar)
     az3 = linalg.matvec(A, state.z_km3)
     a2z3 = linalg.matvec(A, az3)
-    r_k = ca.a_k * (a2r + ca.b_k * ar + ca.c_k * state.r_km2 + ca.e_k * a2z3 + ca.f_k * az3)
-    x_k = state.x_km2 - ca.a_k * (ar + ca.b_k * state.r_km2 + ca.e_k * az3 + ca.f_k * state.z_km3)
-
     az2 = linalg.matvec(A, state.z_km2)
     a2z2 = linalg.matvec(A, az2)
-    z_k = cb.c_k * az3 + cb.d_k * state.z_km3 + a2z2 + cb.f_k * az2 + cb.g_k * state.z_km2
+    r_k, x_k, z_k = linalg.blockwise(_advance, state.r_km2, state.z_km3, state.z_km2, state.x_km2,
+                                     ar, a2r, az3, a2z3, az2, a2z2, ca, cb)
 
     rn = math.sqrt(float(r_k.dot(r_k)))  # np.linalg.norm's arithmetic, without its dispatch
     if not (math.isfinite(rn) and np.isfinite(z_k).all() and np.isfinite(x_k).all()):

@@ -96,6 +96,8 @@ def test_rhs_specs(tmp_path):
         cli.build_rhs(f"file:{p}", 4)
     with pytest.raises(cli.UsageError):
         cli.build_rhs("zeros", 3)
+    with pytest.raises(cli.UsageError):
+        cli.build_rhs("rand:-1", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +186,16 @@ def test_cmd_solve_usage_errors():
     assert run(["solve", "--gen", "identity:4", "--tol", "-1"]) == cli.EXIT_USAGE
     assert run(["solve", "--gen", "identity:4", "--max-iter", "0"]) == cli.EXIT_USAGE
     assert run(["solve", "--gen", "identity:4", "--max-restarts", "-1"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gen", "tridiag:4", "--seed", "-1"],
+    ["--gen", "tridiag:4", "--rhs", "rand:-1"],
+    ["--gen", "randsdd:5,-2"],
+])
+def test_cmd_solve_negative_seeds_are_usage_errors(capsys, argv):
+    assert run(["solve", *argv]) == cli.EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--report", "--history", "--solution"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fopsolve as fs
+from fopsolve import linalg
 from fopsolve.errors import DimensionMismatch, SingularSystem
 
 from helpers import float_bits, outcome, reference_solve_dense
@@ -86,7 +87,11 @@ def _stencil_triplets(n):
     return fs.Matrix.from_triplets((n, n), trips)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+# Lengths up to BLOCK run the whole-vector products, longer ones the blocked ones.
+BLOCK = linalg.BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
 def test_tridiagonal_bands_match_the_coordinate_kernel_bit_for_bit(n):
     banded, coo = fs.Matrix.tridiagonal(n), _stencil_triplets(n)
     rng = np.random.default_rng(n)
@@ -95,10 +100,75 @@ def test_tridiagonal_bands_match_the_coordinate_kernel_bit_for_bit(n):
         v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
         assert fs.matvec(banded, v).tobytes() == fs.matvec(coo, v).tobytes()
         assert fs.transpose_matvec(banded, v).tobytes() == fs.transpose_matvec(coo, v).tobytes()
-    assert np.array_equal(banded.to_dense(), coo.to_dense())
+    if n <= 1000:  # a dense copy of the long sizes would take gigabytes
+        assert np.array_equal(banded.to_dense(), coo.to_dense())
     assert banded.nnz == coo.nnz == 3 * n - 2
     assert banded.shape == coo.shape == (n, n)
     assert not banded.is_dense
+
+
+def _random_bands(rng, n):
+    """Main, upper and lower bands of mixed magnitudes and signs, zeros included."""
+    bands = []
+    for size in (n, n - 1, n - 1):
+        band = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+        band[rng.integers(0, size, size // 7)] = 0.0
+        bands.append(band)
+    return bands
+
+
+def _whole_vector_products(main, upper, lower, v):
+    """A v and A^T v by the whole-vector formula: main, then upper, then lower terms."""
+    y = main * v
+    y[:-1] += upper * v[1:]
+    y[1:] += lower * v[:-1]
+    t = main * v
+    t[1:] += upper * v[:-1]
+    t[:-1] += lower * v[1:]
+    return y, t
+
+
+@pytest.mark.parametrize("block, sizes", [
+    (7, [8, 13, 14, 15, 22, 50]),
+    (16, [17, 31, 32, 33, 49, 100]),
+    (BLOCK, [BLOCK + 1, 2 * BLOCK + 1]),
+])
+def test_blocked_banded_products_match_the_whole_vector_formula_bit_for_bit(monkeypatch, block, sizes):
+    # Random (non-stencil) bands across block edges, a one-row last block included.
+    monkeypatch.setattr(linalg, "BLOCK", block)
+    rng = np.random.default_rng(block)
+    for n in sizes:
+        main, upper, lower = _random_bands(rng, n)
+        m = fs.Matrix((n, n), bands=(main, upper, lower))
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        want_y, want_t = _whole_vector_products(main, upper, lower, v)
+        assert fs.matvec(m, v).tobytes() == want_y.tobytes()
+        assert fs.transpose_matvec(m, v).tobytes() == want_t.tobytes()
+        if n <= 100:
+            dense = m.to_dense()
+            assert np.allclose(fs.matvec(m, v), dense @ v, rtol=1e-12, atol=1e-300)
+            assert np.allclose(fs.transpose_matvec(m, v), dense.T @ v, rtol=1e-12, atol=1e-300)
+
+
+def test_blockwise_matches_the_whole_vector_kernel(monkeypatch):
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal(23), rng.standard_normal(23)
+
+    def kernel(a, b, coefficients):
+        return a + coefficients[0] * b, a * b - coefficients[1]
+
+    def in_place(a, b, coefficient):
+        a -= np.multiply(coefficient, b)
+
+    whole = linalg.blockwise(kernel, a, b, [0.3, 0.0])
+    whole_a = a.copy()
+    linalg.blockwise(in_place, whole_a, b, 1.7)
+    monkeypatch.setattr(linalg, "BLOCK", 5)
+    blocked = linalg.blockwise(kernel, a, b, [0.3, 0.0])
+    blocked_a = a.copy()
+    assert linalg.blockwise(in_place, blocked_a, b, 1.7) is None
+    assert [part.tobytes() for part in blocked] == [part.tobytes() for part in whole]
+    assert blocked_a.tobytes() == whole_a.tobytes()
 
 
 def test_tridiagonal_bands_are_read_only():

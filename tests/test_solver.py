@@ -460,8 +460,36 @@ def test_solve_is_exactly_scale_invariant_in_b():
         assert report.status == report_unit.status
 
 
+def _desk_and_restart_long_problems():
+    """Ring fixtures n = 12..100 and tridiag:30/50 under the default config,
+    and a long restarted tridiag:100 solve, each with a seeded random b."""
+    rng = np.random.default_rng(11)
+    problems = [(ring_spectrum_fixture(n, n)[0], fs.SolverConfig()) for n in range(12, 101, 4)]
+    problems += [(fs.Matrix.tridiagonal(n), fs.SolverConfig()) for n in (30, 50)]
+    problems.append((fs.Matrix.tridiagonal(100), fs.SolverConfig(tol=1e-10, max_iter=400, max_restarts=1000)))
+    return [(A, rng.standard_normal(A.rows), config) for A, config in problems]
+
+
+def _solve_records(problems):
+    return [(x.tobytes(), repr(report)) for x, report in (fs.solve(A, b, config=cfg) for A, b, cfg in problems)]
+
+
+@pytest.mark.parametrize("block", [7, 16])
+def test_blocked_step_and_bootstrap_are_bit_identical(monkeypatch, block):
+    # A tiny BLOCK drives the blocked products, step, projections and
+    # bootstrap through many blocks and uneven last blocks.
+    problems = _desk_and_restart_long_problems()
+    want = _solve_records(problems)
+    assert sum(cfg.max_iter == 400 for _, _, cfg in problems) == 1
+    assert "restart:" in want[-1][1]
+    monkeypatch.setattr(linalg, "BLOCK", block)
+    assert _solve_records(problems) == want
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         fs.SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         fs.SolverConfig(max_iter=0)
+    with pytest.raises(ValueError):
+        fs.SolverConfig(seed=-1)
