@@ -2,11 +2,11 @@
 
 Everything is double precision and immutable after construction; the
 functions here are pure and safe to share across threads. A `Matrix` has
-one of three storages: dense, its three diagonals (the tridiagonal
-stencil), or coordinate triplets (general sparse input). Matrix and
-vector products run in numpy; the small pivoted solve (`solve_dense`,
-n <= 10) runs on Python floats, because at that size numpy's per-call
-overhead costs more than the arithmetic.
+one of three storages: dense, one coefficient per diagonal (the
+tridiagonal stencil) or coordinate triplets (general sparse input).
+Matrix and vector products run in numpy; the small pivoted solve
+(`solve_dense`, n <= 10) runs on Python floats, because at that size
+numpy's per-call overhead costs more than the arithmetic.
 
 On vectors longer than `BLOCK` rows, the diagonal-storage products, and
 the element-wise kernels that callers hand to `blockwise`, work one block
@@ -43,12 +43,13 @@ def as_vector(values) -> np.ndarray:
 
 
 class Matrix:
-    """Real matrix, stored dense (row-ordered), as three diagonals or as
-    coordinate triplets.
+    """Real matrix, stored dense (row-ordered), as one coefficient per
+    diagonal or as coordinate triplets.
 
-    The diagonal storage `bands` is (main, upper, lower): the entries at
-    offsets 0, +1 and -1, of lengths n, n - 1 and n - 1. Duplicate
-    (row, col) triplets are rejected, all values must be finite.
+    The diagonal storage `bands` is (main, upper, lower): the constant
+    entries at offsets 0, +1 and -1, as read-only 0-d float64 arrays (a
+    cheaper numpy operand than a Python float). Duplicate (row, col)
+    triplets are rejected, all values must be finite.
     Instances are read-only; build new ones instead of mutating.
     """
 
@@ -105,11 +106,11 @@ class Matrix:
 
     @classmethod
     def tridiagonal(cls, n: int) -> "Matrix":
-        """The (-1, 2, -1) stencil of size n, stored as its three diagonals."""
+        """The (-1, 2, -1) stencil of size n, stored as one coefficient per diagonal."""
         n = int(n)
         if n < 1:
             raise DimensionMismatch(f"invalid shape {(n, n)}")
-        bands = (np.full(n, 2.0), np.full(n - 1, -1.0), np.full(n - 1, -1.0))
+        bands = (np.array(2.0), np.array(-1.0), np.array(-1.0))
         for band in bands:
             band.setflags(write=False)
         return cls((n, n), bands=bands)
@@ -137,7 +138,7 @@ class Matrix:
         if self._dense is not None:
             return int(np.count_nonzero(self._dense))
         if self._bands is not None:
-            return sum(band.size for band in self._bands)
+            return 3 * self.rows - 2
         return int(self._coo[0].size)
 
     def to_dense(self) -> np.ndarray:
@@ -145,7 +146,7 @@ class Matrix:
             return self._dense.copy()
         if self._bands is not None:
             main, upper, lower = self._bands
-            out = np.diag(main)
+            out = np.diag(np.full(self.rows, main))
             np.fill_diagonal(out[:, 1:], upper)
             np.fill_diagonal(out[1:], lower)
             return out
@@ -202,25 +203,22 @@ class Matrix:
 
 def _banded_blocks(v: np.ndarray, main: np.ndarray, *terms) -> np.ndarray:
     """The diagonal-storage product y = main * v, then for each (band, offset)
-    of `terms` in order y[i] += band[..] * v[i + offset], BLOCK rows at a time.
+    of `terms` in order y[i] += band * v[i + offset], BLOCK rows at a time.
 
-    Offset +1 pairs row i with band[i] (rows 0..n-2), offset -1 pairs it
-    with band[i - 1] (rows 1..n-1); a row at a block edge takes its
-    neighbour from `v`. The scratch block belongs to this call, so
-    products stay safe to share across threads.
+    Offset +1 reaches rows 0..n-2, offset -1 rows 1..n-1; a row at a block
+    edge takes its neighbour from `v`. The scratch block belongs to this
+    call, so products stay safe to share across threads.
     """
     n = len(v)
     y = np.empty(n)
     scratch = np.empty(BLOCK)
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
-        np.multiply(main[start:stop], v[start:stop], out=y[start:stop])
+        np.multiply(main, v[start:stop], out=y[start:stop])
         for band, offset in terms:
             lo, hi = (start, min(stop, n - 1)) if offset > 0 else (max(start, 1), stop)
-            first = lo + min(offset, 0)  # band index of row lo
-            term = np.multiply(band[first:first + hi - lo], v[lo + offset:hi + offset], out=scratch[:hi - lo])
-            rows = y[lo:hi]
-            np.add(rows, term, out=rows)
+            term = np.multiply(band, v[lo + offset:hi + offset], out=scratch[:hi - lo])
+            np.add(y[lo:hi], term, out=y[lo:hi])
     return y
 
 

@@ -341,9 +341,9 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig,
 def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     """Run the solver until convergence, iteration cap, or restart exhaustion.
 
-    Returns (x, SolveReport). Never raises on numerical failure; every
-    failure mode lands in the report status. The convergence test is
-    ||r_k|| <= tol * ||b||.
+    Returns (x, SolveReport). Never raises on numerical failure, whatever
+    numpy's error settings; every failure mode lands in the report status.
+    The convergence test is ||r_k|| <= tol * ||b||.
 
     The iteration runs on b and x0 scaled by 2^-e, e the binary exponent
     of max|b|, so that norms of b near the ends of the double range
@@ -357,43 +357,44 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     if A.cols != n or len(bv) != n:
         raise DimensionMismatch("solve needs a square matrix matching b")
     x0v = np.zeros(n) if x0 is None else linalg.as_vector(x0)
-    exponent = math.frexp(float(np.max(np.abs(bv))))[1]
-    bv, x0v = np.ldexp(bv, -exponent), np.ldexp(x0v, -exponent)
-    max_iter = cfg.max_iter if cfg.max_iter is not None else 2 * n + 10
-    rng = np.random.default_rng(cfg.seed)
-    bn = float(np.linalg.norm(bv))
-    conv_floor = cfg.tol * bn
+    with np.errstate(all="ignore"):  # every failure is read off the values computed
+        exponent = math.frexp(float(np.max(np.abs(bv))))[1]
+        bv, x0v = np.ldexp(bv, -exponent), np.ldexp(x0v, -exponent)
+        max_iter = cfg.max_iter if cfg.max_iter is not None else 2 * n + 10
+        rng = np.random.default_rng(cfg.seed)
+        bn = float(np.linalg.norm(bv))
+        conv_floor = cfg.tol * bn
 
-    cause = None
-    try:
-        y = _draw_left_seed(rng, A, bv, x0v)
-        state = bootstrap(A, bv, x0v, y, tol=cfg.tol)
-    except (BreakdownError, NumericOverflow) as exc:
-        r0n = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
-        state = SolverState(k=0, best_x=x0v.copy(), best_resnorm=r0n, history=[(0, r0n, "bootstrap")])
-        cause = exc.cause
-
-    while True:
-        if cause is not None:
-            try:
-                state = restart(state, A, bv, cfg, cause=cause, rng=rng)
-            except RestartsExhausted:
-                status = STATUS_BREAKDOWN_EXHAUSTED
-                break
-            cause = None
-        if state.converged:
-            status = STATUS_CONVERGED
-            break
-        if state.iterations >= max_iter:
-            status = STATUS_MAX_ITERATIONS
-            break
+        cause = None
         try:
-            state = step(state, A)
+            y = _draw_left_seed(rng, A, bv, x0v)
+            state = bootstrap(A, bv, x0v, y, tol=cfg.tol)
         except (BreakdownError, NumericOverflow) as exc:
+            r0n = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
+            state = SolverState(k=0, best_x=x0v.copy(), best_resnorm=r0n, history=[(0, r0n, "bootstrap")])
             cause = exc.cause
-        else:
-            state.converged = state.history[-1][1] <= conv_floor
-    return np.ldexp(state.best_x, exponent), _report(state, status, bn, exponent)
+
+        while True:
+            if cause is not None:
+                try:
+                    state = restart(state, A, bv, cfg, cause=cause, rng=rng)
+                except RestartsExhausted:
+                    status = STATUS_BREAKDOWN_EXHAUSTED
+                    break
+                cause = None
+            if state.converged:
+                status = STATUS_CONVERGED
+                break
+            if state.iterations >= max_iter:
+                status = STATUS_MAX_ITERATIONS
+                break
+            try:
+                state = step(state, A)
+            except (BreakdownError, NumericOverflow) as exc:
+                cause = exc.cause
+            else:
+                state.converged = state.history[-1][1] <= conv_floor
+        return np.ldexp(state.best_x, exponent), _report(state, status, bn, exponent)
 
 
 def _draw_left_seed(rng, A, b, x0, max_tries: int = 1000) -> np.ndarray:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,12 +108,13 @@ def test_tridiagonal_bands_match_the_coordinate_kernel_bit_for_bit(n):
     assert not banded.is_dense
 
 
-def _random_bands(rng, n):
-    """Main, upper and lower bands of mixed magnitudes and signs, zeros included."""
+def _random_bands(rng, zero=None):
+    """Main, upper and lower coefficients (read-only 0-d arrays) of mixed
+    magnitudes and signs; the one at index `zero`, if any, is 0.0."""
     bands = []
-    for size in (n, n - 1, n - 1):
-        band = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
-        band[rng.integers(0, size, size // 7)] = 0.0
+    for i in range(3):
+        band = np.array(0.0 if i == zero else rng.standard_normal() * 10.0 ** rng.integers(-8, 9))
+        band.setflags(write=False)
         bands.append(band)
     return bands
 
@@ -134,20 +136,45 @@ def _whole_vector_products(main, upper, lower, v):
     (BLOCK, [BLOCK + 1, 2 * BLOCK + 1]),
 ])
 def test_blocked_banded_products_match_the_whole_vector_formula_bit_for_bit(monkeypatch, block, sizes):
-    # Random (non-stencil) bands across block edges, a one-row last block included.
+    # Random (non-stencil) coefficients across block edges, a one-row last
+    # block included; each length also runs with one coefficient 0.0.
     monkeypatch.setattr(linalg, "BLOCK", block)
     rng = np.random.default_rng(block)
-    for n in sizes:
-        main, upper, lower = _random_bands(rng, n)
-        m = fs.Matrix((n, n), bands=(main, upper, lower))
-        v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-        want_y, want_t = _whole_vector_products(main, upper, lower, v)
-        assert fs.matvec(m, v).tobytes() == want_y.tobytes()
-        assert fs.transpose_matvec(m, v).tobytes() == want_t.tobytes()
-        if n <= 100:
-            dense = m.to_dense()
-            assert np.allclose(fs.matvec(m, v), dense @ v, rtol=1e-12, atol=1e-300)
-            assert np.allclose(fs.transpose_matvec(m, v), dense.T @ v, rtol=1e-12, atol=1e-300)
+    for i, n in enumerate(sizes):
+        for zero in (None, i % 3):
+            main, upper, lower = _random_bands(rng, zero)
+            m = fs.Matrix((n, n), bands=(main, upper, lower))
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+            want_y, want_t = _whole_vector_products(main, upper, lower, v)
+            assert fs.matvec(m, v).tobytes() == want_y.tobytes()
+            assert fs.transpose_matvec(m, v).tobytes() == want_t.tobytes()
+            if n <= 100:
+                dense = m.to_dense()
+                assert np.allclose(fs.matvec(m, v), dense @ v, rtol=1e-12, atol=1e-300)
+                assert np.allclose(fs.transpose_matvec(m, v), dense.T @ v, rtol=1e-12, atol=1e-300)
+
+
+def test_full_size_stencil_products_match_the_per_entry_bands_bit_for_bit():
+    # The stencil's coefficients give the bits of the per-entry bands that
+    # stored it before (np.full), at the benchmark's largest size.
+    n = 10**6
+    rng = np.random.default_rng(6)
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    want_y, want_t = _whole_vector_products(np.full(n, 2.0), np.full(n - 1, -1.0), np.full(n - 1, -1.0), v)
+    m = fs.Matrix.tridiagonal(n)
+    assert fs.matvec(m, v).tobytes() == want_y.tobytes()
+    assert fs.transpose_matvec(m, v).tobytes() == want_t.tobytes()
+
+
+def test_tridiagonal_storage_does_not_grow_with_n():
+    tracemalloc.start()
+    try:
+        m = fs.Matrix.tridiagonal(10**6)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024, (size, peak)
+    assert m.nnz == 3 * 10**6 - 2
 
 
 def test_blockwise_matches_the_whole_vector_kernel(monkeypatch):
@@ -173,10 +200,11 @@ def test_blockwise_matches_the_whole_vector_kernel(monkeypatch):
 
 def test_tridiagonal_bands_are_read_only():
     m = fs.Matrix.tridiagonal(4)
-    assert len(m._bands) == 3
+    stencil = [((), np.float64, c) for c in (2.0, -1.0, -1.0)]
+    assert [(band.shape, band.dtype, float(band)) for band in m._bands] == stencil
     for band in m._bands:
         with pytest.raises(ValueError):
-            band[0] = 0.0
+            band[()] = 0.0
     dense = m.to_dense()
     dense[0, 0] = 7.0  # a copy, not the storage
     assert fs.matvec(m, np.ones(4))[0] == 1.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -332,7 +333,14 @@ def test_solve_reports_failure_without_raising():
     assert len(x) == 12
 
 
-@pytest.mark.parametrize("scale, cause", [(1e200, "Overflow"), (1e-200, "True")])
+FAR_SCALES = [(1e200, "Overflow"), (1e-200, "True")]
+OVERFLOWING_STARTS = [
+    (fs.Matrix.from_dense(1e200 * fs.Matrix.tridiagonal(8).to_dense()), np.full(8, 1e200)),
+    (fs.Matrix.diagonal([1e300] * 8), np.full(8, 1e300)),
+]
+
+
+@pytest.mark.parametrize("scale, cause", FAR_SCALES)
 def test_exhausted_restart_budget_reports_every_bootstrap_tried(scale, cause):
     # A far from unit scale fails every bootstrap, the first one included:
     # its Krylov powers overflow, or underflow into a singular system. Each
@@ -352,10 +360,7 @@ def test_exhausted_restart_budget_reports_every_bootstrap_tried(scale, cause):
     assert np.array_equal(x, np.zeros(12))
 
 
-@pytest.mark.parametrize("A, x0", [
-    (fs.Matrix.from_dense(1e200 * fs.Matrix.tridiagonal(8).to_dense()), np.full(8, 1e200)),
-    (fs.Matrix.diagonal([1e300] * 8), np.full(8, 1e300)),
-], ids=["A-x0-nan", "A-x0-inf"])
+@pytest.mark.parametrize("A, x0", OVERFLOWING_STARTS, ids=["A-x0-nan", "A-x0-inf"])
 def test_solve_reports_an_overflowing_initial_residual(A, x0):
     with np.errstate(over="ignore", invalid="ignore"):
         x, report = fs.solve(A, np.ones(8), x0=x0)
@@ -363,6 +368,23 @@ def test_solve_reports_an_overflowing_initial_residual(A, x0):
     assert report.restart_causes == ("Overflow",)
     assert report.restarts == 1  # the overflowing residual does not depend on the left seed
     assert np.array_equal(x, x0)
+
+
+@pytest.mark.parametrize("A, b, x0", [
+    *[(fs.Matrix.from_dense(scale * fs.Matrix.tridiagonal(12).to_dense()), np.ones(12), None)
+      for scale, _ in FAR_SCALES],
+    *[(A, np.ones(8), x0) for A, x0 in OVERFLOWING_STARTS],
+], ids=["scale-1e200", "scale-1e-200", "A-x0-nan", "A-x0-inf"])
+def test_solve_reports_numerical_failure_under_strict_float_settings(A, b, x0):
+    # solve reads each failure off the values it computes, so numpy warnings
+    # turned into errors and floating-point traps change neither x nor the report.
+    want_x, want_report = fs.solve(A, b, x0=x0)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        x, report = fs.solve(A, b, x0=x0)
+    assert report.status == STATUS_BREAKDOWN_EXHAUSTED
+    assert x.tobytes() == want_x.tobytes()
+    assert repr(report) == repr(want_report)
 
 
 @pytest.mark.parametrize("problem", ["ring:40", "tridiag:30", "tridiag:100"])
