@@ -12,15 +12,23 @@ On vectors longer than `BLOCK` rows, the diagonal-storage products, and
 the element-wise kernels that callers hand to `blockwise`, work one block
 of rows at a time, so that each block's operands stay in cache across
 all the operations that touch them instead of streaming every whole
-vector through memory once per operation. Each element still sees the same
-operations in the same order, so the results are bit-identical to the
-whole-vector code, which vectors of at most `BLOCK` rows keep: on them a
-one-block loop would only add per-call overhead.
+vector through memory once per operation. The blocks are cut into one
+contiguous run per usable CPU: the calling thread works through the
+first run and short-lived helper threads the others, each writing only
+its own rows of the result. Each element still sees the same operations
+in the same order, so the results are bit-identical to the whole-vector
+code, at any block size and CPU count; vectors of at most `BLOCK` rows
+keep the whole-vector code, on which a one-block loop would only add
+per-call overhead. Inner products are not split: a split sum would round
+differently, so they stay whole-vector calls in one thread.
 """
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
+import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -206,50 +214,98 @@ def _banded_blocks(v: np.ndarray, main: np.ndarray, *terms) -> np.ndarray:
     of `terms` in order y[i] += band * v[i + offset], BLOCK rows at a time.
 
     Offset +1 reaches rows 0..n-2, offset -1 rows 1..n-1; a row at a block
-    edge takes its neighbour from `v`. The scratch block belongs to this
-    call, so products stay safe to share across threads.
+    edge takes its neighbour from `v`, which no run writes. Each run has
+    its own scratch block, so products stay safe to share across threads.
     """
     n = len(v)
     y = np.empty(n)
-    scratch = np.empty(BLOCK)
-    for start in range(0, n, BLOCK):
-        stop = min(start + BLOCK, n)
-        np.multiply(main, v[start:stop], out=y[start:stop])
-        for band, offset in terms:
-            lo, hi = (start, min(stop, n - 1)) if offset > 0 else (max(start, 1), stop)
-            term = np.multiply(band, v[lo + offset:hi + offset], out=scratch[:hi - lo])
-            np.add(y[lo:hi], term, out=y[lo:hi])
+
+    def run(starts: range) -> None:
+        scratch = np.empty(BLOCK)
+        for start in starts:
+            stop = min(start + BLOCK, n)
+            np.multiply(main, v[start:stop], out=y[start:stop])
+            for band, offset in terms:
+                lo, hi = (start, min(stop, n - 1)) if offset > 0 else (max(start, 1), stop)
+                term = np.multiply(band, v[lo + offset:hi + offset], out=scratch[:hi - lo])
+                np.add(y[lo:hi], term, out=y[lo:hi])
+
+    _in_runs(n, run)
     return y
 
 
-def blockwise(kernel, *args) -> tuple[np.ndarray, ...] | None:
-    """Return kernel(*args), computed BLOCK rows at a time when its vectors
-    are longer than BLOCK.
+def blockwise(kernel, *args) -> None:
+    """Run the in-place element-wise `kernel(*args, scratch=...)`, BLOCK
+    rows at a time when its vectors are longer than BLOCK.
 
     The first argument is a vector; every ndarray argument is a vector of
     that length and is cut into blocks, the others (coefficients) reach
-    each block unchanged. `kernel` must be element-wise: row i of what it
-    computes depends on row i of the vectors alone. It then gives each
-    element the same operations in the same order on a block as on the
-    whole vectors, so the blocked result is bit-identical; only its
-    temporaries are block-sized. The kernel either returns a tuple of new
-    vectors, which are assembled from the blocks, or writes into its
-    arguments in place and returns None.
+    each block unchanged. `kernel` writes its results into vectors among
+    its arguments and must be element-wise: row i of what it writes
+    depends on row i of the vectors alone. It then gives each element the
+    same operations in the same order on a block as on the whole vectors,
+    so the blocked result is bit-identical. `scratch`, the `out` of the
+    kernel's intermediate terms, is a vector of the block's length, one
+    per run reused for all of its blocks; on whole vectors it is None, so
+    numpy allocates those terms as the whole-vector code does.
     """
     n = len(args[0])
     if n <= BLOCK:
-        return kernel(*args)
-    outs = None
-    for start in range(0, n, BLOCK):
-        rows = slice(start, start + BLOCK)
-        parts = kernel(*(a[rows] if isinstance(a, np.ndarray) else a for a in args))
-        if parts is None:
-            continue
-        if outs is None:
-            outs = tuple(np.empty(n) for _ in parts)
-        for out, part in zip(outs, parts):
-            out[rows] = part
-    return outs
+        kernel(*args, scratch=None)
+        return
+
+    def run(starts: range) -> None:
+        scratch = np.empty(BLOCK)
+        for start in starts:
+            rows = slice(start, start + BLOCK)
+            block = [a[rows] if isinstance(a, np.ndarray) else a for a in args]
+            kernel(*block, scratch=scratch[:len(block[0])])
+
+    _in_runs(n, run)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_runs(n: int, run) -> None:
+    """Call `run(starts)` on the block starts of n rows, cut into one
+    contiguous run per usable CPU (at most one per block).
+
+    The caller works through the first run; a short-lived helper thread
+    works through each other one, under a copy of the caller's context so
+    that numpy's error settings (`np.errstate`) reach it. Every helper is
+    joined before this returns or raises; a helper's exception is then
+    raised in the caller. `run` calls numpy and element-wise kernels only,
+    never the package's public functions: a profiler that wraps those
+    keeps state that concurrent calls would corrupt.
+    """
+    starts = range(0, n, BLOCK)
+    count = min(_usable_cpus(), len(starts))
+    runs = [starts[i * len(starts) // count:(i + 1) * len(starts) // count] for i in range(count)]
+    errors = []
+
+    def helper(part: range) -> None:
+        try:
+            run(part)
+        except BaseException as exc:  # raised again in the caller, after the join
+            errors.append(exc)
+
+    threads = []
+    try:
+        for part in runs[1:]:
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper, part))
+            thread.start()
+            threads.append(thread)
+        run(runs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def matvec(M: Matrix, v) -> np.ndarray:

@@ -26,13 +26,14 @@ products are reused between the r and x updates) plus one of A^T to
 advance the left window. Bootstrap costs 10 applications of A plus 7 of
 A^T.
 
-On vectors longer than `linalg.BLOCK` rows, the element-wise vector
-work (a step's r_k, x_k and z_k, the left-window projections, the
-bootstrap's combinations of Krylov vectors) runs one block of rows at a
-time through `linalg.blockwise`, with the whole-vector expressions on
-the block slices. Each element sees the same operations in the same
-order, so iterates and reports are bit-identical at any block size.
-Inner products stay whole-vector calls.
+The element-wise vector work (a step's r_k, x_k and z_k, the
+left-window projections, the bootstrap's combinations of Krylov vectors)
+runs through `linalg.blockwise`, which writes it in place into vectors
+allocated once per result. On vectors longer than `linalg.BLOCK` rows it
+runs one block of rows at a time, the blocks split across the usable
+CPUs. Each element sees the same operations in the same order, so
+iterates and reports are bit-identical at any block size and CPU count.
+Inner products stay whole-vector calls in one thread.
 """
 from __future__ import annotations
 
@@ -161,7 +162,8 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
         return state
 
     powers = moments.krylov_vectors(A, r0, 2 * BOOTSTRAP_DEGREE + 1)
-    window = np.empty((WINDOW, len(bv)))
+    n = len(bv)
+    window = np.empty((WINDOW, n))
     left = [yv / np.linalg.norm(yv), *window]  # v_0..v_7, the window rows as views
     recurrence = [_extend_left(A, left[j - 1] if j else None, left[j], left[j + 1]) for j in range(WINDOW)]
     columns = np.zeros((WINDOW, 3))
@@ -180,8 +182,8 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
         except SingularSystem as exc:
             raise BootstrapBreakdown(j) from exc
         x_prev, r_prev, z_prev2, z_prev = x_j, r_j, z_prev, z_j
-        r_j, x_j, *z = linalg.blockwise(_degree_vectors, x0v, a, c, *powers[:j + 1])
-        z_j = z[0] if z else None
+        r_j, x_j, z_j = np.empty(n), np.empty(n), np.empty(n) if j > 1 else None
+        linalg.blockwise(_degree_vectors, r_j, x_j, z_j, x0v, a, c, *powers[:j + 1])
         rn = float(np.linalg.norm(r_j))
         if not np.isfinite(rn):
             raise NumericOverflow("bootstrap residual overflowed")
@@ -202,50 +204,81 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
     return state
 
 
-def _degree_vectors(x0, a, c, *p):
-    """r_j, x_j and z_j of bootstrap degree j = len(a), combined from x0 and
-    the Krylov vectors p = (r0, A r0, ..., A^j r0). z_1, which no step
-    reads, is left out."""
+def _degree_vectors(r, x, z, x0, a, c, *p, scratch):
+    """Write r_j, x_j and z_j of bootstrap degree j = len(a), combined from
+    x0 and the Krylov vectors p = (r0, A r0, ..., A^j r0), into r, x and z:
+
+        r = p[0] + sum(a[i - 1] * p[i] for i in range(1, j + 1))
+        x = x0 - sum(a[i - 1] * p[i - 1] for i in range(1, j + 1))
+        z = p[j] + sum(c[i] * p[i] for i in range(j))
+
+    each sum added left to right from the 0 that `sum` starts from. z is
+    None for j = 1: z_1, which no step reads, is not formed."""
     j = len(a)
-    r = p[0] + sum(a[i - 1] * p[i] for i in range(1, j + 1))
-    x = x0 - sum(a[i - 1] * p[i - 1] for i in range(1, j + 1))
-    if j == 1:
-        return r, x
-    return r, x, p[j] + sum(c[i] * p[i] for i in range(j))
+    np.add(p[0], _sum_into(r, a, p[1:], scratch), out=r)
+    np.subtract(x0, _sum_into(x, a, p, scratch), out=x)
+    if z is not None:
+        np.add(p[j], _sum_into(z, c, p[:j], scratch), out=z)
+
+
+def _sum_into(out, coefficients, vectors, scratch) -> np.ndarray:
+    """Write sum(c * v for c, v in zip(coefficients, vectors)) into `out`
+    and return it, each product formed in `scratch`."""
+    total = 0
+    for coefficient, vector in zip(coefficients, vectors):
+        total = np.add(total, np.multiply(coefficient, vector, out=scratch), out=out)
+    return out
 
 
 def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]:
     """Write v_{j+1} = (A^T v_j - beta_j v_{j-1} - alpha_j v_j) / gamma_j into `out`.
 
     beta_j and alpha_j project out v_{j-1}, then v_j; gamma_j makes v_{j+1}
-    a unit vector (a zero remainder stays zero). One transpose product;
-    `out` doubles as scratch space. On long vectors each projection runs
-    block by block (`linalg.blockwise`); the dot products stay whole-vector calls, whose
-    summation order a blocked reduction would change. Returns (beta_j,
-    alpha_j, gamma_j).
+    a unit vector (a zero remainder stays zero). One transpose product.
+    Each projection runs through `linalg.blockwise`; the dot products stay
+    whole-vector calls, whose summation order a blocked reduction would
+    change. Returns (beta_j, alpha_j, gamma_j).
     """
     w = linalg.transpose_matvec(A, v)
     beta = 0.0
     if v_prev is not None:
         beta = float(v_prev.dot(w))
-        linalg.blockwise(_subtract_multiple, w, v_prev, out, beta)
+        linalg.blockwise(_subtract_multiple, w, v_prev, beta)
     alpha = float(v.dot(w))
-    linalg.blockwise(_subtract_multiple, w, v, out, alpha)
+    linalg.blockwise(_subtract_multiple, w, v, alpha)
     gamma = math.sqrt(float(w.dot(w)))
     np.divide(w, gamma if gamma > 0.0 else 1.0, out=out)
     return beta, alpha, gamma
 
 
-def _subtract_multiple(w, u, scratch, coefficient) -> None:
+def _subtract_multiple(w, u, coefficient, *, scratch) -> None:
     """w -= coefficient * u in place; the product goes through `scratch`."""
     w -= np.multiply(coefficient, u, out=scratch)
 
 
-def _advance(r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb):
-    """r_k, x_k and z_k from the vectors of degree k - 2 and k - 3 and their products."""
-    return (ca.a_k * (a2r + ca.b_k * ar + ca.c_k * r2 + ca.e_k * a2z3 + ca.f_k * az3),
-            x2 - ca.a_k * (ar + ca.b_k * r2 + ca.e_k * az3 + ca.f_k * z3),
-            cb.c_k * az3 + cb.d_k * z3 + a2z2 + cb.f_k * az2 + cb.g_k * z2)
+def _advance(r, x, z, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb, *, scratch):
+    """Write r_k, x_k and z_k, from the vectors of degree k - 2 and k - 3 and
+    their products, into r, x and z:
+
+        r = ca.a_k * (a2r + ca.b_k * ar + ca.c_k * r2 + ca.e_k * a2z3 + ca.f_k * az3)
+        x = x2 - ca.a_k * (ar + ca.b_k * r2 + ca.e_k * az3 + ca.f_k * z3)
+        z = cb.c_k * az3 + cb.d_k * z3 + a2z2 + cb.f_k * az2 + cb.g_k * z2
+    """
+    add, multiply = np.add, np.multiply
+    add(a2r, multiply(ca.b_k, ar, out=scratch), out=r)
+    add(r, multiply(ca.c_k, r2, out=scratch), out=r)
+    add(r, multiply(ca.e_k, a2z3, out=scratch), out=r)
+    add(r, multiply(ca.f_k, az3, out=scratch), out=r)
+    multiply(ca.a_k, r, out=r)
+    add(ar, multiply(ca.b_k, r2, out=scratch), out=x)
+    add(x, multiply(ca.e_k, az3, out=scratch), out=x)
+    add(x, multiply(ca.f_k, z3, out=scratch), out=x)
+    np.subtract(x2, multiply(ca.a_k, x, out=x), out=x)
+    multiply(cb.c_k, az3, out=z)
+    add(z, multiply(cb.d_k, z3, out=scratch), out=z)
+    add(z, a2z2, out=z)
+    add(z, multiply(cb.f_k, az2, out=scratch), out=z)
+    add(z, multiply(cb.g_k, z2, out=scratch), out=z)
 
 
 def step(state: SolverState, A: linalg.Matrix) -> SolverState:
@@ -253,7 +286,7 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
 
     Exactly 6 applications of A plus 1 of A^T. All six products come
     first; r_k, x_k and z_k are then formed together, block by block on
-    long vectors.
+    long vectors, the blocks split across the usable CPUs.
     Returns `state` itself. Breakdowns from the coefficient computation
     and overflow of the new iterates propagate before any state is
     modified. The new left vector v_{k+3} overwrites v_{k-4}, the oldest
@@ -273,8 +306,10 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     a2z3 = linalg.matvec(A, az3)
     az2 = linalg.matvec(A, state.z_km2)
     a2z2 = linalg.matvec(A, az2)
-    r_k, x_k, z_k = linalg.blockwise(_advance, state.r_km2, state.z_km3, state.z_km2, state.x_km2,
-                                     ar, a2r, az3, a2z3, az2, a2z2, ca, cb)
+    n = len(ar)
+    r_k, x_k, z_k = np.empty(n), np.empty(n), np.empty(n)
+    linalg.blockwise(_advance, r_k, x_k, z_k, state.r_km2, state.z_km3, state.z_km2, state.x_km2,
+                     ar, a2r, az3, a2z3, az2, a2z2, ca, cb)
 
     rn = math.sqrt(float(r_k.dot(r_k)))  # np.linalg.norm's arithmetic, without its dispatch
     if not (math.isfinite(rn) and np.isfinite(z_k).all() and np.isfinite(x_k).all()):
@@ -419,12 +454,17 @@ def _report(state: SolverState, status: str, bn: float, exponent: int) -> SolveR
     """The run record, residual norms scaled by 2^exponent back to the caller's b.
 
     The history entries are rescaled in place, one at a time, so a long
-    history is never held twice.
+    history is never held twice. A norm past the double range at the
+    caller's scale is reported as inf.
     """
     denom = bn if bn > 0 else 1.0
     history = state.history
     for i, (k, rn, ev) in enumerate(history):
-        history[i] = (k, math.ldexp(rn, exponent), ev)
+        try:
+            rn = math.ldexp(rn, exponent)
+        except OverflowError:
+            rn = math.inf
+        history[i] = (k, rn, ev)
     return SolveReport(
         status=status,
         iterations=state.iterations,

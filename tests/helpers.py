@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import struct
+import threading
 import types
 
 import numpy as np
@@ -344,3 +345,24 @@ def outcome(fn, *args, **kwargs):
         return "ok", fn(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001  the class is what is compared
         return "raised", type(exc)
+
+
+def within(seconds: float, fn, *args):
+    """fn(*args), run in a daemon thread that must finish within `seconds`:
+    its result, or its exception raised here."""
+    done = []
+
+    def target():
+        try:
+            done.append((True, fn(*args)))
+        except BaseException as exc:  # raised again in the calling thread
+            done.append((False, exc))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{fn.__name__} still running after {seconds} s"
+    ok, value = done[0]
+    if not ok:
+        raise value
+    return value

@@ -166,6 +166,19 @@ def test_cmd_solve_exit_code_names_the_status(tmp_path, argv, code, status):
     assert json.loads(report.read_text())["status"] == status
 
 
+def test_cmd_solve_exits_zero_when_a_residual_norm_passes_the_double_range(tmp_path):
+    # ||b|| = sqrt(5) * 1e308 overflows, the solution x = b does not: the
+    # history gives that norm as inf and the solve converges.
+    rhs, history, solution = tmp_path / "b.txt", tmp_path / "history.csv", tmp_path / "x.txt"
+    rhs.write_text("1e308\n" * 5)
+    code = run(["solve", "--gen", "identity:5", "--rhs", f"file:{rhs}",
+                "--history", str(history), "--solution", str(solution)])
+    assert code == cli.EXIT_CONVERGED == 0
+    with open(history, newline="") as fh:
+        assert list(csv.reader(fh))[1] == ["0", "inf", "bootstrap"]
+    assert np.array_equal(np.loadtxt(solution), np.full(5, 1e308))
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_cmd_solve_nonfinite_rhs_file_is_an_input_error(tmp_path, capsys, bad):
     rhs = tmp_path / "b.txt"

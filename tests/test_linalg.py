@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,7 @@ import fopsolve as fs
 from fopsolve import linalg
 from fopsolve.errors import DimensionMismatch, SingularSystem
 
-from helpers import float_bits, outcome, reference_solve_dense
+from helpers import float_bits, outcome, reference_solve_dense, within
 
 
 def test_matvec_identity():
@@ -130,6 +131,10 @@ def _whole_vector_products(main, upper, lower, v):
     return y, t
 
 
+# CPU counts for the split kernels: one run, one per core here, more runs than cores.
+CPU_COUNTS = (1, 2, 5)
+
+
 @pytest.mark.parametrize("block, sizes", [
     (7, [8, 13, 14, 15, 22, 50]),
     (16, [17, 31, 32, 33, 49, 100]),
@@ -137,7 +142,8 @@ def _whole_vector_products(main, upper, lower, v):
 ])
 def test_blocked_banded_products_match_the_whole_vector_formula_bit_for_bit(monkeypatch, block, sizes):
     # Random (non-stencil) coefficients across block edges, a one-row last
-    # block included; each length also runs with one coefficient 0.0.
+    # block included; each length also runs with one coefficient 0.0, and
+    # the blocks are split into runs for every CPU count.
     monkeypatch.setattr(linalg, "BLOCK", block)
     rng = np.random.default_rng(block)
     for i, n in enumerate(sizes):
@@ -146,8 +152,10 @@ def test_blocked_banded_products_match_the_whole_vector_formula_bit_for_bit(monk
             m = fs.Matrix((n, n), bands=(main, upper, lower))
             v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
             want_y, want_t = _whole_vector_products(main, upper, lower, v)
-            assert fs.matvec(m, v).tobytes() == want_y.tobytes()
-            assert fs.transpose_matvec(m, v).tobytes() == want_t.tobytes()
+            for cpus in CPU_COUNTS:
+                monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+                assert fs.matvec(m, v).tobytes() == want_y.tobytes()
+                assert fs.transpose_matvec(m, v).tobytes() == want_t.tobytes()
             if n <= 100:
                 dense = m.to_dense()
                 assert np.allclose(fs.matvec(m, v), dense @ v, rtol=1e-12, atol=1e-300)
@@ -180,22 +188,55 @@ def test_tridiagonal_storage_does_not_grow_with_n():
 def test_blockwise_matches_the_whole_vector_kernel(monkeypatch):
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal(23), rng.standard_normal(23)
+    a[3], b[3] = -0.0, 0.0  # signed zeros: -0.0 + 0.0 is +0.0, -0.0 - 0.0 stays -0.0
 
-    def kernel(a, b, coefficients):
-        return a + coefficients[0] * b, a * b - coefficients[1]
+    def kernel(total, product, a, b, coefficients, *, scratch):
+        assert scratch is None or len(scratch) == len(a)  # None on whole vectors
+        np.add(a, np.multiply(coefficients[0], b, out=scratch), out=total)
+        np.subtract(np.multiply(a, b, out=scratch), coefficients[1], out=product)
 
-    def in_place(a, b, coefficient):
-        a -= np.multiply(coefficient, b)
+    def in_place(a, b, coefficient, *, scratch):
+        a -= np.multiply(coefficient, b, out=scratch)
 
-    whole = linalg.blockwise(kernel, a, b, [0.3, 0.0])
-    whole_a = a.copy()
-    linalg.blockwise(in_place, whole_a, b, 1.7)
-    monkeypatch.setattr(linalg, "BLOCK", 5)
-    blocked = linalg.blockwise(kernel, a, b, [0.3, 0.0])
-    blocked_a = a.copy()
-    assert linalg.blockwise(in_place, blocked_a, b, 1.7) is None
-    assert [part.tobytes() for part in blocked] == [part.tobytes() for part in whole]
-    assert blocked_a.tobytes() == whole_a.tobytes()
+    want = [(a + 0.3 * b).tobytes(), (a * b - 0.0).tobytes()]
+    want_a = (a - 1.7 * b).tobytes()
+    for block, cpus in [(BLOCK, 1), *((5, cpus) for cpus in CPU_COUNTS)]:  # whole vectors, then 5 blocks
+        monkeypatch.setattr(linalg, "BLOCK", block)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        total, product, blocked_a = np.empty(23), np.empty(23), a.copy()
+        assert linalg.blockwise(kernel, total, product, a, b, [0.3, 0.0]) is None
+        assert linalg.blockwise(in_place, blocked_a, b, 1.7) is None
+        assert [total.tobytes(), product.tobytes()] == want
+        assert blocked_a.tobytes() == want_a
+
+
+@pytest.mark.parametrize("bad_row", [0, 25, 49], ids=["caller", "helper", "last-helper"])
+def test_split_blockwise_raises_a_failing_block_in_the_caller(monkeypatch, bad_row):
+    # 50 rows in 8 blocks of 7 rows, split into five runs: blocks 0 | 1-2 |
+    # 3 | 4-5 | 6-7, the first the caller's. Each bad row is in the last
+    # block of its run, so every other block is written, and every helper
+    # is joined before the exception reaches the caller.
+    monkeypatch.setattr(linalg, "BLOCK", 7)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 5)
+
+    def kernel(rows, out, *, scratch):
+        if rows[0] <= bad_row <= rows[-1]:
+            raise ZeroDivisionError(f"block of row {bad_row}")
+        np.add(rows, 1.0, out=out)
+
+    rows, out = np.arange(50.0), np.zeros(50)
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match=f"block of row {bad_row}$"):
+        within(60, linalg.blockwise, kernel, rows, out)
+    assert threading.active_count() == before
+    failed = slice(bad_row // 7 * 7, bad_row // 7 * 7 + 7)
+    assert not out[failed].any()
+    out[failed] = rows[failed] + 1.0
+    assert np.array_equal(out, rows + 1.0)
+    bad_row, out[:] = -1, 0.0  # no block fails
+    within(60, linalg.blockwise, kernel, rows, out)
+    assert np.array_equal(out, rows + 1.0)
+    assert threading.active_count() == before
 
 
 def test_tridiagonal_bands_are_read_only():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 from types import SimpleNamespace
 
@@ -23,6 +25,7 @@ from helpers import (
     outcome,
     reference_scalar_products,
     reference_solve_dense,
+    within,
 )
 
 
@@ -499,13 +502,62 @@ def _solve_records(problems):
 @pytest.mark.parametrize("block", [7, 16])
 def test_blocked_step_and_bootstrap_are_bit_identical(monkeypatch, block):
     # A tiny BLOCK drives the blocked products, step, projections and
-    # bootstrap through many blocks and uneven last blocks.
+    # bootstrap through many blocks and uneven last blocks. The blocks are
+    # split into one run, one per core here and more runs than cores, with
+    # the interpreter switching threads every microsecond: each run writes
+    # only its own rows, and no helper thread outlives its call.
     problems = _desk_and_restart_long_problems()
     want = _solve_records(problems)
     assert sum(cfg.max_iter == 400 for _, _, cfg in problems) == 1
     assert "restart:" in want[-1][1]
     monkeypatch.setattr(linalg, "BLOCK", block)
-    assert _solve_records(problems) == want
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+            assert within(300, _solve_records, problems) == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200])
+def test_split_solve_keeps_strict_float_settings_out_of_its_helper_threads(monkeypatch, scale):
+    # The helper threads of the split products run under the caller's
+    # np.errstate, so a solve whose Krylov vectors overflow in them reads
+    # the failure off the values, as it does in one thread.
+    monkeypatch.setattr(linalg, "BLOCK", 7)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
+    bands = tuple(np.array(scale * coefficient) for coefficient in (2.0, -1.0, -1.0))
+    for band in bands:
+        band.setflags(write=False)
+    A, b = fs.Matrix((50, 50), bands=bands), np.random.default_rng(12).standard_normal(50)
+    want_x, want_report = fs.solve(A, b)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        x, report = fs.solve(A, b)
+    assert report.status == STATUS_BREAKDOWN_EXHAUSTED
+    assert x.tobytes() == want_x.tobytes()
+    assert repr(report) == repr(want_report)
+
+
+def test_solve_reports_a_residual_norm_past_the_double_range_as_inf():
+    # x = b is representable, but ||b|| = sqrt(5) * 1e308 is not: the report
+    # gives that norm as inf, and every other entry the bits of the unit-scale
+    # solve times 2^e.
+    unit, e = np.full(5, math.frexp(1e308)[0]), math.frexp(1e308)[1]
+    b = np.ldexp(unit, e)
+    assert np.array_equal(b, np.full(5, 1e308))
+    x, report = fs.solve(fs.Matrix.identity(5), b)
+    _, report_unit = fs.solve(fs.Matrix.identity(5), unit)
+    assert report.status == STATUS_CONVERGED
+    assert x.tobytes() == b.tobytes()
+    (k0, rn0, ev0), *rest = report.entries
+    assert (k0, ev0) == (0, "bootstrap") and type(rn0) is float and rn0 == math.inf
+    assert rest and rest == [(k, math.ldexp(rn, e), ev) for k, rn, ev in report_unit.entries[1:]]
+    assert report.final_relative_residual == report_unit.final_relative_residual
 
 
 def test_solver_config_validation():
