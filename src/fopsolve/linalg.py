@@ -24,7 +24,6 @@ differently, so they stay whole-vector calls in one thread.
 """
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 import os
@@ -276,28 +275,31 @@ def _in_runs(n: int, run) -> None:
     contiguous run per usable CPU (at most one per block).
 
     The caller works through the first run; a short-lived helper thread
-    works through each other one, under a copy of the caller's context so
-    that numpy's error settings (`np.errstate`) reach it. Every helper is
-    joined before this returns or raises; a helper's exception is then
-    raised in the caller. `run` calls numpy and element-wise kernels only,
-    never the package's public functions: a profiler that wraps those
-    keeps state that concurrent calls would corrupt.
+    works through each other one, under the caller's numpy error settings
+    (`np.errstate`), which it sets itself: numpy 2 keeps them per context
+    and numpy 1 per thread, and a new thread inherits neither. Every
+    helper is joined before this returns or raises; a helper's exception
+    is then raised in the caller. `run` calls numpy and element-wise
+    kernels only, never the package's public functions: a profiler that
+    wraps those keeps state that concurrent calls would corrupt.
     """
     starts = range(0, n, BLOCK)
     count = min(_usable_cpus(), len(starts))
     runs = [starts[i * len(starts) // count:(i + 1) * len(starts) // count] for i in range(count)]
+    settings = dict(np.geterr(), call=np.geterrcall())
     errors = []
 
     def helper(part: range) -> None:
         try:
-            run(part)
+            with np.errstate(**settings):
+                run(part)
         except BaseException as exc:  # raised again in the caller, after the join
             errors.append(exc)
 
     threads = []
     try:
         for part in runs[1:]:
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper, part))
+            thread = threading.Thread(target=helper, args=(part,))
             thread.start()
             threads.append(thread)
         run(runs[0])

@@ -210,6 +210,28 @@ def test_blockwise_matches_the_whole_vector_kernel(monkeypatch):
         assert blocked_a.tobytes() == want_a
 
 
+def test_split_blockwise_runs_every_block_under_the_callers_error_settings(monkeypatch):
+    # Every block overflows. The helper threads set the caller's np.errstate
+    # themselves, callback included, so each block reports to the caller's
+    # callback, and a raising setting raises in the caller.
+    monkeypatch.setattr(linalg, "BLOCK", 7)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 5)
+
+    def kernel(v, out, *, scratch):
+        np.multiply(v, 1e300, out=out)
+
+    def overflow(**settings):  # within's thread is the caller
+        with np.errstate(**settings):
+            linalg.blockwise(kernel, v, out)
+
+    v, out, seen = np.full(50, 1e300), np.zeros(50), []
+    within(60, lambda: overflow(over="call", call=lambda kind, flag: seen.append(kind)))
+    assert seen == ["overflow"] * 8
+    assert np.isposinf(out).all()
+    with pytest.raises(FloatingPointError, match="overflow"):
+        within(60, lambda: overflow(over="raise"))
+
+
 @pytest.mark.parametrize("bad_row", [0, 25, 49], ids=["caller", "helper", "last-helper"])
 def test_split_blockwise_raises_a_failing_block_in_the_caller(monkeypatch, bad_row):
     # 50 rows in 8 blocks of 7 rows, split into five runs: blocks 0 | 1-2 |
