@@ -57,7 +57,7 @@ def read_matrix_market(path: str) -> linalg.Matrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read file ({exc})") from exc
     if not lines:
         raise InputError(f"{path}:1: empty file")
@@ -103,6 +103,8 @@ def read_matrix_market(path: str) -> linalg.Matrix:
 def random_sdd_matrix(n: int, seed: int) -> linalg.Matrix:
     """Seeded diagonally dominant matrix: unit normal entries, diagonal
     shifted by the off-diagonal row sums, rescaled to unit diagonal mean."""
+    if n < 1:
+        raise ValueError(f"randsdd needs n >= 1, got {n}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     off = np.abs(a).sum(axis=1) - np.abs(np.diag(a))

@@ -28,8 +28,8 @@ A^T.
 
 The element-wise vector work (a step's r_k, x_k and z_k, the
 left-window projections, the bootstrap's combinations of Krylov vectors)
-runs through `linalg.blockwise`, which writes it in place into vectors
-allocated once per result. On vectors longer than `linalg.BLOCK` rows it
+runs through `linalg.blockwise`, which writes it in place, a step's over
+r_{k-3}, x_{k-3} and z_{k-4}. On vectors longer than `linalg.BLOCK` rows it
 runs one block of rows at a time, the blocks split across the usable
 CPUs. Each element sees the same operations in the same order, so
 iterates and reports are bit-identical at any block size and CPU count.
@@ -83,28 +83,23 @@ class SolverConfig:
 class SolverState:
     """Iteration state positioned to produce degree k next.
 
-    The windows hold exactly what one combined step consumes: the two
-    previous iterates and residuals, three auxiliary vectors, and the
-    seven left vectors v_{k-4}..v_{k+2}. `u_window` is a (7, n) array
-    holding them cyclically from row `u_head` on; row s of the (7, 3)
-    `u_columns` holds (beta_j, alpha_j, gamma_j) of the v_j in row s
-    (the newest row's is not yet known). `step` advances the state in
-    place. `history` is append-only across restarts, and `iterations`
+    It holds what one combined step consumes. The iterates sit in slots
+    indexed by degree, r_j in `r[j % 3]`, x_j in `x[j % 3]` and z_j in
+    `z[j % 4]` (None until filled). The left vectors v_{k-4}..v_{k+2} sit
+    in the (7, n) `u_window` cyclically from row (k - 5) % 7 on; row s of
+    the (7, 3) `u_columns` holds (beta_j, alpha_j, gamma_j) of the v_j in
+    row s (the newest row's is not yet known). `step` advances the state
+    in place. `history` is append-only across restarts, and `iterations`
     counts its bootstrap and step entries of degree k >= 1. `best_x`,
     the iterate of least residual norm, is the solution once `converged`.
     """
 
     k: int
-    x_km1: np.ndarray | None = None
-    x_km2: np.ndarray | None = None
-    r_km1: np.ndarray | None = None
-    r_km2: np.ndarray | None = None
-    z_km1: np.ndarray | None = None
-    z_km2: np.ndarray | None = None
-    z_km3: np.ndarray | None = None
+    r: list | None = None
+    x: list | None = None
+    z: list | None = None
     u_window: np.ndarray | None = None
     u_columns: np.ndarray | None = None
-    u_head: int = 0
     history: list = field(default_factory=list)
     iterations: int = 0
     best_x: np.ndarray | None = None
@@ -140,9 +135,9 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
     P1_j through A^T v_i = beta_i v_{i-1} + alpha_i v_i + gamma_i v_{i+1})
     applied to the Krylov vectors; r_j, z_j and x_j are linear
     combinations of them (no further matvecs), formed block by block on
-    long vectors; z_1, which no step reads, is not formed. Early convergence (some
-    ||r_j|| <= tol * ||b||) short-circuits; a singular degree-j system
-    raises BootstrapBreakdown(j).
+    long vectors, into the state's slots (z_1, which no step reads, is
+    not formed). Early convergence (some ||r_j|| <= tol * ||b||)
+    short-circuits; a singular degree-j system raises BootstrapBreakdown(j).
     """
     bv = linalg.as_vector(b)
     x0v = linalg.as_vector(x0)
@@ -173,16 +168,16 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
     shifted = np.array([beta * (gram[m - 1] if m else 0.0) + alpha * gram[m] + gamma * gram[m + 1]
                         for m, (beta, alpha, gamma) in enumerate(recurrence[:BOOTSTRAP_DEGREE])])
 
-    x_prev = r_prev = z_prev = z_prev2 = None
-    x_j, r_j, z_j = x0v, r0, None
+    r, x, z = [None] * 3, [None] * 3, [None] * 4  # SolverState's slots
     for j in range(1, BOOTSTRAP_DEGREE + 1):
         try:
             a = linalg.solve_dense(gram[:j, 1:j + 1], -gram[:j, 0])
             c = linalg.solve_dense(shifted[:j, :j], -shifted[:j, j])
         except SingularSystem as exc:
             raise BootstrapBreakdown(j) from exc
-        x_prev, r_prev, z_prev2, z_prev = x_j, r_j, z_prev, z_j
+        r[(j + 1) % 3] = x[(j + 1) % 3] = None  # degree j - 2, which no step reads
         r_j, x_j, z_j = np.empty(n), np.empty(n), np.empty(n) if j > 1 else None
+        r[j % 3], x[j % 3], z[j % 4] = r_j, x_j, z_j
         linalg.blockwise(_degree_vectors, r_j, x_j, z_j, x0v, a, c, *powers[:j + 1])
         rn = float(np.linalg.norm(r_j))
         if not np.isfinite(rn):
@@ -197,10 +192,8 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
             return state
 
     state.k = BOOTSTRAP_DEGREE + 1
-    state.x_km1, state.x_km2 = x_j, x_prev
-    state.r_km1, state.r_km2 = r_j, r_prev
-    state.z_km1, state.z_km2, state.z_km3 = z_j, z_prev, z_prev2
-    state.u_window, state.u_columns, state.u_head = window, columns, 0
+    state.r, state.x, state.z = r, x, z
+    state.u_window, state.u_columns = window, columns
     return state
 
 
@@ -286,44 +279,43 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
 
     Exactly 6 applications of A plus 1 of A^T. All six products come
     first; r_k, x_k and z_k are then formed together, block by block on
-    long vectors, the blocks split across the usable CPUs.
-    Returns `state` itself. Breakdowns from the coefficient computation
-    and overflow of the new iterates propagate before any state is
-    modified. The new left vector v_{k+3} overwrites v_{k-4}, the oldest
-    row of the window.
+    long vectors, the blocks split across the usable CPUs, over r_{k-3},
+    x_{k-3} and z_{k-4}; a slot still empty or holding `best_x` gets a
+    new vector. Returns `state` itself. Breakdowns from the coefficient
+    computation and overflow of the new iterates propagate before any
+    live vector or field is modified. The new left vector v_{k+3}
+    overwrites v_{k-4}, the oldest row of the window.
     """
-    if state.k < BOOTSTRAP_DEGREE + 1 or state.u_window is None:
+    k = state.k
+    if k < BOOTSTRAP_DEGREE + 1 or state.u_window is None:
         raise ValueError("state is not positioned for recurrence steps")
-    head = state.u_head
-    sp = recurrences.assemble_scalar_products(state.u_window, state.r_km2, state.z_km3, state.z_km2,
-                                              columns=state.u_columns, head=head)
+    r2, x2, z3, z2 = state.r[(k - 2) % 3], state.x[(k - 2) % 3], state.z[(k - 3) % 4], state.z[(k - 2) % 4]
+    head = (k - 5) % WINDOW  # the row of v_{k-4}
+    sp = recurrences.assemble_scalar_products(state.u_window, r2, z3, z2, columns=state.u_columns, head=head)
     ca = recurrences.a13_coefficients(sp)
     cb = recurrences.b13_coefficients(sp)
 
-    ar = linalg.matvec(A, state.r_km2)
+    ar = linalg.matvec(A, r2)
     a2r = linalg.matvec(A, ar)
-    az3 = linalg.matvec(A, state.z_km3)
+    az3 = linalg.matvec(A, z3)
     a2z3 = linalg.matvec(A, az3)
-    az2 = linalg.matvec(A, state.z_km2)
+    az2 = linalg.matvec(A, z2)
     a2z2 = linalg.matvec(A, az2)
     n = len(ar)
-    r_k, x_k, z_k = np.empty(n), np.empty(n), np.empty(n)
-    linalg.blockwise(_advance, r_k, x_k, z_k, state.r_km2, state.z_km3, state.z_km2, state.x_km2,
-                     ar, a2r, az3, a2z3, az2, a2z2, ca, cb)
+    r_k, x_k, z_k = (np.empty(n) if slot is None or slot is state.best_x else slot
+                     for slot in (state.r[k % 3], state.x[k % 3], state.z[k % 4]))
+    linalg.blockwise(_advance, r_k, x_k, z_k, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb)
 
     rn = math.sqrt(float(r_k.dot(r_k)))  # np.linalg.norm's arithmetic, without its dispatch
     if not (math.isfinite(rn) and np.isfinite(z_k).all() and np.isfinite(x_k).all()):
-        raise NumericOverflow(f"iterate overflowed at degree {state.k}")
+        raise NumericOverflow(f"iterate overflowed at degree {k}")
 
     window, newest = state.u_window, (head - 1) % WINDOW
     state.u_columns[newest] = _extend_left(A, window[(head - 2) % WINDOW], window[newest], window[head])
-    state.u_head = (head + 1) % WINDOW
-    state.history.append((state.k, rn, "step"))
+    state.history.append((k, rn, "step"))
     state.iterations += 1
-    state.k += 1
-    state.x_km1, state.x_km2 = x_k, state.x_km1
-    state.r_km1, state.r_km2 = r_k, state.r_km1
-    state.z_km1, state.z_km2, state.z_km3 = z_k, state.z_km1, state.z_km2
+    state.k = k + 1
+    state.r[k % 3], state.x[k % 3], state.z[k % 4] = r_k, x_k, z_k
     if rn < state.best_resnorm:
         state.best_resnorm, state.best_x = rn, x_k
     return state

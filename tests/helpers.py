@@ -39,6 +39,11 @@ def d3b_fixture(m: int = 18):
     return A, ones, c
 
 
+def iterate(state, j):
+    """(r_j, x_j, z_j) from the degree-indexed slots of a SolverState."""
+    return state.r[j % 3], state.x[j % 3], state.z[j % 4]
+
+
 def apply_functional(c, p, shift=0, power=0):
     """c(x^power p) for shift 0, c1(x^power p) for shift 1; `p` is a
     Polynomial or an ascending coefficient sequence."""

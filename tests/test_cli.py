@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,22 @@ def test_cmd_solve_nonfinite_rhs_file_is_an_input_error(tmp_path, capsys, bad):
 
 def test_cmd_solve_missing_matrix_file():
     assert run(["solve", "--matrix", "does_not_exist.mtx"]) == cli.EXIT_INPUT
+
+
+def test_cmd_solve_matrix_file_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n% caf\xe9\n1 1 1\n1 1 2.0\n")
+    assert run(["solve", "--matrix", str(path)]) == cli.EXIT_INPUT
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("descriptor", ["randsdd:0", "randsdd:0,4", "randsdd:-3"])
+def test_cmd_solve_empty_randsdd_is_a_usage_error_without_warnings(capsys, descriptor):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["solve", "--gen", descriptor]) == cli.EXIT_USAGE
+    assert caught == []
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_cmd_solve_usage_errors():

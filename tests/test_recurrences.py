@@ -24,6 +24,7 @@ from helpers import (
     d3b_fixture,
     expand_a13_multipliers,
     expand_b13_multipliers,
+    iterate,
     power_scalar_products,
     power_window,
     reconstruct_from_relation,
@@ -251,8 +252,10 @@ def test_bounded_window_coefficients_match_power_basis():
         state = fs.bootstrap(A, r0, np.zeros(12), y, tol=1e-14)
         for k in range(5, 9):
             assert state.k == k
-            sp = fs.assemble_scalar_products(state.u_window, state.r_km2, state.z_km3, state.z_km2,
-                                             columns=state.u_columns, head=state.u_head)
+            r_km2, _, z_km2 = iterate(state, k - 2)
+            z_km3 = iterate(state, k - 3)[2]
+            sp = fs.assemble_scalar_products(state.u_window, r_km2, z_km3, z_km2,
+                                             columns=state.u_columns, head=(k - 5) % 7)
             ref = bridged_scalar_products(A, r0, y, c, k)
             got_a, want_a = fs.a13_coefficients(sp), fs.a13_coefficients(ref)
             got_b, want_b = fs.b13_coefficients(sp), fs.b13_coefficients(ref)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import fopsolve as fs
-from fopsolve import linalg, recurrences
+from fopsolve import linalg, recurrences, solver
 from fopsolve.cli import build_generator, random_sdd_matrix, ring_spectrum_fixture
-from fopsolve.errors import BootstrapBreakdown, BreakdownError, RestartsExhausted
+from fopsolve.errors import BootstrapBreakdown, BreakdownError, NumericOverflow, RestartsExhausted
 from fopsolve.solver import (
     STATUS_BREAKDOWN_EXHAUSTED,
     STATUS_CONVERGED,
@@ -22,6 +22,7 @@ from helpers import (
     assert_same_coefficient_path,
     d3b_fixture,
     float_bits,
+    iterate,
     outcome,
     reference_scalar_products,
     reference_solve_dense,
@@ -50,15 +51,15 @@ class CountingMatrix:
 
 
 def drive_steps(A, b, y, tol=1e-8, n_steps=4):
-    """Bootstrap then advance n_steps, snapshotting k, r_km1, z_km1 and x_km1
-    after each step (the step advances one state in place)."""
+    """Bootstrap then advance n_steps, snapshotting k and the newest r, z
+    and x (of degree k - 1) after each step (the step advances one state in
+    place and later steps write over its slots)."""
     state = fs.bootstrap(A, b, np.zeros(A.rows), y, tol=tol)
     snapshots = []
     for _ in range(n_steps):
         fs.step(state, A)
-        snapshots.append(SimpleNamespace(
-            k=state.k, r_km1=state.r_km1.copy(), z_km1=state.z_km1.copy(), x_km1=state.x_km1.copy(),
-        ))
+        r_km1, x_km1, z_km1 = (v.copy() for v in iterate(state, state.k - 1))
+        snapshots.append(SimpleNamespace(k=state.k, r_km1=r_km1, z_km1=z_km1, x_km1=x_km1))
     return snapshots
 
 
@@ -92,11 +93,11 @@ def test_bootstrap_tridiag30_partial_progress_and_consistency():
     norms = {k: rn for k, rn, _ in state.history}
     assert 0.0 < norms[4] < norms[0]
     # both residual definitions agree at the bootstrap iterates
-    for x_j, r_j in ((state.x_km1, state.r_km1), (state.x_km2, state.r_km2)):
+    for r_j, x_j, _ in (iterate(state, 4), iterate(state, 3)):
         direct = b - fs.matvec(A, x_j)
         assert np.linalg.norm(direct - r_j) <= 1e-10 * np.linalg.norm(b)
     # left window: unit vectors with A^T v_j = beta_j v_{j-1} + alpha_j v_j + gamma_j v_{j+1}
-    order = [(state.u_head + t) % 7 for t in range(7)]
+    order = [(state.k - 5 + t) % 7 for t in range(7)]
     v, columns = state.u_window[order], state.u_columns[order]
     for j in range(1, 6):
         beta, alpha, gamma = columns[j]
@@ -126,9 +127,10 @@ def test_step_matches_oracle_on_d3b():
     r5 = fs.poly_matrix_apply(fs.oracle_p(c, 5), A, ones)
     z5 = fs.poly_matrix_apply(fs.oracle_p1(c, 5), A, ones)
     scale = np.linalg.norm(ones)
-    assert np.linalg.norm(state.r_km1 - r5) <= 1e-8 * scale
-    assert np.linalg.norm(state.z_km1 - z5) <= 1e-8 * scale
-    assert np.linalg.norm((ones - fs.matvec(A, state.x_km1)) - state.r_km1) <= 1e-8 * np.linalg.norm(ones)
+    r_5, x_5, z_5 = iterate(state, 5)
+    assert np.linalg.norm(r_5 - r5) <= 1e-8 * scale
+    assert np.linalg.norm(z_5 - z5) <= 1e-8 * scale
+    assert np.linalg.norm((ones - fs.matvec(A, x_5)) - r_5) <= 1e-8 * np.linalg.norm(ones)
 
 
 def test_step_oracle_equivalence_deep_degrees():
@@ -173,7 +175,7 @@ def test_step_records_numpys_residual_norm():
     state = fs.bootstrap(A, r0, np.zeros(12), y, tol=1e-14)
     for _ in range(4):
         fs.step(state, A)
-        assert state.history[-1][1] == float(np.linalg.norm(state.r_km1))
+        assert state.history[-1][1] == float(np.linalg.norm(iterate(state, state.k - 1)[0]))
 
 
 def test_step_matvec_budget():
@@ -195,21 +197,80 @@ def test_step_history_append_only():
     assert after.history[-1][2] == "step"
 
 
-def test_failed_step_leaves_state_untouched(monkeypatch):
-    A, r0, y = ring_spectrum_fixture(12, 2)
-    state = fs.bootstrap(A, r0, np.zeros(12), y, tol=1e-14)
-    names = ("x_km1", "x_km2", "r_km1", "r_km2", "z_km1", "z_km2", "z_km3")
-    before = {name: getattr(state, name).copy() for name in names}
-    u_before = [u.copy() for u in state.u_window]
-    k, n_history, iterations = state.k, len(state.history), state.iterations
-    monkeypatch.setattr(recurrences, "BREAKDOWN_EPS", 0.5)
-    with pytest.raises(BreakdownError):
+def _live_slots(state):
+    """The vectors a step at degree state.k reads or keeps: r and x of
+    degrees k - 1 and k - 2, z of degrees k - 1, k - 2 and k - 3."""
+    k = state.k
+    return [state.r[(k - 1) % 3], state.r[(k - 2) % 3], state.x[(k - 1) % 3], state.x[(k - 2) % 3],
+            state.z[(k - 1) % 4], state.z[(k - 2) % 4], state.z[(k - 3) % 4]]
+
+
+def _step_to(A, r0, y, k):
+    state = fs.bootstrap(A, r0, np.zeros(A.rows), y, tol=1e-14)
+    while state.k < k:
         fs.step(state, A)
-    assert (state.k, len(state.history), state.iterations) == (k, n_history, iterations)
-    for name in names:
-        assert np.array_equal(getattr(state, name), before[name])
-    assert len(state.u_window) == len(u_before)
-    assert all(np.array_equal(u, v) for u, v in zip(state.u_window, u_before))
+    return state
+
+
+def test_failed_step_leaves_state_untouched(monkeypatch):
+    # A breakdown, then an overflowing iterate. At degree 9 of this fixture
+    # the slot the step writes x_9 into holds best_x, x_6.
+    A, r0, y = ring_spectrum_fixture(12, 2)
+    advance = solver._advance
+
+    def overflowing_advance(r, x, z, *vectors, scratch):
+        advance(r, x, z, *vectors, scratch=scratch)
+        x[-1] = np.inf
+
+    for module, name, value, error in ((recurrences, "BREAKDOWN_EPS", 0.5, BreakdownError),
+                                       (solver, "_advance", overflowing_advance, NumericOverflow)):
+        state = _step_to(A, r0, y, 9)
+        assert state.x[9 % 3] is state.best_x
+        live = _live_slots(state)
+        before = [v.copy() for v in live]
+        best_x, best_bits = state.best_x, state.best_x.tobytes()
+        u_before = [u.copy() for u in state.u_window]
+        k, history, iterations = state.k, list(state.history), state.iterations
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, value)
+            with pytest.raises(error):
+                fs.step(state, A)
+        assert (state.k, state.history, state.iterations) == (k, history, iterations)
+        assert all(a is b for a, b in zip(_live_slots(state), live))
+        assert all(np.array_equal(v, w) for v, w in zip(live, before))
+        assert state.best_x is best_x and best_x.tobytes() == best_bits
+        assert len(state.u_window) == len(u_before)
+        assert all(np.array_equal(u, v) for u, v in zip(state.u_window, u_before))
+
+
+def test_step_gives_the_slot_of_best_x_a_new_vector():
+    # At degree 11 of this fixture the slot of x_8 is the write slot, x_8 is
+    # best_x, and x_11 does not improve on it.
+    A, r0, y = ring_spectrum_fixture(40, 3)
+    state = _step_to(A, r0, y, 11)
+    best_x, best_bits, best_resnorm = state.best_x, state.best_x.tobytes(), state.best_resnorm
+    assert state.x[11 % 3] is best_x
+    fs.step(state, A)
+    assert state.history[-1][1] > best_resnorm
+    assert state.best_x is best_x and best_x.tobytes() == best_bits
+    assert state.x[11 % 3] is not best_x
+
+
+def test_steps_write_over_their_slots_in_place():
+    # Steps 8..12: every write slot keeps its array, except the one that
+    # holds best_x.
+    A, r0, y = ring_spectrum_fixture(40, 3)
+    state = _step_to(A, r0, y, 8)
+    replaced = []
+    for k in range(8, 13):
+        slots = state.r[k % 3], state.x[k % 3], state.z[k % 4]
+        holds_best = state.x[k % 3] is state.best_x
+        fs.step(state, A)
+        assert state.r[k % 3] is slots[0] and state.z[k % 4] is slots[2]
+        assert (state.x[k % 3] is slots[1]) is not holds_best
+        if holds_best:
+            replaced.append(k)
+    assert replaced == [11]
 
 
 # ---------------------------------------------------------------------------
