@@ -26,7 +26,8 @@ algorithm literature to index relations between the families P and P1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,22 +48,18 @@ NONEXISTENCE_TOL = 1e-3
 BREAKDOWN_EPS = 1e-12  # relative threshold of every A13/B13 breakdown test
 
 
-@dataclass(frozen=True)
-class ScalarProducts:
+class ScalarProducts(NamedTuple):
     """Functional values one combined step needs, against left test functions.
 
     The test functions N_j (degree j) give the left vectors
     v_j = N_j(A^T) y and satisfy x N_j = beta_j N_{j-1} + alpha_j N_j +
     gamma_j N_{j+1}; `columns` holds (beta_j, alpha_j, gamma_j) for
     j = k-4..k. With r_m = P_m(A) r0 and z_m = P1_m(A) r0 the
-    adjoint identity c(N_j q) = (v_j, q(A) r0) gives the twelve values
+    adjoint identity c(N_j q) = (v_j, q(A) r0) gives the twelve `values`
 
         c(N_{k-2+i} P_{k-2})    i = 0..3
         c1(N_{k-3+i} P1_{k-3})  i = 0..3
         c1(N_{k-2+i} P1_{k-2})  i = 0..3
-
-    The fields are named after the power basis N_j = x^j, the case
-    beta_j = alpha_j = 0, gamma_j = 1.
 
     `rows` holds (p0, p1, p2, q0, q1, s0, s1, s2): over the test functions
     N_i, i = k-4..k-1, the values pa = c(N_i x^a P_{k-2}),
@@ -70,38 +67,30 @@ class ScalarProducts:
     both recurrences' conditions. Values that vanish by orthogonality
     (c(N_j P_{k-2}) for j < k-2, c1(N_j P1_m) for j < m) are set to zero;
     N_{k-5} enters as zero. The rows are tuples of Python floats, expanded
-    with unrolled arithmetic. `scale` is the largest magnitude among them,
-    or inf when one is not finite.
+    with unrolled arithmetic by `_expand`. `scale` is the largest magnitude
+    among them, or inf when one is not finite.
     """
 
-    c_xkm2_pkm2: float
-    c_xkm1_pkm2: float
-    c_xk_pkm2: float
-    c_xkp1_pkm2: float
-    c1_xkm3_p1km3: float
-    c1_xkm2_p1km3: float
-    c1_xkm1_p1km3: float
-    c1_xk_p1km3: float
-    c1_xkm2_p1km2: float
-    c1_xkm1_p1km2: float
-    c1_xk_p1km2: float
-    c1_xkp1_p1km2: float
+    values: tuple
     columns: tuple
-    rows: tuple = field(init=False, repr=False, compare=False)
-    scale: float = field(init=False, repr=False, compare=False)
+    rows: tuple
+    scale: float
 
-    def __post_init__(self):
-        p0, p1, p2 = _times_x_twice(self.columns, self.c_xkm2_pkm2, self.c_xkm1_pkm2, self.c_xk_pkm2, self.c_xkp1_pkm2)
-        s0, s1, s2 = _times_x_twice(self.columns, self.c1_xkm2_p1km2, self.c1_xkm1_p1km2, self.c1_xk_p1km2,
-                                    self.c1_xkp1_p1km2)
-        (b0, a0, g0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), _ = self.columns
-        q0 = (_, q3, q4, q5) = (0.0, self.c1_xkm3_p1km3, self.c1_xkm2_p1km3, self.c1_xkm1_p1km3)
-        q1 = (b0 * 0.0 + a0 * 0.0 + g0 * q3, b1 * 0.0 + a1 * q3 + g1 * q4,
-              b2 * q3 + a2 * q4 + g2 * q5, b3 * q4 + a3 * q5 + g3 * self.c1_xk_p1km3)
-        flat = (*p0, *p1, *p2, *q0, *q1, *s0, *s1, *s2)
-        total = sum(flat)  # NaN when an entry is NaN; an infinite entry makes max or -min infinite
-        object.__setattr__(self, "rows", (p0, p1, p2, q0, q1, s0, s1, s2))
-        object.__setattr__(self, "scale", math.inf if total != total else max(max(flat), -min(flat)))
+
+def _expand(values: tuple, columns: tuple) -> ScalarProducts:
+    """The record of the twelve `values` and the `columns` of j = k-4..k,
+    with the rows and the scale they expand to."""
+    pv2, pv3, pv4, pv5, qv1, qv2, qv3, qv4, sv2, sv3, sv4, sv5 = values  # pvi, qvi, svi: against N_{k-4+i}
+    p0, p1, p2 = _times_x_twice(columns, pv2, pv3, pv4, pv5)
+    s0, s1, s2 = _times_x_twice(columns, sv2, sv3, sv4, sv5)
+    (b0, a0, g0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), _ = columns
+    q0 = (0.0, qv1, qv2, qv3)
+    q1 = (b0 * 0.0 + a0 * 0.0 + g0 * qv1, b1 * 0.0 + a1 * qv1 + g1 * qv2,
+          b2 * qv1 + a2 * qv2 + g2 * qv3, b3 * qv2 + a3 * qv3 + g3 * qv4)
+    flat = (*p0, *p1, *p2, *q0, *q1, *s0, *s1, *s2)
+    total = sum(flat)  # NaN when an entry is NaN; an infinite entry makes max or -min infinite
+    return ScalarProducts(values, columns, (p0, p1, p2, q0, q1, s0, s1, s2),
+                          math.inf if total != total else max(max(flat), -min(flat)))
 
 
 def _times_x_twice(columns, v2: float, v3: float, v4: float, v5: float) -> tuple:
@@ -228,12 +217,12 @@ def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns, head: int = 0
         window.dot(r_km2).tolist(), window.dot(z_km3).tolist(), window.dot(z_km2).tolist(), columns.tolist()))
     c0, (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4), (b5, a5, g5), _ = cols  # j = k-4..k+2
     # c1(N_j q) = c(x N_j q) = beta_j c(N_{j-1} q) + alpha_j c(N_j q) + gamma_j c(N_{j+1} q)
-    return ScalarProducts(*r[2:6],
-                          b1 * z3[0] + a1 * z3[1] + g1 * z3[2], b2 * z3[1] + a2 * z3[2] + g2 * z3[3],
-                          b3 * z3[2] + a3 * z3[3] + g3 * z3[4], b4 * z3[3] + a4 * z3[4] + g4 * z3[5],
-                          b2 * z2[1] + a2 * z2[2] + g2 * z2[3], b3 * z2[2] + a3 * z2[3] + g3 * z2[4],
-                          b4 * z2[3] + a4 * z2[4] + g4 * z2[5], b5 * z2[4] + a5 * z2[5] + g5 * z2[6],
-                          columns=(tuple(c0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4)))
+    return _expand((*r[2:6],
+                    b1 * z3[0] + a1 * z3[1] + g1 * z3[2], b2 * z3[1] + a2 * z3[2] + g2 * z3[3],
+                    b3 * z3[2] + a3 * z3[3] + g3 * z3[4], b4 * z3[3] + a4 * z3[4] + g4 * z3[5],
+                    b2 * z2[1] + a2 * z2[2] + g2 * z2[3], b3 * z2[2] + a3 * z2[3] + g3 * z2[4],
+                    b4 * z2[3] + a4 * z2[4] + g4 * z2[5], b5 * z2[4] + a5 * z2[5] + g5 * z2[6]),
+                   (tuple(c0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4)))
 
 
 def a13_coefficients(sp: ScalarProducts) -> A13Coeffs:

@@ -55,6 +55,7 @@ from .errors import (
 
 BOOTSTRAP_DEGREE = 4
 WINDOW = 7  # left vectors v_{k-4}..v_{k+2}
+_LEFT_SEED_TRIES = 1000  # draws of y before `_draw_left_seed` gives up
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAX_ITERATIONS = "MaxIterations"
@@ -322,7 +323,7 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
 
 
 def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig,
-            cause: str = "Unknown", rng=None) -> SolverState:
+            cause: str, rng=None) -> SolverState:
     """Answer a breakdown: keep the best iterate, reseed y, bootstrap again.
 
     Every bootstrap attempt consumes one unit of the restart budget and is
@@ -424,7 +425,7 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
         return np.ldexp(state.best_x, exponent), _report(state, status, bn, exponent)
 
 
-def _draw_left_seed(rng, A, b, x0, max_tries: int = 1000) -> np.ndarray:
+def _draw_left_seed(rng, A, b, x0) -> np.ndarray:
     """Unit-normal y, rejected while nearly orthogonal to the current residual.
 
     Raises KrylovOverflow when that residual is not finite.
@@ -433,7 +434,7 @@ def _draw_left_seed(rng, A, b, x0, max_tries: int = 1000) -> np.ndarray:
     r0n = float(np.linalg.norm(r0))
     if not math.isfinite(r0n):
         raise KrylovOverflow("residual of the starting iterate overflowed")
-    for _ in range(max_tries):
+    for _ in range(_LEFT_SEED_TRIES):
         y = rng.standard_normal(len(b))
         if r0n == 0.0:
             return y

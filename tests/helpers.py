@@ -1,7 +1,6 @@
 """Shared fixture builders and independent check implementations."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import struct
@@ -11,6 +10,7 @@ import types
 import numpy as np
 
 import fopsolve as fs
+from fopsolve import recurrences
 from fopsolve.errors import (
     DimensionMismatch,
     DivisorBreakdown,
@@ -57,26 +57,8 @@ def power_scalar_products(window, r_km2, z_km3, z_km2):
     r = np.asarray(r_km2, dtype=float)
     z3 = np.asarray(z_km3, dtype=float)
     z2 = np.asarray(z_km2, dtype=float)
-    return fs.ScalarProducts(
-        c_xkm2_pkm2=float(u[0] @ r),
-        c_xkm1_pkm2=float(u[1] @ r),
-        c_xk_pkm2=float(u[2] @ r),
-        c_xkp1_pkm2=float(u[3] @ r),
-        c1_xkm3_p1km3=float(u[0] @ z3),
-        c1_xkm2_p1km3=float(u[1] @ z3),
-        c1_xkm1_p1km3=float(u[2] @ z3),
-        c1_xk_p1km3=float(u[3] @ z3),
-        c1_xkm2_p1km2=float(u[1] @ z2),
-        c1_xkm1_p1km2=float(u[2] @ z2),
-        c1_xk_p1km2=float(u[3] @ z2),
-        c1_xkp1_p1km2=float(u[4] @ z2),
-        columns=PURE_SHIFT,
-    )
-
-
-def scalar_values(sp):
-    """The twelve functional values of a ScalarProducts, in field order."""
-    return tuple(getattr(sp, f.name) for f in dataclasses.fields(sp)[:12])
+    values = [float(u[i] @ q) for q, first in ((r, 0), (z3, 0), (z2, 1)) for i in range(first, first + 4)]
+    return recurrences._expand(tuple(values), PURE_SHIFT)
 
 
 def power_window(A, y, k):
@@ -108,13 +90,14 @@ def a13_closed_form_check(sp):
     Independent of the pivoted-elimination path used in production; the
     two must agree wherever no breakdown triggers.
     """
-    a11, a13 = sp.c_xkm2_pkm2, sp.c1_xkm3_p1km3
-    a21, a22, a23 = sp.c_xkm1_pkm2, sp.c_xkm2_pkm2, sp.c1_xkm2_p1km3
-    a31, a32, a33 = sp.c_xk_pkm2, sp.c_xkm1_pkm2, sp.c1_xkm1_p1km3
+    v = sp.values
+    a11, a13 = v[0], v[4]
+    a21, a22, a23 = v[1], v[0], v[5]
+    a31, a32, a33 = v[2], v[1], v[6]
     e_k = -a11 / a13
     b1 = -a21 - e_k * a23
     b2 = -a31 - e_k * a33
-    b3 = -sp.c_xkp1_pkm2 - e_k * sp.c1_xk_p1km3
+    b3 = -v[3] - e_k * v[7]
     delta = a11 * (a22 * a33 - a32 * a23) + a13 * (a21 * a32 - a31 * a22)
     b_k = (b1 * (a22 * a33 - a32 * a23) + a13 * (b2 * a32 - b3 * a22)) / delta
     f_k = (b1 - a11 * b_k) / a13
@@ -124,13 +107,14 @@ def a13_closed_form_check(sp):
 
 def b13_closed_form_check(sp):
     """Expanded cofactor solution for the monic-family coefficients."""
-    a11, a12 = sp.c1_xkm3_p1km3, sp.c1_xkm2_p1km2
-    a21, a22, a23 = sp.c1_xkm2_p1km3, sp.c1_xkm1_p1km2, a12
-    a31, a32, a33 = sp.c1_xkm1_p1km3, sp.c1_xk_p1km2, a22
+    v = sp.values
+    a11, a12 = v[4], v[8]
+    a21, a22, a23 = v[5], v[9], a12
+    a31, a32, a33 = v[6], v[10], a22
     c_k = -a12 / a11
     b1 = -a22 - a21 * c_k
     b2 = -a32 - a31 * c_k
-    b3 = -sp.c1_xkp1_p1km2 - c_k * sp.c1_xk_p1km3
+    b3 = -v[11] - c_k * v[7]
     delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23)
     d_k = (b1 * (a22 * a33 - a32 * a23) - a12 * (b2 * a33 - b3 * a23)) / delta
     f_k = (b1 - a11 * d_k) / a12
@@ -182,7 +166,7 @@ def reference_scalar_products(window, r_km2, z_km3, z_km2, columns, head=0):
 
 
 def reference_expand(values, columns):
-    """`ScalarProducts.__post_init__`: the eight rows and the scale."""
+    """`recurrences._expand`: the eight rows and the scale."""
     b = columns
     p0 = [0.0, 0.0, *values[0:4]]
     q0 = [0.0, *values[4:8]]
@@ -320,7 +304,7 @@ def assert_same_coefficient_path(sp, ref):
     """A ScalarProducts and the coefficients of both recurrences, or the
     class of what they raise, equal the reference path's bit for bit.
     Returns both coefficient outcomes: "ok" or the class raised."""
-    assert float_bits(scalar_values(sp)) == float_bits(ref.values)
+    assert float_bits(sp.values) == float_bits(ref.values)
     assert sp.columns == ref.columns
     assert all(float_bits(got) == float_bits(want) for got, want in zip(sp.rows, ref.rows))
     assert float_bits(sp.scale) == float_bits(ref.scale)

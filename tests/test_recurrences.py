@@ -9,6 +9,7 @@ from fopsolve.errors import (
     GhostBreakdown,
     NormalizationBreakdown,
     NumericOverflow,
+    RankDeficient,
     TrueBreakdown,
 )
 from fopsolve import recurrences
@@ -29,12 +30,11 @@ from helpers import (
     power_window,
     reconstruct_from_relation,
     reference_scalar_products,
-    scalar_values,
 )
 
 
 def sp_from_values(cr, cz, dz):
-    return fs.ScalarProducts(*cr, *cz, *dz, columns=PURE_SHIFT)
+    return recurrences._expand((*cr, *cz, *dz), PURE_SHIFT)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_assemble_matches_functional_on_d3b():
     ] + [
         apply_functional(c, q_km2, 1, k - 2 + i) for i in range(4)
     ]
-    for got, want in zip(scalar_values(sp), expected):
+    for got, want in zip(sp.values, expected):
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
@@ -71,7 +71,7 @@ def test_assemble_zero_residual_degenerate_case():
     ones = np.ones(4)
     r1 = np.zeros(4)  # converged residual
     sp = fs.assemble_scalar_products(np.full((7, 4), 2.0), r1, ones, ones, columns=np.array(PURE_SHIFT[:1] * 7))
-    assert sp.c_xkm2_pkm2 == 0.0 and sp.c_xkp1_pkm2 == 0.0
+    assert sp.values[0] == 0.0 and sp.values[3] == 0.0
 
 
 def test_assemble_symmetric_matrix_reduces_to_power_products():
@@ -83,7 +83,7 @@ def test_assemble_symmetric_matrix_reduces_to_power_products():
     sp = fs.assemble_scalar_products(window, r_m, r_m, r_m, columns=columns)
     for i in range(4):
         direct = float((np.linalg.matrix_power(a, i + 2) @ r0) @ r_m)
-        assert abs(scalar_values(sp)[i] - direct) <= 1e-12 * max(1.0, abs(direct))
+        assert abs(sp.values[i] - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
 def test_pure_shift_window_matches_power_products_at_every_head():
@@ -98,7 +98,7 @@ def test_pure_shift_window_matches_power_products_at_every_head():
             sp = fs.assemble_scalar_products(np.roll(window, head, axis=0), r_km2, z_km3, z_km2,
                                              columns=np.roll(columns, head, axis=0), head=head)
             assert sp.columns == PURE_SHIFT
-            for got, want in zip(scalar_values(sp), scalar_values(ref)):
+            for got, want in zip(sp.values, ref.values):
                 assert abs(got - want) <= 1e-12 * ref.scale
 
 
@@ -136,7 +136,7 @@ def test_flat_float_path_matches_the_reference_on_random_windows():
 def test_nonfinite_functional_value_is_numeric_overflow(field, bad):
     values = [1.0] * 12
     values[field] = bad
-    sp = fs.ScalarProducts(*values, columns=PURE_SHIFT)
+    sp = recurrences._expand(tuple(values), PURE_SHIFT)
     with pytest.raises(NumericOverflow):
         fs.a13_coefficients(sp)
     with pytest.raises(NumericOverflow):
@@ -298,6 +298,15 @@ def test_a11_b11_nonexistent_on_seeded_fixtures():
                 hits[name] += 1
     assert hits["A11"] >= 19
     assert hits["B11"] >= 19
+
+
+def test_fit_raises_rank_deficient_on_a_two_dimensional_null_space():
+    # A term listed twice repeats its two columns: 4 columns of rank 2, so the
+    # solution family is two-dimensional and has no sparsest member to pick.
+    twice = fs.RelationForm("P(k-1) twice", fs.FAMILY_P, ((fs.FAMILY_P, -1, 1), (fs.FAMILY_P, -1, 1)))
+    c = fs.compute_moments(*ring_spectrum_fixture(10, 0), 12)
+    with pytest.raises(RankDeficient, match="rank 2 < 4 columns"):
+        fs.fit_relation(twice, c, 6)
 
 
 def test_derived_zero_structure():
