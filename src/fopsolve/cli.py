@@ -134,6 +134,8 @@ def build_generator(descriptor: str) -> tuple[linalg.Matrix, dict]:
             return random_sdd_matrix(int(n_str), int(seed_str or 0)), meta
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad generator descriptor {descriptor!r}: {exc}") from exc
+    except MemoryError as exc:
+        raise UsageError(f"generator descriptor {descriptor!r} needs more memory than is available: {exc}") from exc
     raise UsageError(f"unknown generator {name!r} (expected identity, diag, tridiag, randsdd)")
 
 

@@ -10,18 +10,17 @@ Matrix and vector products run in numpy; the small pivoted solve
 (`solve_dense`, n <= 10) runs on Python floats, because at that size
 numpy's per-call overhead costs more than the arithmetic.
 
-On vectors longer than `BLOCK` rows, the diagonal-storage products, and
-the element-wise kernels that callers hand to `blockwise`, work one block
-of rows at a time, so that each block's operands stay in cache across
-all the operations that touch them instead of streaming every whole
-vector through memory once per operation. The blocks are cut into one
-contiguous run per usable CPU: the calling thread works through the
-first run and short-lived helper threads the others, each writing only
-its own rows of the result. Each element still sees the same operations
-in the same order, so the results are bit-identical to the whole-vector
-code, at any block size and CPU count; vectors of at most `BLOCK` rows
-keep the whole-vector code, on which a one-block loop would only add
-per-call overhead. Inner products are not split: a split sum would round
+On vectors longer than `BLOCK` rows, the element-wise kernels that
+callers hand to `blockwise`, the diagonal-storage products' rows with
+both neighbours among them, work one block of rows at a time, so that
+each block's operands stay in cache across all the operations that touch
+them instead of streaming every whole vector through memory once per
+operation; `blockwise` splits the blocks across the usable CPUs. Each
+element still sees the same operations in the same order, so the results
+are bit-identical to the whole-vector code at any block size and CPU
+count. The products keep the whole-vector code on vectors of at most
+`BLOCK` rows, where the blocked path's extra calls would cost more than
+the arithmetic. Inner products are not split: a split sum would round
 differently, so they stay whole-vector calls in one thread.
 """
 from __future__ import annotations
@@ -172,8 +171,9 @@ class Matrix:
     # both storages give the same bits. (np.bincount starts each sum from
     # +0.0, so a row whose terms are all -0.0 sums to +0.0 there and to
     # -0.0 here.) `head += ...` on a bound view updates `y` in place
-    # without the copy-back of `y[:-1] += ...`. Vectors longer than BLOCK
-    # take `_banded_blocks`, which adds the same terms in the same order.
+    # without the copy-back of `y[:-1] += ...`. On vectors longer than
+    # BLOCK, `blockwise` runs `_stencil_rows` on the rows with both
+    # neighbours, and rows 0 and n-1 take their two terms in the same order.
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if len(v) != self.cols:
@@ -183,7 +183,10 @@ class Matrix:
         if self._bands is not None:
             main, upper, lower = self._bands
             if len(v) > BLOCK:
-                return _banded_blocks(v, main, (upper, 1), (lower, -1))
+                y = np.empty(len(v))
+                blockwise(_stencil_rows, y[1:-1], v[1:-1], v[2:], v[:-2], main, upper, lower)
+                y[0], y[-1] = main * v[0] + upper * v[1], main * v[-1] + lower * v[-2]
+                return y
             y = main * v
             head, tail = y[:-1], y[1:]
             head += upper * v[1:]
@@ -200,7 +203,10 @@ class Matrix:
         if self._bands is not None:
             main, upper, lower = self._bands
             if len(v) > BLOCK:
-                return _banded_blocks(v, main, (upper, -1), (lower, 1))
+                y = np.empty(len(v))
+                blockwise(_stencil_rows, y[1:-1], v[1:-1], v[:-2], v[2:], main, upper, lower)
+                y[0], y[-1] = main * v[0] + lower * v[1], main * v[-1] + upper * v[-2]
+                return y
             y = main * v
             head, tail = y[:-1], y[1:]
             tail += upper * v[:-1]
@@ -210,86 +216,56 @@ class Matrix:
         return np.bincount(c, weights=vals * v[r], minlength=self.cols)
 
 
-def _banded_blocks(v: np.ndarray, main: np.ndarray, *terms) -> np.ndarray:
-    """The diagonal-storage product y = main * v, then for each (band, offset)
-    of `terms` in order y[i] += band * v[i + offset], BLOCK rows at a time.
-
-    Offset +1 reaches rows 0..n-2, offset -1 rows 1..n-1; a row at a block
-    edge takes its neighbour from `v`, which no run writes. Each run has
-    its own scratch block, so products stay safe to share across threads.
-    """
-    n = len(v)
-    y = np.empty(n)
-
-    def run(starts: range) -> None:
-        scratch = np.empty(BLOCK)
-        for start in starts:
-            stop = min(start + BLOCK, n)
-            np.multiply(main, v[start:stop], out=y[start:stop])
-            for band, offset in terms:
-                lo, hi = (start, min(stop, n - 1)) if offset > 0 else (max(start, 1), stop)
-                term = np.multiply(band, v[lo + offset:hi + offset], out=scratch[:hi - lo])
-                np.add(y[lo:hi], term, out=y[lo:hi])
-
-    _in_runs(n, run)
-    return y
+def _stencil_rows(y, v, w1, w2, main, b1, b2, *, scratch) -> None:
+    """y = main * v + b1 * w1 + b2 * w2, added in that order: the diagonal
+    products on the rows that have both neighbours, w1 and w2 holding them."""
+    np.multiply(main, v, out=y)
+    np.add(y, np.multiply(b1, w1, out=scratch), out=y)
+    np.add(y, np.multiply(b2, w2, out=scratch), out=y)
 
 
 def blockwise(kernel, *args) -> None:
     """Run the in-place element-wise `kernel(*args, scratch=...)`, BLOCK
     rows at a time when its vectors are longer than BLOCK.
 
-    The first argument is a vector; every ndarray argument is a vector of
-    that length and is cut into blocks, the others (coefficients) reach
-    each block unchanged. `kernel` writes its results into vectors among
-    its arguments and must be element-wise: row i of what it writes
-    depends on row i of the vectors alone. It then gives each element the
-    same operations in the same order on a block as on the whole vectors,
-    so the blocked result is bit-identical. `scratch`, the `out` of the
-    kernel's intermediate terms, is a vector of the block's length, one
-    per run reused for all of its blocks; on whole vectors it is None, so
-    numpy allocates those terms as the whole-vector code does.
+    The first argument is a vector; every ndarray argument of one or more
+    dimensions is a vector of that length and is cut into blocks, the
+    others (coefficients, 0-d arrays among them) reach each block whole.
+    `kernel` writes its results into vectors among its arguments and must
+    be element-wise: row i of what it writes depends on row i of the
+    vectors alone. It then gives each element the same operations in the
+    same order on a block as on the whole vectors, so the blocked result is
+    bit-identical. `scratch`, the `out` of the kernel's intermediate terms,
+    is a vector of the block's length, one per run reused for all of its
+    blocks; on whole vectors it is None, so numpy allocates those terms as
+    the whole-vector code does.
+
+    The blocks are cut into one contiguous run per usable CPU (at most one
+    per block). The caller works through the first run; a short-lived
+    helper thread works through each other one, under the caller's numpy
+    error settings (`np.errstate`), which it sets itself: numpy 2 keeps
+    them per context and numpy 1 per thread, and a new thread inherits
+    neither. Every helper is joined before this returns or raises; a
+    helper's exception is then raised in the caller. `kernel` calls numpy
+    only, never the package's public functions: a profiler that wraps
+    those keeps state that concurrent calls would corrupt.
     """
     n = len(args[0])
     if n <= BLOCK:
         kernel(*args, scratch=None)
         return
-
-    def run(starts: range) -> None:
-        scratch = np.empty(BLOCK)
-        for start in starts:
-            rows = slice(start, start + BLOCK)
-            block = [a[rows] if isinstance(a, np.ndarray) else a for a in args]
-            kernel(*block, scratch=scratch[:len(block[0])])
-
-    _in_runs(n, run)
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_runs(n: int, run) -> None:
-    """Call `run(starts)` on the block starts of n rows, cut into one
-    contiguous run per usable CPU (at most one per block).
-
-    The caller works through the first run; a short-lived helper thread
-    works through each other one, under the caller's numpy error settings
-    (`np.errstate`), which it sets itself: numpy 2 keeps them per context
-    and numpy 1 per thread, and a new thread inherits neither. Every
-    helper is joined before this returns or raises; a helper's exception
-    is then raised in the caller. `run` calls numpy and element-wise
-    kernels only, never the package's public functions: a profiler that
-    wraps those keeps state that concurrent calls would corrupt.
-    """
     starts = range(0, n, BLOCK)
     count = min(_usable_cpus(), len(starts))
     runs = [starts[i * len(starts) // count:(i + 1) * len(starts) // count] for i in range(count)]
     settings = dict(np.geterr(), call=np.geterrcall())
     errors = []
+
+    def run(part: range) -> None:
+        scratch = np.empty(BLOCK)
+        for start in part:
+            rows = slice(start, start + BLOCK)
+            block = [a[rows] if isinstance(a, np.ndarray) and a.ndim else a for a in args]
+            kernel(*block, scratch=scratch[:len(block[0])])
 
     def helper(part: range) -> None:
         try:
@@ -310,6 +286,13 @@ def _in_runs(n: int, run) -> None:
             thread.join()
     if errors:
         raise errors[0]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def matvec(M: Matrix, v) -> np.ndarray:

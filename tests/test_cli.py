@@ -208,6 +208,28 @@ def test_cmd_solve_empty_randsdd_is_a_usage_error_without_warnings(capsys, descr
     assert "usage error" in capsys.readouterr().err
 
 
+def _out_of_memory(shape):
+    """Fail as numpy does when an array will not fit."""
+    raise MemoryError(f"Unable to allocate an array with shape {shape} and data type float64")
+
+
+class _OutOfMemoryRng:
+    def standard_normal(self, shape):
+        _out_of_memory(shape)
+
+
+@pytest.mark.parametrize("descriptor, target, name, patch", [
+    ("identity:1000000", np, "eye", lambda n: _out_of_memory((n, n))),
+    ("randsdd:1000000", np.random, "default_rng", lambda seed: _OutOfMemoryRng()),
+], ids=["identity", "randsdd"])
+def test_cmd_solve_generator_out_of_memory_is_a_usage_error(monkeypatch, capsys, descriptor, target, name, patch):
+    # The dense allocation is patched to fail: the test never asks for the memory.
+    monkeypatch.setattr(target, name, patch)
+    assert run(["solve", "--gen", descriptor]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "usage error" in err and repr(descriptor) in err and "(1000000, 1000000)" in err
+
+
 def test_cmd_solve_usage_errors():
     assert run(["solve"]) == cli.EXIT_USAGE
     assert run(["solve", "--gen", "identity:4", "--matrix", "x.mtx"]) == cli.EXIT_USAGE

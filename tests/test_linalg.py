@@ -93,7 +93,7 @@ def _stencil_triplets(n):
 BLOCK = linalg.BLOCK
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, BLOCK + 2, BLOCK + 3])
 def test_tridiagonal_bands_match_the_coordinate_kernel_bit_for_bit(n):
     banded, coo = fs.Matrix.tridiagonal(n), _stencil_triplets(n)
     rng = np.random.default_rng(n)
@@ -136,14 +136,16 @@ CPU_COUNTS = (1, 2, 5)
 
 
 @pytest.mark.parametrize("block, sizes", [
-    (7, [8, 13, 14, 15, 22, 50]),
+    (7, [8, 13, 14, 15, 22, 50, 9, 10, 17]),
     (16, [17, 31, 32, 33, 49, 100]),
-    (BLOCK, [BLOCK + 1, 2 * BLOCK + 1]),
+    (BLOCK, [BLOCK + 1, 2 * BLOCK + 1, BLOCK + 2, BLOCK + 3]),
 ])
 def test_blocked_banded_products_match_the_whole_vector_formula_bit_for_bit(monkeypatch, block, sizes):
     # Random (non-stencil) coefficients across block edges, a one-row last
     # block included; each length also runs with one coefficient 0.0, and
-    # the blocks are split into runs for every CPU count.
+    # the blocks are split into runs for every CPU count. The blocks cut
+    # rows 1..n-2, so n = block + 2 fills exactly one block and n = block
+    # + 3 and 2 * block + 3 end in a one-row block.
     monkeypatch.setattr(linalg, "BLOCK", block)
     rng = np.random.default_rng(block)
     for i, n in enumerate(sizes):
@@ -196,18 +198,23 @@ def test_blockwise_matches_the_whole_vector_kernel(monkeypatch):
         np.subtract(np.multiply(a, b, out=scratch), coefficients[1], out=product)
 
     def in_place(a, b, coefficient, *, scratch):
+        assert np.ndim(coefficient) == 0  # a 0-d array coefficient reaches each block whole
         a -= np.multiply(coefficient, b, out=scratch)
 
+    zero_d = np.array(1.7)
+    zero_d.setflags(write=False)
     want = [(a + 0.3 * b).tobytes(), (a * b - 0.0).tobytes()]
     want_a = (a - 1.7 * b).tobytes()
     for block, cpus in [(BLOCK, 1), *((5, cpus) for cpus in CPU_COUNTS)]:  # whole vectors, then 5 blocks
         monkeypatch.setattr(linalg, "BLOCK", block)
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
-        total, product, blocked_a = np.empty(23), np.empty(23), a.copy()
+        total, product = np.empty(23), np.empty(23)
         assert linalg.blockwise(kernel, total, product, a, b, [0.3, 0.0]) is None
-        assert linalg.blockwise(in_place, blocked_a, b, 1.7) is None
         assert [total.tobytes(), product.tobytes()] == want
-        assert blocked_a.tobytes() == want_a
+        for coefficient in (1.7, zero_d):
+            blocked_a = a.copy()
+            assert linalg.blockwise(in_place, blocked_a, b, coefficient) is None
+            assert blocked_a.tobytes() == want_a
 
 
 def test_split_blockwise_runs_every_block_under_the_callers_error_settings(monkeypatch):
