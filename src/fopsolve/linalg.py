@@ -21,13 +21,18 @@ are bit-identical to the whole-vector code at any block size and CPU
 count. The products keep the whole-vector code on vectors of at most
 `BLOCK` rows, where the blocked path's extra calls would cost more than
 the arithmetic. Inner products are not split: a split sum would round
-differently, so they stay whole-vector calls in one thread.
+differently, so each stays a whole-vector call in one thread, and
+`parallel_map` runs independent ones side by side instead. Both hand
+their work to one pool of daemon helper threads (`_Helpers`), started
+on first use and kept for the life of the process; a forked child starts
+its own.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import os
+import queue
 import threading
 from typing import Iterable, Sequence
 
@@ -236,17 +241,15 @@ def blockwise(kernel, *args) -> None:
     vectors alone. It then gives each element the same operations in the
     same order on a block as on the whole vectors, so the blocked result is
     bit-identical. `scratch`, the `out` of the kernel's intermediate terms,
-    is a vector of the block's length, one per run reused for all of its
-    blocks; on whole vectors it is None, so numpy allocates those terms as
-    the whole-vector code does.
+    is a vector of the block's length, cut from a BLOCK-row vector that each
+    thread keeps for all its blocks; on whole vectors it is None, so numpy
+    allocates those terms as the whole-vector code does.
 
     The blocks are cut into one contiguous run per usable CPU (at most one
-    per block). The caller works through the first run; a short-lived
-    helper thread works through each other one, under the caller's numpy
-    error settings (`np.errstate`), which it sets itself: numpy 2 keeps
-    them per context and numpy 1 per thread, and a new thread inherits
-    neither. Every helper is joined before this returns or raises; a
-    helper's exception is then raised in the caller. `kernel` calls numpy
+    per block). The caller works through the first run, the helper pool
+    (`_Helpers`) the others, each under the caller's numpy error settings;
+    every run has finished before this returns or raises, and a failing
+    run's exception is then raised in the caller. `kernel` calls numpy
     only, never the package's public functions: a profiler that wraps
     those keeps state that concurrent calls would corrupt.
     """
@@ -254,38 +257,147 @@ def blockwise(kernel, *args) -> None:
     if n <= BLOCK:
         kernel(*args, scratch=None)
         return
-    starts = range(0, n, BLOCK)
-    count = min(_usable_cpus(), len(starts))
-    runs = [starts[i * len(starts) // count:(i + 1) * len(starts) // count] for i in range(count)]
-    settings = dict(np.geterr(), call=np.geterrcall())
-    errors = []
 
-    def run(part: range) -> None:
-        scratch = np.empty(BLOCK)
-        for start in part:
-            rows = slice(start, start + BLOCK)
-            block = [a[rows] if isinstance(a, np.ndarray) and a.ndim else a for a in args]
-            kernel(*block, scratch=scratch[:len(block[0])])
+    def part(starts: range):
+        def run() -> None:
+            scratch = _block_scratch()
+            for start in starts:
+                rows = slice(start, start + BLOCK)
+                block = [a[rows] if isinstance(a, np.ndarray) and a.ndim else a for a in args]
+                kernel(*block, scratch=scratch[:len(block[0])])
+        return run
 
-    def helper(part: range) -> None:
+    _helpers.run([part(starts) for starts in _runs(range(0, n, BLOCK))])
+
+
+def parallel_map(fn, vectors: Sequence[np.ndarray]) -> list:
+    """Return [fn(v) for v in vectors], the calls spread over the usable
+    CPUs when the vectors are longer than BLOCK rows.
+
+    Each call is whole and runs in one thread, so every result is the bits
+    that the serial call gives; the calls are cut into contiguous runs as
+    `blockwise` cuts its blocks, the caller working through the first.
+    `fn` calls numpy only, runs under the caller's numpy error settings,
+    and must not write what another call reads. A failing call ends its
+    run; every run has finished before this returns or raises, and the
+    exception of the first failing run is then raised in the caller.
+    """
+    if len(vectors[0]) <= BLOCK:
+        return [fn(v) for v in vectors]
+    results = [None] * len(vectors)
+
+    def part(indices: range):
+        def run() -> None:
+            for i in indices:
+                results[i] = fn(vectors[i])
+        return run
+
+    _helpers.run([part(indices) for indices in _runs(range(len(vectors)))])
+    return results
+
+
+def _runs(items: range) -> list[range]:
+    """`items` cut into one contiguous run per usable CPU, at most one per item."""
+    count = min(_usable_cpus(), len(items))
+    return [items[i * len(items) // count:(i + 1) * len(items) // count] for i in range(count)]
+
+
+_scratch = threading.local()
+
+
+def _block_scratch() -> np.ndarray:
+    """This thread's scratch vector of BLOCK rows, reallocated only when BLOCK changes."""
+    vector = getattr(_scratch, "vector", None)
+    if vector is None or len(vector) != BLOCK:
+        vector = _scratch.vector = np.empty(BLOCK)
+    return vector
+
+
+class _Helpers:
+    """Daemon helper threads that run the parts of split calls beside their callers.
+
+    Helpers start lazily, as many as the widest split so far asks for (at
+    most the usable CPUs less one, the caller's), and then wait for parts
+    for the life of the process, one inbox each. Each part runs under its
+    caller's numpy error settings (`np.errstate`), which the helper sets
+    for it: numpy 2 keeps them per context and numpy 1 per thread, and
+    neither reaches another thread. A part must not itself submit parts,
+    since it could then wait on its own helper. A forked child starts with
+    no helpers (see `_forget_helpers`): the parent's threads do not exist
+    there.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inboxes: list[queue.SimpleQueue] = []
+
+    def run(self, parts: list) -> None:
+        """Call parts[0]() in this thread and each other part on a helper.
+
+        Returns once every part has finished. The caller's exception is then
+        raised, or else that of the first failing helper part, in order.
+        """
+        if len(parts) == 1:
+            parts[0]()
+            return
+        settings = dict(np.geterr(), call=np.geterrcall())
+        done = queue.SimpleQueue()
+        for index, (inbox, part) in enumerate(zip(self._inboxes_for(len(parts) - 1), parts[1:])):
+            inbox.put((index, part, settings, done))
         try:
-            with np.errstate(**settings):
-                run(part)
-        except BaseException as exc:  # raised again in the caller, after the join
-            errors.append(exc)
+            parts[0]()
+        finally:
+            errors = sorted(done.get() for _ in parts[1:])
+        for _, error in errors:
+            if error is not None:
+                raise error
 
-    threads = []
+    def _inboxes_for(self, count: int) -> list:
+        with self._lock:
+            if len(self._inboxes) < count:
+                _hook_fork()
+            while len(self._inboxes) < count:
+                inbox = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(inbox,), name=f"fopsolve-helper-{len(self._inboxes)}",
+                                 daemon=True).start()
+                self._inboxes.append(inbox)
+            return self._inboxes[:count]
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """A helper's loop: run each part it receives and report how it ended."""
+    while True:
+        _run_part(*inbox.get())
+
+
+def _run_part(index: int, part, settings: dict, done: queue.SimpleQueue) -> None:
     try:
-        for part in runs[1:]:
-            thread = threading.Thread(target=helper, args=(part,))
-            thread.start()
-            threads.append(thread)
-        run(runs[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+        with np.errstate(**settings):
+            part()
+    except BaseException as exc:  # raised again in the caller
+        done.put((index, exc))
+    else:
+        done.put((index, None))
+
+
+_helpers = _Helpers()
+_fork_hooked = False
+
+
+def _forget_helpers() -> None:
+    """Give a forked child an empty pool; it starts its own helpers on demand."""
+    global _helpers
+    _helpers = _Helpers()
+
+
+def _hook_fork() -> None:
+    """Have every forked child run `_forget_helpers`, registered once, before
+    the first helper starts. Not at import: the hook keeps this module alive,
+    so a module imported afresh and dropped again would stay in memory."""
+    global _fork_hooked
+    if not _fork_hooked and hasattr(os, "register_at_fork"):
+        os.register_at_fork(after_in_child=_forget_helpers)
+        _fork_hooked = True
 
 
 def _usable_cpus() -> int:

@@ -207,14 +207,15 @@ def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns, head: int = 0
     `window` is a (7, n) array holding v_{k-4}..v_{k+2} cyclically from
     row `head` on, and row s of the (7, 3) `columns` holds (beta_j,
     alpha_j, gamma_j) of the v_j in row s (the newest row's is unused).
-    The 21 products of the window with r_{k-2}, z_{k-3} and z_{k-2} give
-    the c values directly and the c1 values through c1(N_j q) = c(x N_j q),
-    on Python floats.
+    The 21 products of the window with r_{k-2}, z_{k-3} and z_{k-2}, three
+    whole gemv calls that `linalg.parallel_map` runs side by side on long
+    vectors, give the c values directly and the c1 values through
+    c1(N_j q) = c(x N_j q), on Python floats.
     """
     if len(window) != 7 or len(columns) != 7:
         raise DimensionMismatch(f"left window must hold 7 vectors, got {len(window)}")
-    r, z3, z2, cols = ((values[head:] + values[:head]) for values in (
-        window.dot(r_km2).tolist(), window.dot(z_km3).tolist(), window.dot(z_km2).tolist(), columns.tolist()))
+    r, z3, z2, cols = ((values[head:] + values[:head]) for values in map(np.ndarray.tolist, (
+        *linalg.parallel_map(window.dot, (r_km2, z_km3, z_km2)), columns)))
     c0, (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4), (b5, a5, g5), _ = cols  # j = k-4..k+2
     # c1(N_j q) = c(x N_j q) = beta_j c(N_{j-1} q) + alpha_j c(N_j q) + gamma_j c(N_{j+1} q)
     return _expand((*r[2:6],

@@ -33,7 +33,9 @@ r_{k-3}, x_{k-3} and z_{k-4}. On vectors longer than `linalg.BLOCK` rows it
 runs one block of rows at a time, the blocks split across the usable
 CPUs. Each element sees the same operations in the same order, so
 iterates and reports are bit-identical at any block size and CPU count.
-Inner products stay whole-vector calls in one thread.
+Inner products stay whole-vector calls, each in one thread; on long
+vectors `linalg.parallel_map` runs a step's three window products side
+by side, each the same BLAS call as alone.
 """
 from __future__ import annotations
 
@@ -229,9 +231,9 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
 
     beta_j and alpha_j project out v_{j-1}, then v_j; gamma_j makes v_{j+1}
     a unit vector (a zero remainder stays zero). One transpose product.
-    Each projection runs through `linalg.blockwise`; the dot products stay
-    whole-vector calls, whose summation order a blocked reduction would
-    change. Returns (beta_j, alpha_j, gamma_j).
+    Each projection and the division run through `linalg.blockwise`; the
+    dot products stay whole-vector calls, whose summation order a blocked
+    reduction would change. Returns (beta_j, alpha_j, gamma_j).
     """
     w = linalg.transpose_matvec(A, v)
     beta = 0.0
@@ -241,13 +243,18 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
     alpha = float(v.dot(w))
     linalg.blockwise(_subtract_multiple, w, v, alpha)
     gamma = math.sqrt(float(w.dot(w)))
-    np.divide(w, gamma if gamma > 0.0 else 1.0, out=out)
+    linalg.blockwise(_divide, out, w, gamma if gamma > 0.0 else 1.0)
     return beta, alpha, gamma
 
 
 def _subtract_multiple(w, u, coefficient, *, scratch) -> None:
     """w -= coefficient * u in place; the product goes through `scratch`."""
     w -= np.multiply(coefficient, u, out=scratch)
+
+
+def _divide(out, w, divisor, *, scratch) -> None:
+    """out = w / divisor."""
+    np.divide(w, divisor, out=out)
 
 
 def _advance(r, x, z, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb, *, scratch):
@@ -384,10 +391,11 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     n = A.rows
     if A.cols != n or len(bv) != n:
         raise DimensionMismatch("solve needs a square matrix matching b")
-    x0v = np.zeros(n) if x0 is None else linalg.as_vector(x0)
+    x0v = None if x0 is None else linalg.as_vector(x0)
     with np.errstate(all="ignore"):  # every failure is read off the values computed
-        exponent = math.frexp(float(np.max(np.abs(bv))))[1]
-        bv, x0v = np.ldexp(bv, -exponent), np.ldexp(x0v, -exponent)
+        exponent = math.frexp(max(float(bv.max()), -float(bv.min())))[1]  # of max|b|; b is finite
+        bv = np.ldexp(bv, -exponent)
+        x0v = np.zeros(n) if x0v is None else np.ldexp(x0v, -exponent)
         max_iter = cfg.max_iter if cfg.max_iter is not None else 2 * n + 10
         rng = np.random.default_rng(cfg.seed)
         bn = float(np.linalg.norm(bv))

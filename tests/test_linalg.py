@@ -1,8 +1,11 @@
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -243,29 +246,141 @@ def test_split_blockwise_runs_every_block_under_the_callers_error_settings(monke
 def test_split_blockwise_raises_a_failing_block_in_the_caller(monkeypatch, bad_row):
     # 50 rows in 8 blocks of 7 rows, split into five runs: blocks 0 | 1-2 |
     # 3 | 4-5 | 6-7, the first the caller's. Each bad row is in the last
-    # block of its run, so every other block is written, and every helper
-    # is joined before the exception reaches the caller.
+    # block of its run, so every other block is written before the exception
+    # reaches the caller. The helper pool grows to at most four threads on
+    # the first split call and keeps them through failing calls.
     monkeypatch.setattr(linalg, "BLOCK", 7)
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: 5)
 
     def kernel(rows, out, *, scratch):
         if rows[0] <= bad_row <= rows[-1]:
             raise ZeroDivisionError(f"block of row {bad_row}")
+        time.sleep(0.01)  # the failing block ends first
         np.add(rows, 1.0, out=out)
 
     rows, out = np.arange(50.0), np.zeros(50)
     before = threading.active_count()
     with pytest.raises(ZeroDivisionError, match=f"block of row {bad_row}$"):
         within(60, linalg.blockwise, kernel, rows, out)
-    assert threading.active_count() == before
+    pooled = threading.active_count()
+    assert pooled - before <= 4
     failed = slice(bad_row // 7 * 7, bad_row // 7 * 7 + 7)
     assert not out[failed].any()
     out[failed] = rows[failed] + 1.0
     assert np.array_equal(out, rows + 1.0)
+    out[:] = 0.0
+    with pytest.raises(ZeroDivisionError, match=f"block of row {bad_row}$"):
+        within(60, linalg.blockwise, kernel, rows, out)
+    assert threading.active_count() == pooled
     bad_row, out[:] = -1, 0.0  # no block fails
     within(60, linalg.blockwise, kernel, rows, out)
     assert np.array_equal(out, rows + 1.0)
-    assert threading.active_count() == before
+    assert threading.active_count() == pooled
+
+
+def test_parallel_map_gives_the_bits_of_the_serial_calls(monkeypatch):
+    # The window products of a step: (7, n) @ v for three vectors, whole
+    # (serial) and spread over one run, one per core here and more runs
+    # than calls. Each is the one BLAS call it is alone.
+    rng = np.random.default_rng(8)
+    window = rng.standard_normal((7, 40)) * 10.0 ** rng.integers(-8, 9, (7, 40))
+    vectors = [rng.standard_normal(40) * 10.0 ** rng.integers(-8, 9, 40) for _ in range(3)]
+    want = [window.dot(v).tobytes() for v in vectors]
+    monkeypatch.setattr(linalg, "BLOCK", 7)
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+        assert [p.tobytes() for p in within(60, linalg.parallel_map, window.dot, vectors)] == want
+    monkeypatch.setattr(linalg, "BLOCK", 40)  # vectors of at most BLOCK rows: serial calls in the caller
+    caller, threads = threading.get_ident(), []
+
+    def product(v):
+        threads.append(threading.get_ident())
+        return window.dot(v)
+
+    assert [p.tobytes() for p in linalg.parallel_map(product, vectors)] == want
+    assert threads == [caller] * 3
+
+
+@pytest.mark.parametrize("bad", [0, 2, 4], ids=["caller", "helper", "last-helper"])
+def test_parallel_map_raises_a_failing_call_after_every_other_call_finished(monkeypatch, bad):
+    # Five calls in three runs, 0 | 1-2 | 3-4, the first the caller's; each
+    # failing call ends its run. It fails at once, the others only after a
+    # pause, so an exception that outran them would find them unfinished.
+    monkeypatch.setattr(linalg, "BLOCK", 7)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
+    vectors, finished = [np.full(8, float(i)) for i in range(5)], []
+
+    def call(v):
+        if v[0] == bad:
+            raise ZeroDivisionError(f"call {bad}")
+        time.sleep(0.05)
+        finished.append(int(v[0]))
+        return v + 1.0
+
+    with pytest.raises(ZeroDivisionError, match=f"call {bad}$"):
+        within(60, linalg.parallel_map, call, vectors)
+    assert sorted(finished) == [i for i in range(5) if i != bad]
+
+
+def test_parallel_map_runs_every_call_under_the_callers_error_settings(monkeypatch):
+    # Every call overflows: the helpers set the caller's np.errstate
+    # themselves (numpy 1 keeps it per thread, numpy 2 per context).
+    monkeypatch.setattr(linalg, "BLOCK", 7)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
+    vectors = [np.full(8, 1e300) for _ in range(5)]
+
+    def overflow(**settings):  # within's thread is the caller
+        with np.errstate(**settings):
+            return linalg.parallel_map(lambda v: v * 1e300, vectors)
+
+    seen = []
+    results = within(60, lambda: overflow(over="call", call=lambda kind, flag: seen.append(kind)))
+    assert seen == ["overflow"] * 5
+    assert all(np.isposinf(r).all() for r in results)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        within(60, lambda: overflow(over="raise"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all(np.isposinf(r).all() for r in within(60, lambda: overflow(over="ignore")))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_calls_run_in_a_forked_child(monkeypatch):
+    # The parent's helper threads do not exist in a forked child. The child
+    # starts its own pool, at most cpus - 1 threads, for a split call and a
+    # blocked solve, and exits 0; a pool carried over would wait forever.
+    monkeypatch.setattr(linalg, "BLOCK", 7)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
+
+    def kernel(rows, out, *, scratch):
+        np.add(rows, 1.0, out=out)
+
+    rows, out = np.arange(50.0), np.zeros(50)
+    within(60, linalg.blockwise, kernel, rows, out)  # the parent's pool has helpers now
+    A, b = fs.Matrix.tridiagonal(30), np.random.default_rng(13).standard_normal(30)
+    want_x, want_report = fs.solve(A, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # Python 3.12+ warns on fork with threads
+        pid = os.fork()
+    if pid == 0:  # the child: never return into the test runner
+        code = 1
+        try:
+            alone = threading.active_count() == 1
+            out[:] = 0.0
+            linalg.blockwise(kernel, rows, out)
+            x, report = fs.solve(A, b)
+            ok = (alone and threading.active_count() <= 3 and np.array_equal(out, rows + 1.0)
+                  and x.tobytes() == want_x.tobytes() and repr(report) == repr(want_report))
+            code = 0 if ok else 1
+        finally:
+            os._exit(code)
+    try:
+        status = within(60, os.waitpid, pid, 0)[1]
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_tridiagonal_bands_are_read_only():
