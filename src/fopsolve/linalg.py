@@ -354,9 +354,8 @@ class _Helpers:
 
     def _inboxes_for(self, count: int) -> list:
         with self._lock:
-            if len(self._inboxes) < count:
-                _hook_fork()
             while len(self._inboxes) < count:
+                _hook_fork()
                 inbox = queue.SimpleQueue()
                 threading.Thread(target=_serve, args=(inbox,), name=f"fopsolve-helper-{len(self._inboxes)}",
                                  daemon=True).start()
