@@ -23,9 +23,10 @@ count. The products keep the whole-vector code on vectors of at most
 the arithmetic. Inner products are not split: a split sum would round
 differently, so each stays a whole-vector call in one thread, and
 `parallel_map` runs independent ones side by side instead. Both hand
-their work to one pool of daemon helper threads (`_Helpers`), started
-on first use and kept for the life of the process; a forked child starts
-its own.
+their work to `_spread`, which cuts it into one run per usable CPU and
+gives all runs but the caller's to a pool of daemon helper threads,
+started on first use and kept for the life of the process; a forked
+child starts its own.
 """
 from __future__ import annotations
 
@@ -245,11 +246,11 @@ def blockwise(kernel, *args) -> None:
     thread keeps for all its blocks; on whole vectors it is None, so numpy
     allocates those terms as the whole-vector code does.
 
-    The blocks are cut into one contiguous run per usable CPU (at most one
-    per block). The caller works through the first run, the helper pool
-    (`_Helpers`) the others, each under the caller's numpy error settings;
-    every run has finished before this returns or raises, and a failing
-    run's exception is then raised in the caller. `kernel` calls numpy
+    `_spread` cuts the blocks into one contiguous run per usable CPU (at
+    most one per block). The caller works through the first run, the
+    helper threads the others, each under the caller's numpy error
+    settings; every run has finished before this returns or raises, and a
+    failing run's exception is then raised in the caller. `kernel` calls numpy
     only, never the package's public functions: a profiler that wraps
     those keeps state that concurrent calls would corrupt.
     """
@@ -258,16 +259,12 @@ def blockwise(kernel, *args) -> None:
         kernel(*args, scratch=None)
         return
 
-    def part(starts: range):
-        def run() -> None:
-            scratch = _block_scratch()
-            for start in starts:
-                rows = slice(start, start + BLOCK)
-                block = [a[rows] if isinstance(a, np.ndarray) and a.ndim else a for a in args]
-                kernel(*block, scratch=scratch[:len(block[0])])
-        return run
+    def each(start: int) -> None:
+        rows = slice(start, start + BLOCK)
+        block = [a[rows] if isinstance(a, np.ndarray) and a.ndim else a for a in args]
+        kernel(*block, scratch=_block_scratch()[:len(block[0])])
 
-    _helpers.run([part(starts) for starts in _runs(range(0, n, BLOCK))])
+    _spread(range(0, n, BLOCK), each)
 
 
 def parallel_map(fn, vectors: Sequence[np.ndarray]) -> list:
@@ -275,31 +272,22 @@ def parallel_map(fn, vectors: Sequence[np.ndarray]) -> list:
     CPUs when the vectors are longer than BLOCK rows.
 
     Each call is whole and runs in one thread, so every result is the bits
-    that the serial call gives; the calls are cut into contiguous runs as
-    `blockwise` cuts its blocks, the caller working through the first.
-    `fn` calls numpy only, runs under the caller's numpy error settings,
-    and must not write what another call reads. A failing call ends its
-    run; every run has finished before this returns or raises, and the
-    exception of the first failing run is then raised in the caller.
+    that the serial call gives; `_spread` cuts the calls into runs as it
+    cuts the blocks of `blockwise`. `fn` calls numpy only, runs under the
+    caller's numpy error settings, and must not write what another call
+    reads. A failing call ends its run; every run has finished before this
+    returns or raises, and the exception of the first failing run is then
+    raised in the caller.
     """
     if len(vectors[0]) <= BLOCK:
         return [fn(v) for v in vectors]
     results = [None] * len(vectors)
 
-    def part(indices: range):
-        def run() -> None:
-            for i in indices:
-                results[i] = fn(vectors[i])
-        return run
+    def each(i: int) -> None:
+        results[i] = fn(vectors[i])
 
-    _helpers.run([part(indices) for indices in _runs(range(len(vectors)))])
+    _spread(range(len(vectors)), each)
     return results
-
-
-def _runs(items: range) -> list[range]:
-    """`items` cut into one contiguous run per usable CPU, at most one per item."""
-    count = min(_usable_cpus(), len(items))
-    return [items[i * len(items) // count:(i + 1) * len(items) // count] for i in range(count)]
 
 
 _scratch = threading.local()
@@ -313,90 +301,74 @@ def _block_scratch() -> np.ndarray:
     return vector
 
 
-class _Helpers:
-    """Daemon helper threads that run the parts of split calls beside their callers.
-
-    Helpers start lazily, as many as the widest split so far asks for (at
-    most the usable CPUs less one, the caller's), and then wait for parts
-    for the life of the process, one inbox each. Each part runs under its
-    caller's numpy error settings (`np.errstate`), which the helper sets
-    for it: numpy 2 keeps them per context and numpy 1 per thread, and
-    neither reaches another thread. A part must not itself submit parts,
-    since it could then wait on its own helper. A forked child starts with
-    no helpers (see `_forget_helpers`): the parent's threads do not exist
-    there.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._inboxes: list[queue.SimpleQueue] = []
-
-    def run(self, parts: list) -> None:
-        """Call parts[0]() in this thread and each other part on a helper.
-
-        Returns once every part has finished. The caller's exception is then
-        raised, or else that of the first failing helper part, in order.
-        """
-        if len(parts) == 1:
-            parts[0]()
-            return
-        settings = dict(np.geterr(), call=np.geterrcall())
-        done = queue.SimpleQueue()
-        for index, (inbox, part) in enumerate(zip(self._inboxes_for(len(parts) - 1), parts[1:])):
-            inbox.put((index, part, settings, done))
-        try:
-            parts[0]()
-        finally:
-            errors = sorted(done.get() for _ in parts[1:])
-        for _, error in errors:
-            if error is not None:
-                raise error
-
-    def _inboxes_for(self, count: int) -> list:
-        with self._lock:
-            while len(self._inboxes) < count:
-                _hook_fork()
-                inbox = queue.SimpleQueue()
-                threading.Thread(target=_serve, args=(inbox,), name=f"fopsolve-helper-{len(self._inboxes)}",
-                                 daemon=True).start()
-                self._inboxes.append(inbox)
-            return self._inboxes[:count]
-
-
-def _serve(inbox: queue.SimpleQueue) -> None:
-    """A helper's loop: run each part it receives and report how it ended."""
-    while True:
-        _run_part(*inbox.get())
-
-
-def _run_part(index: int, part, settings: dict, done: queue.SimpleQueue) -> None:
-    try:
-        with np.errstate(**settings):
-            part()
-    except BaseException as exc:  # raised again in the caller
-        done.put((index, exc))
-    else:
-        done.put((index, None))
-
-
-_helpers = _Helpers()
+# The helper pool, which callers in any thread share under `_lock`: one
+# inbox per daemon helper thread, which works through the runs put there in
+# turn for the life of the process. Helpers start lazily, as many as the
+# widest call of `_spread` so far asks for: at most the usable CPUs less one.
+_lock = threading.Lock()
+_inboxes: list[queue.SimpleQueue] = []
 _fork_hooked = False
 
 
-def _forget_helpers() -> None:
-    """Give a forked child an empty pool; it starts its own helpers on demand."""
-    global _helpers
-    _helpers = _Helpers()
+def _spread(items: range, each) -> None:
+    """Call each(i) for every i in `items`, cut into one contiguous run per
+    usable CPU (at most one per item).
 
-
-def _hook_fork() -> None:
-    """Have every forked child run `_forget_helpers`, registered once, before
-    the first helper starts. Not at import: the hook keeps this module alive,
-    so a module imported afresh and dropped again would stay in memory."""
+    The caller works through the first run and the helpers through the
+    others, each helper under the caller's numpy error settings
+    (`np.errstate`), which it sets itself: numpy 2 keeps them per context
+    and numpy 1 per thread, and neither reaches another thread. Returns once
+    every run has finished; the caller's exception is then raised, or else
+    that of the first failing helper run, in run order. `each` must not
+    itself call `_spread`, since it could then wait on its own helper.
+    """
     global _fork_hooked
-    if not _fork_hooked and hasattr(os, "register_at_fork"):
-        os.register_at_fork(after_in_child=_forget_helpers)
-        _fork_hooked = True
+    count = min(_usable_cpus(), len(items))
+    runs = [items[i * len(items) // count:(i + 1) * len(items) // count] for i in range(count)]
+    settings, done = dict(np.geterr(), call=np.geterrcall()), queue.SimpleQueue()
+    with _lock:
+        while len(_inboxes) < count - 1:
+            # Registered with the first helper, not at import: the hook keeps
+            # this module alive, so a module imported afresh and dropped
+            # again would stay in memory.
+            if not _fork_hooked and hasattr(os, "register_at_fork"):
+                os.register_at_fork(after_in_child=_forget_helpers)
+                _fork_hooked = True
+            _inboxes.append(queue.SimpleQueue())
+            threading.Thread(target=_serve, args=(_inboxes[-1],), name=f"fopsolve-helper-{len(_inboxes) - 1}",
+                             daemon=True).start()
+        for index, inbox in enumerate(_inboxes[:count - 1], 1):
+            inbox.put((index, runs[index], each, settings, done))
+    try:
+        for i in runs[0]:
+            each(i)
+    finally:
+        outcomes = sorted(done.get() for _ in runs[1:])
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+
+
+def _serve(inbox: queue.SimpleQueue) -> None:
+    """A helper's loop: work through each run it receives and report how it ended."""
+    while True:
+        index, run, each, settings, done = inbox.get()
+        try:
+            with np.errstate(**settings):
+                for i in run:
+                    each(i)
+        except BaseException as exc:  # raised again in the caller
+            done.put((index, exc))
+        else:
+            done.put((index, None))
+        del each, settings  # keep nothing of the caller's alive while idle
+
+
+def _forget_helpers() -> None:
+    """Give a forked child an empty pool: the parent's helper threads do not
+    exist there, and its lock may have been held at the fork."""
+    global _lock, _inboxes
+    _lock, _inboxes = threading.Lock(), []
 
 
 def _usable_cpus() -> int:

@@ -344,6 +344,52 @@ def test_parallel_map_runs_every_call_under_the_callers_error_settings(monkeypat
         assert all(np.isposinf(r).all() for r in within(60, lambda: overflow(over="ignore")))
 
 
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # Three callers, released together, each run a split blockwise and a
+    # parallel_map on one pool at once; every block and call pauses, so the
+    # callers' runs overlap in the helpers. Each caller gets the bits of its
+    # serial calls, the kernel's scratch included, and the pool, fresh for
+    # this test, grows to the two helpers that one caller asks for.
+    monkeypatch.setattr(linalg, "BLOCK", 7)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(linalg, "_inboxes", [])
+    rng = np.random.default_rng(12)
+    window = rng.standard_normal((7, 40)) * 10.0 ** rng.integers(-8, 9, (7, 40))
+    rows = [rng.standard_normal(50) * 10.0 ** rng.integers(-8, 9, 50) for _ in range(3)]
+    vectors = [[rng.standard_normal(40) for _ in range(3)] for _ in range(3)]
+
+    def kernel(v, out, *, scratch):
+        np.multiply(v, 0.3, out=scratch)
+        time.sleep(0.002)  # a scratch that another thread shares is overwritten here
+        np.add(v, scratch, out=out)
+
+    def product(v):
+        time.sleep(0.002)
+        return window.dot(v)
+
+    want = [[(v + v * 0.3).tobytes(), *(window.dot(u).tobytes() for u in us)] for v, us in zip(rows, vectors)]
+    barrier, got = threading.Barrier(3), {}
+
+    def caller(k):
+        barrier.wait()
+        out = np.empty(50)
+        linalg.blockwise(kernel, rows[k], out)
+        got[k] = [out.tobytes(), *(p.tobytes() for p in linalg.parallel_map(product, vectors[k]))]
+
+    def callers():
+        threads = [threading.Thread(target=caller, args=(k,), daemon=True) for k in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+    before = threading.active_count()
+    within(60, callers)
+    assert [got.get(k) for k in range(3)] == want
+    assert len(linalg._inboxes) == 2
+    assert threading.active_count() - before == 2
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_split_calls_run_in_a_forked_child(monkeypatch):
     # The parent's helper threads do not exist in a forked child. The child
