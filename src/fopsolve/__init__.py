@@ -28,7 +28,6 @@ from .oracle import (
     Polynomial,
     oracle_p,
     oracle_p1,
-    poly_matrix_apply,
     polynomial,
 )
 from .recurrences import (

@@ -21,12 +21,14 @@ are bit-identical to the whole-vector code at any block size and CPU
 count. The products keep the whole-vector code on vectors of at most
 `BLOCK` rows, where the blocked path's extra calls would cost more than
 the arithmetic. Inner products are not split: a split sum would round
-differently, so each stays a whole-vector call in one thread, and
-`parallel_map` runs independent ones side by side instead. Both hand
-their work to `_spread`, which cuts it into one run per usable CPU and
-gives all runs but the caller's to a pool of daemon helper threads,
-started on first use and kept for the life of the process; a forked
-child starts its own.
+differently, so each stays one whole-vector BLAS call, and `parallel_map`
+runs independent ones side by side instead. A multithreaded BLAS may
+still split such a sum itself, so results that depend on inner products,
+the solver's among them, are bit-identical only at a fixed BLAS thread
+count. Both hand their work to `_spread`, which cuts it into one run per
+usable CPU and gives all runs but the caller's to a pool of daemon
+helper threads, started on first use and kept for the life of the
+process; a forked child starts its own.
 """
 from __future__ import annotations
 
@@ -222,17 +224,17 @@ class Matrix:
         return np.bincount(c, weights=vals * v[r], minlength=self.cols)
 
 
-def _stencil_rows(y, v, w1, w2, main, b1, b2, *, scratch) -> None:
+def _stencil_rows(y, v, w1, w2, main, b1, b2) -> None:
     """y = main * v + b1 * w1 + b2 * w2, added in that order: the diagonal
     products on the rows that have both neighbours, w1 and w2 holding them."""
     np.multiply(main, v, out=y)
-    np.add(y, np.multiply(b1, w1, out=scratch), out=y)
-    np.add(y, np.multiply(b2, w2, out=scratch), out=y)
+    np.add(y, np.multiply(b1, w1), out=y)
+    np.add(y, np.multiply(b2, w2), out=y)
 
 
 def blockwise(kernel, *args) -> None:
-    """Run the in-place element-wise `kernel(*args, scratch=...)`, BLOCK
-    rows at a time when its vectors are longer than BLOCK.
+    """Run the in-place element-wise `kernel(*args)`, BLOCK rows at a time
+    when its vectors are longer than BLOCK.
 
     The first argument is a vector; every ndarray argument of one or more
     dimensions is a vector of that length and is cut into blocks, the
@@ -241,10 +243,8 @@ def blockwise(kernel, *args) -> None:
     be element-wise: row i of what it writes depends on row i of the
     vectors alone. It then gives each element the same operations in the
     same order on a block as on the whole vectors, so the blocked result is
-    bit-identical. `scratch`, the `out` of the kernel's intermediate terms,
-    is a vector of the block's length, cut from a BLOCK-row vector that each
-    thread keeps for all its blocks; on whole vectors it is None, so numpy
-    allocates those terms as the whole-vector code does.
+    bit-identical. A numpy ufunc with its `out` passed positionally, such as
+    `np.divide`, is such a kernel.
 
     `_spread` cuts the blocks into one contiguous run per usable CPU (at
     most one per block). The caller works through the first run, the
@@ -256,13 +256,12 @@ def blockwise(kernel, *args) -> None:
     """
     n = len(args[0])
     if n <= BLOCK:
-        kernel(*args, scratch=None)
+        kernel(*args)
         return
 
     def each(start: int) -> None:
         rows = slice(start, start + BLOCK)
-        block = [a[rows] if isinstance(a, np.ndarray) and a.ndim else a for a in args]
-        kernel(*block, scratch=_block_scratch()[:len(block[0])])
+        kernel(*(a[rows] if isinstance(a, np.ndarray) and a.ndim else a for a in args))
 
     _spread(range(0, n, BLOCK), each)
 
@@ -288,17 +287,6 @@ def parallel_map(fn, vectors: Sequence[np.ndarray]) -> list:
 
     _spread(range(len(vectors)), each)
     return results
-
-
-_scratch = threading.local()
-
-
-def _block_scratch() -> np.ndarray:
-    """This thread's scratch vector of BLOCK rows, reallocated only when BLOCK changes."""
-    vector = getattr(_scratch, "vector", None)
-    if vector is None or len(vector) != BLOCK:
-        vector = _scratch.vector = np.empty(BLOCK)
-    return vector
 
 
 # The helper pool, which callers in any thread share under `_lock`: one

@@ -112,18 +112,6 @@ def _hankel_solutions(c: moments.MomentSequence, k: int, family: str) -> tuple[P
     return solved
 
 
-def poly_matrix_apply(p: Polynomial, A: linalg.Matrix, v) -> np.ndarray:
-    """Evaluate p(A) v by Horner iteration: degree(p) matvecs."""
-    vec = linalg.as_vector(v)
-    if A.rows != A.cols or A.cols != len(vec):
-        raise DimensionMismatch("poly_matrix_apply needs a square matrix matching v")
-    coeffs = p.coeffs
-    out = coeffs[-1] * vec
-    for cj in coeffs[-2::-1]:
-        out = linalg.matvec(A, out) + cj * vec
-    return out
-
-
 def _check_degree(k: int) -> None:
     if k < 0:
         raise ValueError("degree must be >= 0")

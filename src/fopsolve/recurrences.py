@@ -181,7 +181,6 @@ class FitReport:
     k: int
     multipliers: tuple[tuple[float, ...], ...]
     relative_residual: float
-    normalization_ok: bool
 
     def __post_init__(self):
         if self.relative_residual < 0:
@@ -352,15 +351,8 @@ def fit_relation(form: RelationForm, c: moments.MomentSequence, k: int) -> FitRe
     w = _fit_multipliers(m_aug, t_aug)
     fitted = m @ w
     residual = float(np.linalg.norm(fitted - t) / np.linalg.norm(t))
-    if form.target_family == oracle.FAMILY_P:
-        normalization_ok = abs(fitted[0] - 1.0) <= EXISTS_TOL
-    else:
-        normalization_ok = abs(fitted[k] - 1.0) <= EXISTS_TOL
     multipliers = tuple(tuple(w[splits[i]:splits[i + 1]]) for i in range(len(form.terms)))
-    return FitReport(
-        form=form, k=k, multipliers=multipliers,
-        relative_residual=residual, normalization_ok=bool(normalization_ok),
-    )
+    return FitReport(form=form, k=k, multipliers=multipliers, relative_residual=residual)
 
 
 def _fit_multipliers(m_aug: np.ndarray, t_aug: np.ndarray) -> np.ndarray:

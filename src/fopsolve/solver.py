@@ -32,10 +32,11 @@ runs through `linalg.blockwise`, which writes it in place, a step's over
 r_{k-3}, x_{k-3} and z_{k-4}. On vectors longer than `linalg.BLOCK` rows it
 runs one block of rows at a time, the blocks split across the usable
 CPUs. Each element sees the same operations in the same order, so
-iterates and reports are bit-identical at any block size and CPU count.
-Inner products stay whole-vector calls, each in one thread; on long
-vectors `linalg.parallel_map` runs a step's three window products side
-by side, each the same BLAS call as alone.
+iterates and reports are bit-identical at any block size and CPU count,
+at a fixed BLAS thread count. Inner products stay whole-vector BLAS
+calls, which a multithreaded BLAS may split and round differently; on
+long vectors `linalg.parallel_map` runs a step's three window products
+side by side, each the same BLAS call as alone.
 """
 from __future__ import annotations
 
@@ -124,10 +125,6 @@ class SolveReport:
     entries: tuple  # (k, residual_norm, event)
     final_relative_residual: float
 
-    @property
-    def residual_history(self) -> tuple:
-        return tuple((k, rn) for k, rn, ev in self.entries if ev in ("bootstrap", "step"))
-
 
 def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
     """Set up the iteration by solving the degree 1..4 orthogonality conditions directly.
@@ -200,7 +197,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
     return state
 
 
-def _degree_vectors(r, x, z, x0, a, c, *p, scratch):
+def _degree_vectors(r, x, z, x0, a, c, *p):
     """Write r_j, x_j and z_j of bootstrap degree j = len(a), combined from
     x0 and the Krylov vectors p = (r0, A r0, ..., A^j r0), into r, x and z:
 
@@ -211,18 +208,18 @@ def _degree_vectors(r, x, z, x0, a, c, *p, scratch):
     each sum added left to right from the 0 that `sum` starts from. z is
     None for j = 1: z_1, which no step reads, is not formed."""
     j = len(a)
-    np.add(p[0], _sum_into(r, a, p[1:], scratch), out=r)
-    np.subtract(x0, _sum_into(x, a, p, scratch), out=x)
+    np.add(p[0], _sum_into(r, a, p[1:]), out=r)
+    np.subtract(x0, _sum_into(x, a, p), out=x)
     if z is not None:
-        np.add(p[j], _sum_into(z, c, p[:j], scratch), out=z)
+        np.add(p[j], _sum_into(z, c, p[:j]), out=z)
 
 
-def _sum_into(out, coefficients, vectors, scratch) -> np.ndarray:
-    """Write sum(c * v for c, v in zip(coefficients, vectors)) into `out`
-    and return it, each product formed in `scratch`."""
+def _sum_into(out, coefficients, vectors) -> np.ndarray:
+    """Write sum(c * v for c, v in zip(coefficients, vectors)) into `out`,
+    added left to right, and return it."""
     total = 0
     for coefficient, vector in zip(coefficients, vectors):
-        total = np.add(total, np.multiply(coefficient, vector, out=scratch), out=out)
+        total = np.add(total, np.multiply(coefficient, vector), out=out)
     return out
 
 
@@ -243,21 +240,16 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
     alpha = float(v.dot(w))
     linalg.blockwise(_subtract_multiple, w, v, alpha)
     gamma = math.sqrt(float(w.dot(w)))
-    linalg.blockwise(_divide, out, w, gamma if gamma > 0.0 else 1.0)
+    linalg.blockwise(np.divide, w, gamma if gamma > 0.0 else 1.0, out)
     return beta, alpha, gamma
 
 
-def _subtract_multiple(w, u, coefficient, *, scratch) -> None:
-    """w -= coefficient * u in place; the product goes through `scratch`."""
-    w -= np.multiply(coefficient, u, out=scratch)
+def _subtract_multiple(w, u, coefficient) -> None:
+    """w -= coefficient * u, in place in w."""
+    w -= np.multiply(coefficient, u)
 
 
-def _divide(out, w, divisor, *, scratch) -> None:
-    """out = w / divisor."""
-    np.divide(w, divisor, out=out)
-
-
-def _advance(r, x, z, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb, *, scratch):
+def _advance(r, x, z, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb):
     """Write r_k, x_k and z_k, from the vectors of degree k - 2 and k - 3 and
     their products, into r, x and z:
 
@@ -266,20 +258,20 @@ def _advance(r, x, z, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb, *, 
         z = cb.c_k * az3 + cb.d_k * z3 + a2z2 + cb.f_k * az2 + cb.g_k * z2
     """
     add, multiply = np.add, np.multiply
-    add(a2r, multiply(ca.b_k, ar, out=scratch), out=r)
-    add(r, multiply(ca.c_k, r2, out=scratch), out=r)
-    add(r, multiply(ca.e_k, a2z3, out=scratch), out=r)
-    add(r, multiply(ca.f_k, az3, out=scratch), out=r)
+    add(a2r, multiply(ca.b_k, ar), out=r)
+    add(r, multiply(ca.c_k, r2), out=r)
+    add(r, multiply(ca.e_k, a2z3), out=r)
+    add(r, multiply(ca.f_k, az3), out=r)
     multiply(ca.a_k, r, out=r)
-    add(ar, multiply(ca.b_k, r2, out=scratch), out=x)
-    add(x, multiply(ca.e_k, az3, out=scratch), out=x)
-    add(x, multiply(ca.f_k, z3, out=scratch), out=x)
+    add(ar, multiply(ca.b_k, r2), out=x)
+    add(x, multiply(ca.e_k, az3), out=x)
+    add(x, multiply(ca.f_k, z3), out=x)
     np.subtract(x2, multiply(ca.a_k, x, out=x), out=x)
     multiply(cb.c_k, az3, out=z)
-    add(z, multiply(cb.d_k, z3, out=scratch), out=z)
+    add(z, multiply(cb.d_k, z3), out=z)
     add(z, a2z2, out=z)
-    add(z, multiply(cb.f_k, az2, out=scratch), out=z)
-    add(z, multiply(cb.g_k, z2, out=scratch), out=z)
+    add(z, multiply(cb.f_k, az2), out=z)
+    add(z, multiply(cb.g_k, z2), out=z)
 
 
 def step(state: SolverState, A: linalg.Matrix) -> SolverState:
@@ -392,6 +384,8 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     if A.cols != n or len(bv) != n:
         raise DimensionMismatch("solve needs a square matrix matching b")
     x0v = None if x0 is None else linalg.as_vector(x0)
+    if x0v is not None and len(x0v) != n:
+        raise DimensionMismatch(f"solve needs x0 of length {n} to match b, got length {len(x0v)}")
     with np.errstate(all="ignore"):  # every failure is read off the values computed
         exponent = math.frexp(max(float(bv.max()), -float(bv.min())))[1]  # of max|b|; b is finite
         bv = np.ldexp(bv, -exponent)

@@ -70,6 +70,18 @@ def power_window(A, y, k):
     return np.array(us[k - 4:k + 3]), np.array(PURE_SHIFT[:1] * 7)
 
 
+def poly_matrix_apply(p, A, v):
+    """Evaluate p(A) v by Horner iteration: degree(p) matvecs."""
+    vec = fs.as_vector(v)
+    if A.rows != A.cols or A.cols != len(vec):
+        raise DimensionMismatch("poly_matrix_apply needs a square matrix matching v")
+    coeffs = p.coeffs
+    out = coeffs[-1] * vec
+    for cj in coeffs[-2::-1]:
+        out = fs.matvec(A, out) + cj * vec
+    return out
+
+
 def bridged_scalar_products(A, r0, y, c, k):
     """Scalar products for degree k built from explicit vectors.
 
@@ -78,9 +90,9 @@ def bridged_scalar_products(A, r0, y, c, k):
     solver's sliding-window products are checked.
     """
     window, _ = power_window(A, y, k)
-    r_km2 = fs.poly_matrix_apply(fs.oracle_p(c, k - 2), A, r0)
-    z_km3 = fs.poly_matrix_apply(fs.oracle_p1(c, k - 3), A, r0)
-    z_km2 = fs.poly_matrix_apply(fs.oracle_p1(c, k - 2), A, r0)
+    r_km2 = poly_matrix_apply(fs.oracle_p(c, k - 2), A, r0)
+    z_km3 = poly_matrix_apply(fs.oracle_p1(c, k - 3), A, r0)
+    z_km2 = poly_matrix_apply(fs.oracle_p1(c, k - 2), A, r0)
     return power_scalar_products(window[2:], r_km2, z_km3, z_km2)
 
 

@@ -20,6 +20,7 @@ from helpers import (
     expand_a13_multipliers,
     expand_b13_multipliers,
     iterate,
+    poly_matrix_apply,
 )
 
 
@@ -108,8 +109,8 @@ def test_criterion_3_recurrence_vs_oracle_vectors():
         for _ in range(4):
             state = fs.step(state, A)
             k = state.k - 1
-            rk = fs.poly_matrix_apply(fs.oracle_p(c, k), A, r0)
-            zk = fs.poly_matrix_apply(fs.oracle_p1(c, k), A, r0)
+            rk = poly_matrix_apply(fs.oracle_p(c, k), A, r0)
+            zk = poly_matrix_apply(fs.oracle_p1(c, k), A, r0)
             r_k, _, z_k = iterate(state, k)
             worst = max(worst,
                         np.linalg.norm(r_k - rk) / scale,

@@ -195,19 +195,19 @@ def test_blockwise_matches_the_whole_vector_kernel(monkeypatch):
     a, b = rng.standard_normal(23), rng.standard_normal(23)
     a[3], b[3] = -0.0, 0.0  # signed zeros: -0.0 + 0.0 is +0.0, -0.0 - 0.0 stays -0.0
 
-    def kernel(total, product, a, b, coefficients, *, scratch):
-        assert scratch is None or len(scratch) == len(a)  # None on whole vectors
-        np.add(a, np.multiply(coefficients[0], b, out=scratch), out=total)
-        np.subtract(np.multiply(a, b, out=scratch), coefficients[1], out=product)
+    def kernel(total, product, a, b, coefficients):
+        np.add(a, np.multiply(coefficients[0], b), out=total)
+        np.subtract(np.multiply(a, b), coefficients[1], out=product)
 
-    def in_place(a, b, coefficient, *, scratch):
+    def in_place(a, b, coefficient):
         assert np.ndim(coefficient) == 0  # a 0-d array coefficient reaches each block whole
-        a -= np.multiply(coefficient, b, out=scratch)
+        a -= np.multiply(coefficient, b)
 
     zero_d = np.array(1.7)
     zero_d.setflags(write=False)
     want = [(a + 0.3 * b).tobytes(), (a * b - 0.0).tobytes()]
     want_a = (a - 1.7 * b).tobytes()
+    want_quotient = (a / 1.7).tobytes()
     for block, cpus in [(BLOCK, 1), *((5, cpus) for cpus in CPU_COUNTS)]:  # whole vectors, then 5 blocks
         monkeypatch.setattr(linalg, "BLOCK", block)
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
@@ -218,6 +218,9 @@ def test_blockwise_matches_the_whole_vector_kernel(monkeypatch):
             blocked_a = a.copy()
             assert linalg.blockwise(in_place, blocked_a, b, coefficient) is None
             assert blocked_a.tobytes() == want_a
+            quotient = np.empty(23)  # a ufunc with its out positional is a kernel too
+            assert linalg.blockwise(np.divide, a, coefficient, quotient) is None
+            assert quotient.tobytes() == want_quotient
 
 
 def test_split_blockwise_runs_every_block_under_the_callers_error_settings(monkeypatch):
@@ -227,7 +230,7 @@ def test_split_blockwise_runs_every_block_under_the_callers_error_settings(monke
     monkeypatch.setattr(linalg, "BLOCK", 7)
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: 5)
 
-    def kernel(v, out, *, scratch):
+    def kernel(v, out):
         np.multiply(v, 1e300, out=out)
 
     def overflow(**settings):  # within's thread is the caller
@@ -252,7 +255,7 @@ def test_split_blockwise_raises_a_failing_block_in_the_caller(monkeypatch, bad_r
     monkeypatch.setattr(linalg, "BLOCK", 7)
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: 5)
 
-    def kernel(rows, out, *, scratch):
+    def kernel(rows, out):
         if rows[0] <= bad_row <= rows[-1]:
             raise ZeroDivisionError(f"block of row {bad_row}")
         time.sleep(0.01)  # the failing block ends first
@@ -348,8 +351,8 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
     # Three callers, released together, each run a split blockwise and a
     # parallel_map on one pool at once; every block and call pauses, so the
     # callers' runs overlap in the helpers. Each caller gets the bits of its
-    # serial calls, the kernel's scratch included, and the pool, fresh for
-    # this test, grows to the two helpers that one caller asks for.
+    # serial calls, and the pool, fresh for this test, grows to the two
+    # helpers that one caller asks for.
     monkeypatch.setattr(linalg, "BLOCK", 7)
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(linalg, "_inboxes", [])
@@ -358,10 +361,10 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
     rows = [rng.standard_normal(50) * 10.0 ** rng.integers(-8, 9, 50) for _ in range(3)]
     vectors = [[rng.standard_normal(40) for _ in range(3)] for _ in range(3)]
 
-    def kernel(v, out, *, scratch):
-        np.multiply(v, 0.3, out=scratch)
-        time.sleep(0.002)  # a scratch that another thread shares is overwritten here
-        np.add(v, scratch, out=out)
+    def kernel(v, out):
+        term = np.multiply(v, 0.3)
+        time.sleep(0.002)
+        np.add(v, term, out=out)
 
     def product(v):
         time.sleep(0.002)
@@ -398,7 +401,7 @@ def test_split_calls_run_in_a_forked_child(monkeypatch):
     monkeypatch.setattr(linalg, "BLOCK", 7)
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
 
-    def kernel(rows, out, *, scratch):
+    def kernel(rows, out):
         np.add(rows, 1.0, out=out)
 
     rows, out = np.arange(50.0), np.zeros(50)

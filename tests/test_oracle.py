@@ -6,7 +6,7 @@ from fopsolve import cli, linalg, moments, recurrences
 from fopsolve.cli import ring_spectrum_fixture
 from fopsolve.errors import MomentRangeExceeded, NonexistentPolynomial
 
-from helpers import apply_functional, d2_fixture, float_bits
+from helpers import apply_functional, d2_fixture, float_bits, poly_matrix_apply
 
 
 def test_oracle_p_degree_zero_is_one():
@@ -138,19 +138,19 @@ def test_oracle_degree_cap():
 def test_poly_matrix_apply_constant():
     A = fs.Matrix.diagonal([1.0, 2.0])
     v = np.array([3.0, -1.0])
-    assert np.array_equal(fs.poly_matrix_apply(fs.polynomial([1.0]), A, v), v)
+    assert np.array_equal(poly_matrix_apply(fs.polynomial([1.0]), A, v), v)
 
 
 def test_poly_matrix_apply_d2_first_residual():
     A, c = d2_fixture()
     p1 = fs.oracle_p(c, 1)
-    got = fs.poly_matrix_apply(p1, A, [1.0, 1.0])
+    got = poly_matrix_apply(p1, A, [1.0, 1.0])
     assert np.allclose(got, [1.0 / 3.0, -1.0 / 3.0], rtol=1e-14)
 
 
 def test_poly_matrix_apply_diagonal_square():
     A = fs.Matrix.diagonal([1.0, 2.0])
-    got = fs.poly_matrix_apply(fs.polynomial([0.0, 0.0, 1.0]), A, [1.0, 1.0])
+    got = poly_matrix_apply(fs.polynomial([0.0, 0.0, 1.0]), A, [1.0, 1.0])
     assert np.allclose(got, [1.0, 4.0], atol=0)
 
 
@@ -166,7 +166,7 @@ def test_poly_matrix_apply_matches_power_accumulation():
         for cj in coeffs:
             naive += cj * power
             power = a @ power
-        got = fs.poly_matrix_apply(fs.Polynomial(coeffs), A, v)
+        got = poly_matrix_apply(fs.Polynomial(coeffs), A, v)
         assert np.allclose(got, naive, rtol=1e-12, atol=1e-12 * np.linalg.norm(naive))
 
 
@@ -175,7 +175,7 @@ def test_poly_matrix_apply_eigen_identity():
     A = fs.Matrix.diagonal(lams)
     v = np.array([1.0, -2.0, 0.5, 3.0])
     p = fs.polynomial([2.0, -1.0, 0.25, 1.0])
-    got = fs.poly_matrix_apply(p, A, v)
+    got = poly_matrix_apply(p, A, v)
     expected = np.polynomial.polynomial.polyval(lams, p.coeffs) * v
     assert np.allclose(got, expected, rtol=1e-12)
 

@@ -26,6 +26,7 @@ from helpers import (
     expand_a13_multipliers,
     expand_b13_multipliers,
     iterate,
+    poly_matrix_apply,
     power_scalar_products,
     power_window,
     reconstruct_from_relation,
@@ -54,7 +55,7 @@ def test_assemble_matches_functional_on_d3b():
     p_km2 = fs.oracle_p(c, k - 2)
     q_km3 = fs.oracle_p1(c, k - 3)
     q_km2 = fs.oracle_p1(c, k - 2)
-    r_km2, z_km3, z_km2 = (fs.poly_matrix_apply(p, A, ones) for p in (p_km2, q_km3, q_km2))
+    r_km2, z_km3, z_km2 = (poly_matrix_apply(p, A, ones) for p in (p_km2, q_km3, q_km2))
     sp = fs.assemble_scalar_products(window, r_km2, z_km3, z_km2, columns=columns)
     expected = [
         apply_functional(c, p_km2, 0, k - 2 + i) for i in range(4)
@@ -276,7 +277,8 @@ def test_a13_exists_on_d3b():
     _, _, c = d3b_fixture()
     report = fs.fit_relation(fs.A13, c, 5)
     assert report.exists and report.relative_residual < 1e-8
-    assert report.normalization_ok
+    fitted = reconstruct_from_relation(report.multipliers, [fs.oracle_p(c, 3), fs.oracle_p1(c, 2)], 5)
+    assert abs(fitted[0] - 1.0) <= EXISTS_TOL  # the fitted P_5 keeps P_5(0) = 1
     assert report.classification == "exists"
 
 
@@ -412,7 +414,7 @@ def test_fit_report_classification_bands():
     assert report.exists and report.classification == "exists"
     assert EXISTS_TOL < 1e-5 < NONEXISTENCE_TOL < 0.5
     for residual, band in ((0.5, "nonexistent"), (1e-5, "indeterminate")):
-        report = fs.FitReport(fs.A13, 5, ((1.0,),), residual, True)
+        report = fs.FitReport(fs.A13, 5, ((1.0,),), residual)
         assert not report.exists and report.classification == band
     with pytest.raises(ValueError):
-        fs.FitReport(fs.A13, 5, ((1.0,),), -1.0, True)
+        fs.FitReport(fs.A13, 5, ((1.0,),), -1.0)

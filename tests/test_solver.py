@@ -10,7 +10,7 @@ import pytest
 import fopsolve as fs
 from fopsolve import linalg, recurrences, solver
 from fopsolve.cli import build_generator, random_sdd_matrix, ring_spectrum_fixture
-from fopsolve.errors import BootstrapBreakdown, BreakdownError, NumericOverflow, RestartsExhausted
+from fopsolve.errors import BootstrapBreakdown, BreakdownError, DimensionMismatch, NumericOverflow, RestartsExhausted
 from fopsolve.solver import (
     STATUS_BREAKDOWN_EXHAUSTED,
     STATUS_CONVERGED,
@@ -24,6 +24,7 @@ from helpers import (
     float_bits,
     iterate,
     outcome,
+    poly_matrix_apply,
     reference_scalar_products,
     reference_solve_dense,
     within,
@@ -124,8 +125,8 @@ def test_step_matches_oracle_on_d3b():
     A, ones, c = d3b_fixture()
     state = fs.bootstrap(A, ones, np.zeros(8), ones, tol=1e-12)
     state = fs.step(state, A)
-    r5 = fs.poly_matrix_apply(fs.oracle_p(c, 5), A, ones)
-    z5 = fs.poly_matrix_apply(fs.oracle_p1(c, 5), A, ones)
+    r5 = poly_matrix_apply(fs.oracle_p(c, 5), A, ones)
+    z5 = poly_matrix_apply(fs.oracle_p1(c, 5), A, ones)
     scale = np.linalg.norm(ones)
     r_5, x_5, z_5 = iterate(state, 5)
     assert np.linalg.norm(r_5 - r5) <= 1e-8 * scale
@@ -140,8 +141,8 @@ def test_step_oracle_equivalence_deep_degrees():
         scale = np.linalg.norm(r0)
         for state in drive_steps(A, r0, y, tol=1e-14):
             k = state.k - 1
-            rk = fs.poly_matrix_apply(fs.oracle_p(c, k), A, r0)
-            zk = fs.poly_matrix_apply(fs.oracle_p1(c, k), A, r0)
+            rk = poly_matrix_apply(fs.oracle_p(c, k), A, r0)
+            zk = poly_matrix_apply(fs.oracle_p1(c, k), A, r0)
             assert np.linalg.norm(state.r_km1 - rk) <= 1e-8 * scale
             assert np.linalg.norm(state.z_km1 - zk) <= 1e-8 * scale
 
@@ -218,8 +219,8 @@ def test_failed_step_leaves_state_untouched(monkeypatch):
     A, r0, y = ring_spectrum_fixture(12, 2)
     advance = solver._advance
 
-    def overflowing_advance(r, x, z, *vectors, scratch):
-        advance(r, x, z, *vectors, scratch=scratch)
+    def overflowing_advance(r, x, z, *vectors):
+        advance(r, x, z, *vectors)
         x[-1] = np.inf
 
     for module, name, value, error in ((recurrences, "BREAKDOWN_EPS", 0.5, BreakdownError),
@@ -355,7 +356,7 @@ def test_solve_d2():
     A = fs.Matrix.diagonal([1.0, 2.0])
     x, report = fs.solve(A, [1.0, 2.0])
     assert report.status == STATUS_CONVERGED
-    assert max(k for k, _ in report.residual_history) <= 2
+    assert max(k for k, _, ev in report.entries if ev in ("bootstrap", "step")) <= 2
     assert np.allclose(x, [1.0, 1.0], atol=1e-10)
 
 
@@ -493,6 +494,13 @@ def test_solve_ends_on_an_exhausted_budget_after_a_failed_step():
     assert np.isfinite(x).all()
 
 
+@pytest.mark.parametrize("length", [15, 17])
+def test_solve_rejects_an_x0_of_the_wrong_length(length):
+    # solve checks x0 itself, before any product names the matrix instead
+    with pytest.raises(DimensionMismatch, match=f"x0 of length 16 .* got length {length}$"):
+        fs.solve(fs.Matrix.tridiagonal(16), np.ones(16), x0=np.ones(length))
+
+
 def test_solve_converges_at_the_starting_iterate():
     A = fs.Matrix.tridiagonal(30)
     x0 = np.random.default_rng(2).standard_normal(30)
@@ -511,7 +519,7 @@ def test_solve_converged_report_invariant():
     x, report = fs.solve(A, b, config=cfg)
     assert report.status == STATUS_CONVERGED
     assert report.final_relative_residual <= cfg.tol
-    ks = [k for k, _ in report.residual_history]
+    ks = [k for k, _, ev in report.entries if ev in ("bootstrap", "step")]
     assert ks == sorted(ks)
 
 
