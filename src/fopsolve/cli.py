@@ -7,7 +7,8 @@ Two commands:
 
 `solve` writes a JSON report and a CSV residual history; its exit code
 encodes the outcome (0 converged, 1 iteration cap, 2 breakdown budget
-exhausted, 64 usage error, 65 unreadable input or unwritable output).
+exhausted, 64 usage error, a problem too large for memory among them, 65
+unreadable input or unwritable output).
 `verify` fits the five candidate recurrence shapes on twenty seeded
 fixtures and exits 0 iff the existence consensus matches the expected
 dichotomy: A13, A14 and B13 representable, A11 and B11 not; it also
@@ -220,15 +221,18 @@ def cmd_solve(args) -> int:
         raise InputError(f"matrix is {matrix.rows}x{matrix.cols}, solve needs square")
     meta.update({"rows": matrix.rows, "cols": matrix.cols, "nnz": matrix.nnz})
 
-    b = build_rhs(args.rhs, matrix.rows)
     try:
-        config = solver.SolverConfig(
-            tol=args.tol, max_iter=args.max_iter,
-            max_restarts=args.max_restarts, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    x, report = solver.solve(matrix, b, config=config)
+        b = build_rhs(args.rhs, matrix.rows)
+        try:
+            config = solver.SolverConfig(
+                tol=args.tol, max_iter=args.max_iter,
+                max_restarts=args.max_restarts, seed=args.seed,
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        x, report = solver.solve(matrix, b, config=config)
+    except MemoryError as exc:
+        raise UsageError(f"a problem of n = {matrix.rows} needs more memory than is available: {exc}") from exc
 
     doc = {
         "status": report.status,

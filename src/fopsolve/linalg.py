@@ -25,10 +25,8 @@ differently, so each stays one whole-vector BLAS call, and `parallel_map`
 runs independent ones side by side instead. A multithreaded BLAS may
 still split such a sum itself, so results that depend on inner products,
 the solver's among them, are bit-identical only at a fixed BLAS thread
-count. Both hand their work to `_spread`, which cuts it into one run per
-usable CPU and gives all runs but the caller's to a pool of daemon
-helper threads, started on first use and kept for the life of the
-process; a forked child starts its own.
+count. Both hand their work to `_spread` and its pool of helper threads;
+its docstring states what the pool promises.
 """
 from __future__ import annotations
 
@@ -46,6 +44,7 @@ from .errors import DimensionMismatch, SingularSystem
 SOLVE_DENSE_MAX_N = 10
 _PIVOT_RTOL = 1e-13
 BLOCK = 1 << 15  # rows per block of the long-vector kernels: 256 KiB of float64 per operand
+_MAX_DIM = np.iinfo(np.intp).max // 8  # rows of the longest float64 vector numpy can size
 
 
 def as_vector(values) -> np.ndarray:
@@ -65,15 +64,13 @@ class Matrix:
     The diagonal storage `bands` is (main, upper, lower): the constant
     entries at offsets 0, +1 and -1, as read-only 0-d float64 arrays (a
     cheaper numpy operand than a Python float). Duplicate (row, col)
-    triplets are rejected, all values must be finite.
+    triplets are rejected, all values must be finite. Each dimension is
+    at most `_MAX_DIM`, beyond which numpy cannot size a float64 vector.
     Instances are read-only; build new ones instead of mutating.
     """
 
     def __init__(self, shape, dense=None, coo=None, bands=None):
-        rows, cols = int(shape[0]), int(shape[1])
-        if rows < 1 or cols < 1:
-            raise DimensionMismatch(f"invalid shape {shape}")
-        self._shape = (rows, cols)
+        self._shape = _checked_shape(shape)
         self._dense = dense
         self._coo = coo
         self._bands = bands
@@ -92,6 +89,7 @@ class Matrix:
 
     @classmethod
     def from_triplets(cls, shape, triplets: Iterable[tuple[int, int, float]]) -> "Matrix":
+        nr, nc = _checked_shape(shape)
         rows, cols, vals = [], [], []
         for i, j, v in triplets:
             rows.append(int(i))
@@ -100,13 +98,13 @@ class Matrix:
         r = np.asarray(rows, dtype=np.intp)
         c = np.asarray(cols, dtype=np.intp)
         v = np.asarray(vals, dtype=float)
-        nr, nc = int(shape[0]), int(shape[1])
         if r.size and (r.min() < 0 or r.max() >= nr or c.min() < 0 or c.max() >= nc):
             raise DimensionMismatch("triplet index out of range")
         if not np.all(np.isfinite(v)):
             raise ValueError("matrix entries must be finite")
-        keys = r * nc + c
-        if np.unique(keys).size != keys.size:
+        order = np.lexsort((c, r))  # no r * nc + c key: it wraps past 2**63
+        r_sorted, c_sorted = r[order], c[order]
+        if np.any((r_sorted[1:] == r_sorted[:-1]) & (c_sorted[1:] == c_sorted[:-1])):
             raise ValueError("duplicate (row, col) triplets are forbidden")
         for arr in (r, c, v):
             arr.setflags(write=False)
@@ -123,9 +121,6 @@ class Matrix:
     @classmethod
     def tridiagonal(cls, n: int) -> "Matrix":
         """The (-1, 2, -1) stencil of size n, stored as one coefficient per diagonal."""
-        n = int(n)
-        if n < 1:
-            raise DimensionMismatch(f"invalid shape {(n, n)}")
         bands = (np.array(2.0), np.array(-1.0), np.array(-1.0))
         for band in bands:
             band.setflags(write=False)
@@ -224,6 +219,14 @@ class Matrix:
         return np.bincount(c, weights=vals * v[r], minlength=self.cols)
 
 
+def _checked_shape(shape) -> tuple[int, int]:
+    """(rows, cols) as ints; DimensionMismatch unless each is 1 to `_MAX_DIM`."""
+    rows, cols = int(shape[0]), int(shape[1])
+    if not (1 <= rows <= _MAX_DIM and 1 <= cols <= _MAX_DIM):
+        raise DimensionMismatch(f"invalid shape {shape}: each dimension must be 1 to {_MAX_DIM}")
+    return rows, cols
+
+
 def _stencil_rows(y, v, w1, w2, main, b1, b2) -> None:
     """y = main * v + b1 * w1 + b2 * w2, added in that order: the diagonal
     products on the rows that have both neighbours, w1 and w2 holding them."""
@@ -244,15 +247,7 @@ def blockwise(kernel, *args) -> None:
     vectors alone. It then gives each element the same operations in the
     same order on a block as on the whole vectors, so the blocked result is
     bit-identical. A numpy ufunc with its `out` passed positionally, such as
-    `np.divide`, is such a kernel.
-
-    `_spread` cuts the blocks into one contiguous run per usable CPU (at
-    most one per block). The caller works through the first run, the
-    helper threads the others, each under the caller's numpy error
-    settings; every run has finished before this returns or raises, and a
-    failing run's exception is then raised in the caller. `kernel` calls numpy
-    only, never the package's public functions: a profiler that wraps
-    those keeps state that concurrent calls would corrupt.
+    `np.divide`, is such a kernel. `_spread` runs the blocks.
     """
     n = len(args[0])
     if n <= BLOCK:
@@ -271,12 +266,8 @@ def parallel_map(fn, vectors: Sequence[np.ndarray]) -> list:
     CPUs when the vectors are longer than BLOCK rows.
 
     Each call is whole and runs in one thread, so every result is the bits
-    that the serial call gives; `_spread` cuts the calls into runs as it
-    cuts the blocks of `blockwise`. `fn` calls numpy only, runs under the
-    caller's numpy error settings, and must not write what another call
-    reads. A failing call ends its run; every run has finished before this
-    returns or raises, and the exception of the first failing run is then
-    raised in the caller.
+    that the serial call gives; `fn` must not write what another call
+    reads. `_spread` runs the calls, and a failing call ends its run.
     """
     if len(vectors[0]) <= BLOCK:
         return [fn(v) for v in vectors]
@@ -289,13 +280,18 @@ def parallel_map(fn, vectors: Sequence[np.ndarray]) -> list:
     return results
 
 
-# The helper pool, which callers in any thread share under `_lock`: one
-# inbox per daemon helper thread, which works through the runs put there in
-# turn for the life of the process. Helpers start lazily, as many as the
-# widest call of `_spread` so far asks for: at most the usable CPUs less one.
+# The helper pool of `_spread`, shared by callers in any thread under
+# `_lock`: one inbox per daemon helper thread, which works through the runs
+# put there in turn for the life of the process. Helpers start as the widest
+# call so far asks for. A fork waits for any hand-off that holds `_lock`, and
+# the child, which has none of the parent's threads, starts with an empty pool.
+# The hooks are bound methods of the lock and the list, so they keep no
+# function of this module, nor the module, alive.
 _lock = threading.Lock()
 _inboxes: list[queue.SimpleQueue] = []
-_fork_hooked = False
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_lock.acquire, after_in_parent=_lock.release, after_in_child=_lock.release)
+    os.register_at_fork(after_in_child=_inboxes.clear)
 
 
 def _spread(items: range, each) -> None:
@@ -307,21 +303,16 @@ def _spread(items: range, each) -> None:
     (`np.errstate`), which it sets itself: numpy 2 keeps them per context
     and numpy 1 per thread, and neither reaches another thread. Returns once
     every run has finished; the caller's exception is then raised, or else
-    that of the first failing helper run, in run order. `each` must not
-    itself call `_spread`, since it could then wait on its own helper.
+    that of the first failing helper run, in run order. `each` calls numpy
+    only, never the package's public functions (a profiler that wraps those
+    keeps state that concurrent calls would corrupt), and must not itself
+    call `_spread`, since it could then wait on its own helper.
     """
-    global _fork_hooked
     count = min(_usable_cpus(), len(items))
     runs = [items[i * len(items) // count:(i + 1) * len(items) // count] for i in range(count)]
     settings, done = dict(np.geterr(), call=np.geterrcall()), queue.SimpleQueue()
     with _lock:
         while len(_inboxes) < count - 1:
-            # Registered with the first helper, not at import: the hook keeps
-            # this module alive, so a module imported afresh and dropped
-            # again would stay in memory.
-            if not _fork_hooked and hasattr(os, "register_at_fork"):
-                os.register_at_fork(after_in_child=_forget_helpers)
-                _fork_hooked = True
             _inboxes.append(queue.SimpleQueue())
             threading.Thread(target=_serve, args=(_inboxes[-1],), name=f"fopsolve-helper-{len(_inboxes) - 1}",
                              daemon=True).start()
@@ -350,13 +341,6 @@ def _serve(inbox: queue.SimpleQueue) -> None:
         else:
             done.put((index, None))
         del each, settings  # keep nothing of the caller's alive while idle
-
-
-def _forget_helpers() -> None:
-    """Give a forked child an empty pool: the parent's helper threads do not
-    exist there, and its lock may have been held at the fork."""
-    global _lock, _inboxes
-    _lock, _inboxes = threading.Lock(), []
 
 
 def _usable_cpus() -> int:

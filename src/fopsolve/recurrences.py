@@ -299,9 +299,14 @@ def _solve_system(rows, rhs, delta: float, divisor: float | None = None, scale: 
     below the elimination's own floor is a vanishing system too, so
     SingularSystem surfaces as GhostBreakdown; with BREAKDOWN_EPS below
     about 1e-13 the determinant test alone lets such systems through.
+    Entries too large for the test's max|a_ij|^3 are NumericOverflow.
     """
     entries = (*rows[0], *rows[1], *rows[2])
-    if abs(delta) <= BREAKDOWN_EPS * max(max(entries), -min(entries)) ** 3:  # max|a_ij|^3
+    try:
+        cube = max(max(entries), -min(entries)) ** 3  # max|a_ij|^3
+    except OverflowError:  # a float power raises where a product would give inf
+        raise NumericOverflow("max|a_ij|^3 of the coefficient system overflows") from None
+    if abs(delta) <= BREAKDOWN_EPS * cube:
         raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
     if divisor is not None and abs(divisor) <= BREAKDOWN_EPS * scale:
         raise DivisorBreakdown(f"back-substitution divisor {abs(divisor):.3e} underflows")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fopsolve as fs
-from fopsolve import cli
+from fopsolve import cli, solver
 
 
 def run(argv):
@@ -230,6 +230,55 @@ def test_cmd_solve_generator_out_of_memory_is_a_usage_error(monkeypatch, capsys,
     assert "usage error" in err and repr(descriptor) in err and "(1000000, 1000000)" in err
 
 
+def _ones_out_of_memory(n):
+    """np.ones that fails for the one huge right-hand side, as numpy does when
+    an array will not fit; every other call is numpy's own."""
+    if n == 100000000000:
+        _out_of_memory((n,))
+    return _numpy_ones(n)
+
+
+_numpy_ones = np.ones
+HUGE_SIZE_LINE = "100000000000 100000000000 1"
+
+
+@pytest.mark.parametrize("source", ["gen", "file"])
+def test_cmd_solve_right_hand_side_out_of_memory_is_a_usage_error(tmp_path, monkeypatch, capsys, source):
+    # The allocation of b is patched to fail: the test never asks for the memory.
+    monkeypatch.setattr(np, "ones", _ones_out_of_memory)
+    path = tmp_path / "huge.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{HUGE_SIZE_LINE}\n1 1 1.0\n")
+    argv = ["solve", "--gen", "tridiag:100000000000"] if source == "gen" else ["solve", "--matrix", str(path)]
+    assert run(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "n = 100000000000" in err and "(100000000000,)" in err
+
+
+def test_cmd_solve_out_of_memory_in_the_solve_is_a_usage_error(monkeypatch, capsys):
+    def solve(A, b, config):
+        _out_of_memory((7, len(b)))
+
+    monkeypatch.setattr(solver, "solve", solve)
+    assert run(["solve", "--gen", "tridiag:30"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1 and "n = 30" in err
+
+
+@pytest.mark.parametrize("source, code", [
+    ("--gen tridiag:2000000000000000000", cli.EXIT_USAGE),
+    ("--gen tridiag:100000000000000000000", cli.EXIT_USAGE),
+    ("--matrix {path}", cli.EXIT_INPUT),
+], ids=["array-too-big", "dimension-past-int64", "size-line-past-int64"])
+def test_cmd_solve_dimension_numpy_cannot_size_is_rejected(tmp_path, capsys, source, code):
+    # Each is rejected when the matrix is built, before anything is allocated.
+    path = tmp_path / "huge.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 10000000000000000000 1\n1 1 1.0\n")
+    assert run(["solve", *source.format(path=path).split()]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "invalid shape" in err
+
+
 def test_cmd_solve_usage_errors():
     assert run(["solve"]) == cli.EXIT_USAGE
     assert run(["solve", "--gen", "identity:4", "--matrix", "x.mtx"]) == cli.EXIT_USAGE
@@ -302,3 +351,91 @@ def test_cmd_verify_unwritable_report_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "missing" / "verify.json"
     assert run(["verify", "--report", str(path)]) == cli.EXIT_INPUT
     assert str(path) in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Matrix Market fuzz
+# ---------------------------------------------------------------------------
+
+MM_HEADER = "%%MatrixMarket matrix coordinate real general"
+MM_VALID = [MM_HEADER, "% a 3x3 stencil", "3 3 7",
+            "1 1 2.0", "2 2 2.0", "3 3 2.0", "1 2 -1.0", "2 3 -1.0", "2 1 -1.0", "3 2 -1.0"]
+MM_SIZE_AT = 2
+# Sizes stay at 64 or below, or past what numpy can size, so that no case
+# allocates more than a few vectors of 64 rows.
+MM_HUGE = np.iinfo(np.intp).max // 8 + 1
+MM_SIZES = ["1", "2", "3", "4", "64", "0", "-1", "-3", str(MM_HUGE), str(2**63), str(2**64), str(10**30),
+            "3.0", "1e2", "x", "", "0x3", "+3", "3_0"]
+MM_INDICES = ["1", "3", "0", "-1", "4", "65", str(2**63), str(2**64), str(10**30), "1.0", "i", "", "-0"]
+MM_VALUES = ["nan", "NaN", "inf", "-inf", "1e400", "-1e400", "1e308", "-1e-320", "0", "-0.0", "garbage",
+             "1,5", "0x1p3", "1e", "", "1.0.0", "+.5"]
+MM_HEADERS = ["", "%%MatrixMarket", "%%MatrixMarket matrix coordinate real symmetric",
+              "%%MatrixMarket matrix array real general", "%%matrixmarket matrix coordinate real general",
+              "%%MatrixMarket matrix coordinate complex general", "%MatrixMarket matrix coordinate real general",
+              " " + MM_HEADER, MM_HEADER + " extra", "\ufeff" + MM_HEADER, "3 3 7"]
+
+
+def _mutated_matrix_market(rng) -> bytes:
+    """The valid file above with one seeded mutation, as bytes."""
+    lines = list(MM_VALID)
+    kind = int(rng.integers(9))
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    if kind == 0:  # header variant
+        lines[0] = pick(MM_HEADERS)
+    elif kind == 1:  # size-line fields and their count
+        fields, change = lines[MM_SIZE_AT].split(), rng.random()
+        if change < 0.5:
+            fields[int(rng.integers(3))] = pick(MM_SIZES)
+        elif change < 0.8:  # square
+            fields[:2] = [pick(MM_SIZES)] * 2
+        else:
+            fields = fields[:int(rng.integers(3))] if change < 0.9 else fields + [pick(MM_SIZES)]
+        lines[MM_SIZE_AT] = " ".join(fields)
+    elif kind == 2:  # an entry's index
+        at = int(rng.integers(MM_SIZE_AT + 1, len(lines)))
+        fields = lines[at].split()
+        fields[int(rng.integers(2))] = pick(MM_INDICES)
+        lines[at] = " ".join(fields)
+    elif kind == 3:  # an entry's value
+        at = int(rng.integers(MM_SIZE_AT + 1, len(lines)))
+        lines[at] = " ".join(lines[at].split()[:2] + [pick(MM_VALUES)])
+    elif kind == 4:  # an entry dropped, repeated or given a field more or less
+        at = int(rng.integers(MM_SIZE_AT + 1, len(lines)))
+        change = int(rng.integers(4))
+        if change == 0:
+            del lines[at]
+        elif change == 1:
+            lines.insert(at, lines[at])
+        else:
+            fields = lines[at].split()
+            lines[at] = " ".join(fields[:2] if change == 2 else fields + ["1.0"])
+    elif kind == 5:  # blank and comment lines anywhere
+        for _ in range(int(rng.integers(1, 4))):
+            lines.insert(int(rng.integers(len(lines) + 1)), pick(["", "   ", "\t", "%", "% 1 1 9.0", "%%"]))
+    elif kind == 6:  # spacing and line ends
+        lines = [pick([" ", "\t", "  "]).join(line.split()) + pick(["", " ", "\r"]) for line in lines]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if kind == 7:  # bytes that are not UTF-8
+        at = int(rng.integers(len(data) + 1))
+        data = data[:at] + pick([b"\xff", b"\xe9", b"\xc3", b"\x80\x80", b"\xed\xa0\x80"]) + data[at:]
+    elif kind == 8:  # truncated anywhere
+        data = data[:int(rng.integers(len(data) + 1))]
+    return data
+
+
+def test_cmd_solve_matrix_market_fuzz_exits_with_a_readme_code(tmp_path, capsys):
+    rng = np.random.default_rng(19)
+    path = tmp_path / "fuzz.mtx"
+    codes = set()
+    for case in range(400):
+        data = _mutated_matrix_market(rng)
+        path.write_bytes(data)
+        code = run(["solve", "--matrix", str(path), "--max-iter", "5"])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 64, 65), (case, data)
+        assert "Traceback" not in out + err, (case, data)
+        codes.add(code)
+    assert cli.EXIT_INPUT in codes and codes & {0, 1, 2}

@@ -1,3 +1,5 @@
+import gc
+import importlib.util
 import os
 import signal
 import subprocess
@@ -6,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -393,11 +396,13 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
     assert threading.active_count() - before == 2
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_split_calls_run_in_a_forked_child(monkeypatch):
-    # The parent's helper threads do not exist in a forked child. The child
-    # starts its own pool, at most cpus - 1 threads, for a split call and a
-    # blocked solve, and exits 0; a pool carried over would wait forever.
+def _split_calls_in_a_forked_child(monkeypatch, hold_lock: bool) -> None:
+    """Fork after a split call has started the pool's helpers, with another
+    thread holding the pool's lock across the fork if `hold_lock`. The child
+    must find the lock free and the pool empty, start at most cpus - 1
+    helpers of its own for a split call and a blocked solve, get the
+    parent's bits and exit 0; a pool or a held lock carried over would hang
+    it."""
     monkeypatch.setattr(linalg, "BLOCK", 7)
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
 
@@ -408,21 +413,35 @@ def test_split_calls_run_in_a_forked_child(monkeypatch):
     within(60, linalg.blockwise, kernel, rows, out)  # the parent's pool has helpers now
     A, b = fs.Matrix.tridiagonal(30), np.random.default_rng(13).standard_normal(30)
     want_x, want_report = fs.solve(A, b)
+    held = threading.Event()
+
+    def hold():
+        with linalg._lock:  # as a caller handing out its runs does
+            held.set()
+            time.sleep(0.3)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    if hold_lock:
+        holder.start()
+        assert held.wait(60)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # Python 3.12+ warns on fork with threads
         pid = os.fork()
     if pid == 0:  # the child: never return into the test runner
         code = 1
         try:
-            alone = threading.active_count() == 1
+            fresh = threading.active_count() == 1 and not linalg._lock.locked() and linalg._inboxes == []
             out[:] = 0.0
             linalg.blockwise(kernel, rows, out)
             x, report = fs.solve(A, b)
-            ok = (alone and threading.active_count() <= 3 and np.array_equal(out, rows + 1.0)
+            ok = (fresh and threading.active_count() <= 3 and np.array_equal(out, rows + 1.0)
                   and x.tobytes() == want_x.tobytes() and repr(report) == repr(want_report))
             code = 0 if ok else 1
         finally:
             os._exit(code)
+    if hold_lock:
+        holder.join(60)
+        assert not holder.is_alive()
     try:
         status = within(60, os.waitpid, pid, 0)[1]
     except BaseException:
@@ -430,6 +449,30 @@ def test_split_calls_run_in_a_forked_child(monkeypatch):
         os.waitpid(pid, 0)
         raise
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_calls_run_in_a_forked_child(monkeypatch):
+    _split_calls_in_a_forked_child(monkeypatch, hold_lock=False)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fork_waits_for_a_held_pool_lock(monkeypatch):
+    # The fork waits until the other thread releases the lock.
+    _split_calls_in_a_forked_child(monkeypatch, hold_lock=True)
+
+
+def test_fork_hooks_keep_no_module_copy_alive():
+    # The fork hooks are methods of the module's lock and list, not functions
+    # of the module, so a copy of the module that is imported and dropped
+    # again is freed, hooks and all.
+    spec = importlib.util.spec_from_file_location("fopsolve._linalg_copy", linalg.__file__)
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    function = weakref.ref(copy.blockwise)
+    del copy
+    gc.collect()
+    assert function() is None
 
 
 def test_tridiagonal_bands_are_read_only():
@@ -465,6 +508,28 @@ def test_import_leaves_scipy_unloaded():
 def test_matrix_duplicate_triplets_forbidden():
     with pytest.raises(ValueError):
         fs.Matrix.from_triplets((2, 2), [(0, 0, 1.0), (0, 0, 2.0)])
+
+
+def test_matrix_duplicate_triplets_are_found_past_the_int64_key_range():
+    # A key r * cols + c would wrap past 2**63 and call these two a duplicate.
+    far = fs.Matrix.from_triplets((2**40, 2**40), [(2**24, 0, 1.0), (0, 0, 1.0)])
+    assert far.nnz == 2
+    with pytest.raises(ValueError, match="duplicate"):
+        fs.Matrix.from_triplets((2**40, 2**40), [(2**39, 5, 1.0), (0, 0, 1.0), (2**39, 5, 2.0)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: fs.Matrix.tridiagonal(n),
+    lambda n: fs.Matrix.from_triplets((2, n), [(0, 0, 1.0)]),
+    lambda n: fs.Matrix.from_triplets((n, 2), [(0, 0, 1.0)]),
+], ids=["tridiagonal", "triplet-cols", "triplet-rows"])
+def test_matrix_dimensions_numpy_cannot_size_are_rejected(build):
+    # No storage here is as long as a dimension, so nothing large is allocated.
+    largest = np.iinfo(np.intp).max // 8
+    assert build(largest).shape.count(largest) >= 1
+    for n in (largest + 1, 2**63, 10**20):
+        with pytest.raises(DimensionMismatch, match="invalid shape"):
+            build(n)
 
 
 def test_matrix_triplet_index_range():

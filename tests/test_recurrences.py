@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,18 @@ def test_nonfinite_functional_value_is_numeric_overflow(field, bad):
     values = [1.0] * 12
     values[field] = bad
     sp = recurrences._expand(tuple(values), PURE_SHIFT)
+    with pytest.raises(NumericOverflow):
+        fs.a13_coefficients(sp)
+    with pytest.raises(NumericOverflow):
+        fs.b13_coefficients(sp)
+
+
+def test_finite_values_whose_cube_overflows_are_numeric_overflow():
+    # Finite functional values of about 2.6e120: max|a_ij|^3 in the
+    # determinant test overflows, which a Python float power raises as
+    # OverflowError instead of returning inf.
+    sp = recurrences._expand((2.0**400,) * 12, PURE_SHIFT)
+    assert math.isfinite(sp.scale)
     with pytest.raises(NumericOverflow):
         fs.a13_coefficients(sp)
     with pytest.raises(NumericOverflow):
