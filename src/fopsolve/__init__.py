@@ -28,7 +28,6 @@ from .oracle import (
     Polynomial,
     oracle_p,
     oracle_p1,
-    polynomial,
 )
 from .recurrences import (
     A11,

@@ -352,10 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--matrix", help="Matrix Market file (coordinate real general)")
     ps.add_argument("--gen", help="generator descriptor: identity:N | diag:V1,V2,... | tridiag:N | randsdd:N,SEED")
     ps.add_argument("--rhs", default="ones", help="ones | rand:SEED | file:PATH (default: ones)")
-    ps.add_argument("--tol", type=float, default=1e-8)
-    ps.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    ps.add_argument("--max-restarts", type=int, default=5, dest="max_restarts")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--tol", type=float, default=solver.SolverConfig.tol)
+    ps.add_argument("--max-iter", type=int, default=solver.SolverConfig.max_iter, dest="max_iter")
+    ps.add_argument("--max-restarts", type=int, default=solver.SolverConfig.max_restarts, dest="max_restarts")
+    ps.add_argument("--seed", type=int, default=solver.SolverConfig.seed)
     ps.add_argument("--report", help="write the JSON report here")
     ps.add_argument("--history", help="write the CSV residual history here")
     ps.add_argument("--solution", help="write the solution vector here, one value per line")

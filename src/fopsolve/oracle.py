@@ -49,19 +49,6 @@ class Polynomial:
         a.setflags(write=False)
         object.__setattr__(self, "coeffs", a)
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-
-def polynomial(coeffs, family: str | None = None) -> Polynomial:
-    """Build a Polynomial, trimming structurally zero trailing coefficients."""
-    a = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    last = a.size - 1
-    while last > 0 and a[last] == 0.0:
-        last -= 1
-    return Polynomial(a[:last + 1], family)
-
 
 def oracle_p(c: moments.MomentSequence, k: int) -> Polynomial:
     """Solve the k x k moment system for P_k (normalized P_k(0) = 1).

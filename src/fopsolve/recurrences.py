@@ -46,6 +46,7 @@ from .errors import (
 EXISTS_TOL = 1e-8
 NONEXISTENCE_TOL = 1e-3
 BREAKDOWN_EPS = 1e-12  # relative threshold of every A13/B13 breakdown test
+WINDOW = 7  # rows of the left window: v_{k-4}..v_{k+2}
 
 
 class ScalarProducts(NamedTuple):
@@ -211,8 +212,8 @@ def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns, head: int = 0
     vectors, give the c values directly and the c1 values through
     c1(N_j q) = c(x N_j q), on Python floats.
     """
-    if len(window) != 7 or len(columns) != 7:
-        raise DimensionMismatch(f"left window must hold 7 vectors, got {len(window)}")
+    if len(window) != WINDOW or len(columns) != WINDOW:
+        raise DimensionMismatch(f"left window must hold {WINDOW} vectors, got {len(window)}")
     r, z3, z2, cols = ((values[head:] + values[:head]) for values in map(np.ndarray.tolist, (
         *linalg.parallel_map(window.dot, (r_km2, z_km3, z_km2)), columns)))
     c0, (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4), (b5, a5, g5), _ = cols  # j = k-4..k+2

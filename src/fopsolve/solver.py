@@ -55,9 +55,9 @@ from .errors import (
     RestartsExhausted,
     SingularSystem,
 )
+from .recurrences import WINDOW
 
 BOOTSTRAP_DEGREE = 4
-WINDOW = 7  # left vectors v_{k-4}..v_{k+2}
 _LEFT_SEED_TRIES = 1000  # draws of y before `_draw_left_seed` gives up
 
 STATUS_CONVERGED = "Converged"
@@ -73,8 +73,12 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        for name in ("max_iter", "max_restarts", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) or name == "max_iter" and value is None):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.max_restarts < 0:
@@ -126,7 +130,7 @@ class SolveReport:
     final_relative_residual: float
 
 
-def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = 1e-8) -> SolverState:
+def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> SolverState:
     """Set up the iteration by solving the degree 1..4 orthogonality conditions directly.
 
     Builds the Krylov vectors A^i r0 once, and the left window v_1..v_7
@@ -321,13 +325,14 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     return state
 
 
-def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig,
-            cause: str, rng=None) -> SolverState:
+def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig, cause: str, rng) -> SolverState:
     """Answer a breakdown: keep the best iterate, reseed y, bootstrap again.
 
-    Every bootstrap attempt consumes one unit of the restart budget and is
-    recorded on `state` (history entry and cause); a failed attempt,
-    including one whose seed draw overflows, names its cause to the next.
+    The left seeds come from `rng`, the run's generator, which `solve`
+    builds once from `config.seed`. Every bootstrap attempt consumes one
+    unit of the restart budget and is recorded on `state` (history entry
+    and cause); a failed attempt, including one whose seed draw
+    overflows, names its cause to the next.
     When the budget runs out, or after the first attempt whose Krylov
     vectors overflow (KrylovOverflow), which no other seed changes, the
     failure that ends the run is recorded as an `exhausted:<cause>`
@@ -336,9 +341,6 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig,
     on to the fresh bootstrap state, history append-only.
     """
     bv = linalg.as_vector(b)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-
     fresh = None
     k_at_failure = state.k
     while fresh is None and state.restarts < config.max_restarts:
@@ -428,7 +430,8 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
 
 
 def _draw_left_seed(rng, A, b, x0) -> np.ndarray:
-    """Unit-normal y, rejected while nearly orthogonal to the current residual.
+    """Unit-normal y, rejected while nearly orthogonal to the current residual
+    (a zero residual takes the first draw).
 
     Raises KrylovOverflow when that residual is not finite.
     """
@@ -438,8 +441,6 @@ def _draw_left_seed(rng, A, b, x0) -> np.ndarray:
         raise KrylovOverflow("residual of the starting iterate overflowed")
     for _ in range(_LEFT_SEED_TRIES):
         y = rng.standard_normal(len(b))
-        if r0n == 0.0:
-            return y
         if abs(float(y @ r0)) >= 1e-10 * float(np.linalg.norm(y)) * r0n:
             return y
     raise RuntimeError("could not draw a usable left seed")

@@ -70,6 +70,15 @@ def power_window(A, y, k):
     return np.array(us[k - 4:k + 3]), np.array(PURE_SHIFT[:1] * 7)
 
 
+def polynomial(coeffs, family=None):
+    """A Polynomial of `coeffs`, its zero trailing coefficients trimmed."""
+    a = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    last = a.size - 1
+    while last > 0 and a[last] == 0.0:
+        last -= 1
+    return fs.Polynomial(a[:last + 1], family)
+
+
 def poly_matrix_apply(p, A, v):
     """Evaluate p(A) v by Horner iteration: degree(p) matvecs."""
     vec = fs.as_vector(v)

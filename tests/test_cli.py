@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fopsolve as fs
-from fopsolve import cli, solver
+from fopsolve import cli, recurrences, solver
 
 
 def run(argv):
@@ -299,6 +299,27 @@ def test_cmd_solve_negative_seeds_are_usage_errors(capsys, argv):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "1e400"])
+def test_cmd_solve_nonfinite_tol_is_a_usage_error(capsys, tol):
+    assert run(["solve", "--gen", "tridiag:12", "--tol", tol]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cmd_solve_report_is_strict_json(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run(["solve", "--gen", "tridiag:12", "--report", str(report)]) == cli.EXIT_CONVERGED
+    printed = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert json.loads(report.read_text(), parse_constant=_no_constant) == printed
+    assert printed["config"] == {"tol": 1e-8, "max_iter": None, "max_restarts": 5,
+                                 "breakdown_eps": 1e-12, "seed": 0}
+
+
 @pytest.mark.parametrize("flag", ["--report", "--history", "--solution"])
 def test_cmd_solve_unwritable_output_is_an_input_error(tmp_path, capsys, flag):
     path = tmp_path / "missing" / "out"
@@ -345,6 +366,26 @@ def test_verify_json_round_trip(tmp_path):
     text = report.read_text().rstrip("\n")
     doc = json.loads(text)
     assert json.dumps(doc, sort_keys=True, indent=2) == text
+
+
+def test_cmd_verify_without_report_prints_the_json_after_the_table(capsys):
+    assert run(["verify"]) == 0
+    table, _, text = capsys.readouterr().out.partition("all_ok: True\n")
+    assert table.startswith("form ") and len(table.splitlines()) == 1 + len(recurrences.FORMS)
+    assert text == json.dumps(cli.run_verification(), sort_keys=True, indent=2) + "\n"
+
+
+def test_run_verification_with_every_form_skipped():
+    # The Hankel systems of 4 x 4 fixtures are singular by degree 5, so every
+    # fit is skipped and no form reaches a consensus.
+    doc = cli.run_verification(seeds=2, n=4)
+    assert doc["fixtures"] == {"count": 2, "n": 4, "degree": cli.VERIFY_DEGREE}
+    assert [row["form"] for row in doc["forms"]] == sorted(recurrences.FORMS)
+    for row in doc["forms"]:
+        assert row == {"form": row["form"], "runs": 0, "skipped": 2, "exists_consensus": None,
+                       "median_residual": None, "expected_exists": cli.VERIFY_EXPECTED[row["form"]], "ok": False}
+    assert doc["all_ok"] is False
+    assert json.loads(json.dumps(doc, sort_keys=True, indent=2), parse_constant=_no_constant) == doc
 
 
 def test_cmd_verify_unwritable_report_is_an_input_error(tmp_path, capsys):

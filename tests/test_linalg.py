@@ -1,5 +1,6 @@
 import gc
 import importlib.util
+import math
 import os
 import signal
 import subprocess
@@ -352,13 +353,13 @@ def test_parallel_map_runs_every_call_under_the_callers_error_settings(monkeypat
 
 def test_concurrent_callers_share_the_pool(monkeypatch):
     # Three callers, released together, each run a split blockwise and a
-    # parallel_map on one pool at once; every block and call pauses, so the
-    # callers' runs overlap in the helpers. Each caller gets the bits of its
-    # serial calls, and the pool, fresh for this test, grows to the two
-    # helpers that one caller asks for.
+    # parallel_map on the module's pool at once; every block and call
+    # pauses, so the callers' runs overlap in the helpers. Each caller gets
+    # the bits of its serial calls, and the pool grows to the two helpers
+    # that one caller asks for, unless earlier calls left it that large:
+    # concurrent callers start no helper of their own.
     monkeypatch.setattr(linalg, "BLOCK", 7)
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(linalg, "_inboxes", [])
     rng = np.random.default_rng(12)
     window = rng.standard_normal((7, 40)) * 10.0 ** rng.integers(-8, 9, (7, 40))
     rows = [rng.standard_normal(50) * 10.0 ** rng.integers(-8, 9, 50) for _ in range(3)]
@@ -389,11 +390,11 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
         for thread in threads:
             thread.join()
 
-    before = threading.active_count()
+    helpers, threads = len(linalg._inboxes), threading.active_count()
     within(60, callers)
     assert [got.get(k) for k in range(3)] == want
-    assert len(linalg._inboxes) == 2
-    assert threading.active_count() - before == 2
+    assert len(linalg._inboxes) == max(helpers, 2)
+    assert threading.active_count() - threads == len(linalg._inboxes) - helpers
 
 
 def _split_calls_in_a_forked_child(monkeypatch, hold_lock: bool) -> None:
@@ -657,6 +658,14 @@ def test_solve_dense_back_substitution_fuses_each_multiply_add():
         rows = [[1.0, a1, a2, a3], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
         assert fs.solve_dense(rows, [r, x1, x2, x3])[0] == r - dot
     assert fused_differs > 0
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (1e300, 1e300, 1.0), (1e308, 10.0, -1e308), (-1e200, 1e200, 1e-300), (math.nan, 1.0, 2.0),
+    (1.0, math.inf, 2.0), (2.0, 3.0, math.nan), (math.inf, 1.0, -math.inf), (0.5, -math.inf, math.inf),
+])
+def test_fma_of_an_overflowing_or_nonfinite_operand_is_the_unfused_result(a, b, c):
+    assert float_bits(linalg._fma(a, b, c)) == float_bits(a * b + c)
 
 
 @pytest.mark.parametrize("rows, index", [

@@ -4,7 +4,7 @@ import pytest
 import fopsolve as fs
 from fopsolve.errors import DimensionMismatch, MomentRangeExceeded
 
-from helpers import apply_functional, d2_fixture
+from helpers import apply_functional, d2_fixture, polynomial
 
 
 def test_identity_matrix_moments_all_equal():
@@ -45,7 +45,7 @@ def test_compute_moments_dimension_checks():
 
 def test_apply_functional_d2_values():
     _, c = d2_fixture()
-    one = fs.polynomial([1.0])
+    one = polynomial([1.0])
     assert apply_functional(c, one) == 2.0
     assert apply_functional(c, one, shift=1) == 3.0
     p1 = fs.oracle_p(c, 1)

@@ -301,7 +301,7 @@ def test_restart_budget_exhaustion():
     b = np.ones(3)
     state = SolverState(k=5, best_x=np.zeros(3), best_resnorm=1.0, restart_causes=["True", "Ghost"])
     with pytest.raises(RestartsExhausted):
-        fs.restart(state, A, b, fs.SolverConfig(max_restarts=2), cause="Ghost")
+        fs.restart(state, A, b, fs.SolverConfig(max_restarts=2), cause="Ghost", rng=np.random.default_rng(0))
     assert state.restarts == 2
     assert state.history == [(5, 1.0, "exhausted:Ghost")]
 
@@ -311,9 +311,17 @@ def test_restart_keeps_the_older_best_iterate():
     b = np.ones(30)
     best_x = np.zeros(30)
     state = SolverState(k=12, best_x=best_x, best_resnorm=1e-6)
-    out = fs.restart(state, A, b, fs.SolverConfig(), cause="Ghost")
+    out = fs.restart(state, A, b, fs.SolverConfig(), cause="Ghost", rng=np.random.default_rng(0))
     assert out is not state and out.restart_causes == ["Ghost"]
     assert out.best_x is best_x and out.best_resnorm == 1e-6
+
+
+def test_left_seed_of_a_zero_residual_is_the_first_draw():
+    A = fs.Matrix.tridiagonal(6)
+    x = np.arange(1.0, 7.0)
+    b = fs.matvec(A, x)
+    y = _draw_left_seed(np.random.default_rng(4), A, b, x)
+    assert y.tobytes() == np.random.default_rng(4).standard_normal(6).tobytes()
 
 
 def test_left_seed_rejection_rule():
@@ -640,3 +648,21 @@ def test_solver_config_validation():
         fs.SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         fs.SolverConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", math.inf), ("tol", math.nan), ("tol", -math.inf),
+    ("seed", 1.5), ("seed", None), ("seed", 2.0), ("max_iter", 2.5), ("max_iter", math.inf),
+    ("max_restarts", math.inf), ("max_restarts", None), ("max_restarts", 3.0),
+])
+def test_solver_config_rejects_what_solve_cannot_honour(field, value):
+    with pytest.raises(ValueError, match=field):
+        fs.SolverConfig(**{field: value})
+
+
+def test_solver_config_accepts_numpy_integers():
+    A, b = fs.Matrix.tridiagonal(12), np.ones(12)
+    _, report = fs.solve(A, b, config=fs.SolverConfig(max_iter=np.int32(40), max_restarts=np.uint8(2),
+                                                      seed=np.int64(3)))
+    _, want = fs.solve(A, b, config=fs.SolverConfig(max_iter=40, max_restarts=2, seed=3))
+    assert repr(report) == repr(want)
