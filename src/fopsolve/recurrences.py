@@ -69,16 +69,19 @@ class ScalarProducts(NamedTuple):
     (c(N_j P_{k-2}) for j < k-2, c1(N_j P1_m) for j < m) are set to zero;
     N_{k-5} enters as zero. The rows are tuples of Python floats, expanded
     with unrolled arithmetic by `_expand`. `scale` is the largest magnitude
-    among them, or inf when one is not finite.
+    among them, or inf when one is not finite. `next_z3` holds the window
+    products (v_j, z_{k-2}), j = k-3..k+2, as Python floats (empty when not
+    taken): the next step's products with its z_{k-3}.
     """
 
     values: tuple
     columns: tuple
     rows: tuple
     scale: float
+    next_z3: tuple = ()
 
 
-def _expand(values: tuple, columns: tuple) -> ScalarProducts:
+def _expand(values: tuple, columns: tuple, next_z3: tuple = ()) -> ScalarProducts:
     """The record of the twelve `values` and the `columns` of j = k-4..k,
     with the rows and the scale they expand to."""
     pv2, pv3, pv4, pv5, qv1, qv2, qv3, qv4, sv2, sv3, sv4, sv5 = values  # pvi, qvi, svi: against N_{k-4+i}
@@ -91,7 +94,7 @@ def _expand(values: tuple, columns: tuple) -> ScalarProducts:
     flat = (*p0, *p1, *p2, *q0, *q1, *s0, *s1, *s2)
     total = sum(flat)  # NaN when an entry is NaN; an infinite entry makes max or -min infinite
     return ScalarProducts(values, columns, (p0, p1, p2, q0, q1, s0, s1, s2),
-                          math.inf if total != total else max(max(flat), -min(flat)))
+                          math.inf if total != total else max(max(flat), -min(flat)), next_z3)
 
 
 def _times_x_twice(columns, v2: float, v3: float, v4: float, v5: float) -> tuple:
@@ -201,21 +204,28 @@ class FitReport:
         return "indeterminate"
 
 
-def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns, head: int = 0) -> ScalarProducts:
+def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns, head: int = 0,
+                             z3_products: tuple = ()) -> ScalarProducts:
     """Form the twelve functional values from a left window; no matvecs happen here.
 
     `window` is a (7, n) array holding v_{k-4}..v_{k+2} cyclically from
     row `head` on, and row s of the (7, 3) `columns` holds (beta_j,
     alpha_j, gamma_j) of the v_j in row s (the newest row's is unused).
-    The 21 products of the window with r_{k-2}, z_{k-3} and z_{k-2}, three
-    whole gemv calls that `linalg.parallel_map` runs side by side on long
-    vectors, give the c values directly and the c1 values through
-    c1(N_j q) = c(x N_j q), on Python floats.
+    The products of the window with r_{k-2}, z_{k-3} and z_{k-2}, one whole
+    gemv each, give the c values directly and the c1 values through
+    c1(N_j q) = c(x N_j q), on Python floats. `z3_products`, when given,
+    holds the products (v_j, z_{k-3}), j = k-4..k+1, that the step before
+    took as its `next_z3`; only the r_{k-2} and z_{k-2} gemvs are then
+    taken. On long vectors `linalg.parallel_map` runs the gemvs side by
+    side. OpenBLAS's gemv rounds a row's product by the row's position,
+    not by the other rows' contents, so products kept while their rows
+    stay in place are the bits of fresh ones.
     """
     if len(window) != WINDOW or len(columns) != WINDOW:
         raise DimensionMismatch(f"left window must hold {WINDOW} vectors, got {len(window)}")
-    r, z3, z2, cols = ((values[head:] + values[:head]) for values in map(np.ndarray.tolist, (
-        *linalg.parallel_map(window.dot, (r_km2, z_km3, z_km2)), columns)))
+    r, z2, *z3, cols = ((values[head:] + values[:head]) for values in map(np.ndarray.tolist, (
+        *linalg.parallel_map(window.dot, (r_km2, z_km2) if z3_products else (r_km2, z_km2, z_km3)), columns)))
+    z3 = z3_products or z3[0]
     c0, (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4), (b5, a5, g5), _ = cols  # j = k-4..k+2
     # c1(N_j q) = c(x N_j q) = beta_j c(N_{j-1} q) + alpha_j c(N_j q) + gamma_j c(N_{j+1} q)
     return _expand((*r[2:6],
@@ -223,7 +233,7 @@ def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns, head: int = 0
                     b3 * z3[2] + a3 * z3[3] + g3 * z3[4], b4 * z3[3] + a4 * z3[4] + g4 * z3[5],
                     b2 * z2[1] + a2 * z2[2] + g2 * z2[3], b3 * z2[2] + a3 * z2[3] + g3 * z2[4],
                     b4 * z2[3] + a4 * z2[4] + g4 * z2[5], b5 * z2[4] + a5 * z2[5] + g5 * z2[6]),
-                   (tuple(c0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4)))
+                   (tuple(c0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4)), tuple(z2[1:]))
 
 
 def a13_coefficients(sp: ScalarProducts) -> A13Coeffs:
@@ -300,13 +310,16 @@ def _solve_system(rows, rhs, delta: float, divisor: float | None = None, scale: 
     below the elimination's own floor is a vanishing system too, so
     SingularSystem surfaces as GhostBreakdown; with BREAKDOWN_EPS below
     about 1e-13 the determinant test alone lets such systems through.
-    Entries too large for the test's max|a_ij|^3 are NumericOverflow.
+    Entries too large for the test's max|a_ij|^3 and a right-hand side
+    that overflowed are NumericOverflow, raised before any breakdown test.
     """
     entries = (*rows[0], *rows[1], *rows[2])
     try:
         cube = max(max(entries), -min(entries)) ** 3  # max|a_ij|^3
     except OverflowError:  # a float power raises where a product would give inf
         raise NumericOverflow("max|a_ij|^3 of the coefficient system overflows") from None
+    if not all(map(math.isfinite, rhs)):  # finite entries, yet -p2[i] - e_k * q1[i] can overflow
+        raise NumericOverflow("right-hand side of the coefficient system overflows")
     if abs(delta) <= BREAKDOWN_EPS * cube:
         raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
     if divisor is not None and abs(divisor) <= BREAKDOWN_EPS * scale:

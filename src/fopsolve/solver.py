@@ -34,9 +34,12 @@ runs one block of rows at a time, the blocks split across the usable
 CPUs. Each element sees the same operations in the same order, so
 iterates and reports are bit-identical at any block size and CPU count,
 at a fixed BLAS thread count. Inner products stay whole-vector BLAS
-calls, which a multithreaded BLAS may split and round differently; on
-long vectors `linalg.parallel_map` runs a step's three window products
-side by side, each the same BLAS call as alone.
+calls, which a multithreaded BLAS may split and round differently. Each
+is taken once: a step keeps its window products with z_{k-2} for the
+next step, which reads the window twice, not three times. On long
+vectors `linalg.parallel_map` runs a step's window products, and the
+bootstrap's Gram products, side by side, each the same BLAS call as
+alone.
 """
 from __future__ import annotations
 
@@ -96,8 +99,10 @@ class SolverState:
     `z[j % 4]` (None until filled). The left vectors v_{k-4}..v_{k+2} sit
     in the (7, n) `u_window` cyclically from row (k - 5) % 7 on; row s of
     the (7, 3) `u_columns` holds (beta_j, alpha_j, gamma_j) of the v_j in
-    row s (the newest row's is not yet known). `step` advances the state
-    in place. `history` is append-only across restarts, and `iterations`
+    row s (the newest row's is not yet known). `z3_products` holds the
+    products (v_j, z_{k-3}), j = k-4..k+1, that the step before took with
+    its z_{k-2}, or is empty, as after a bootstrap. `step` advances the
+    state in place. `history` is append-only across restarts, and `iterations`
     counts its bootstrap and step entries of degree k >= 1. `best_x`,
     the iterate of least residual norm, is the solution once `converged`.
     """
@@ -108,6 +113,7 @@ class SolverState:
     z: list | None = None
     u_window: np.ndarray | None = None
     u_columns: np.ndarray | None = None
+    z3_products: tuple = ()
     history: list = field(default_factory=list)
     iterations: int = 0
     best_x: np.ndarray | None = None
@@ -140,8 +146,11 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     applied to the Krylov vectors; r_j, z_j and x_j are linear
     combinations of them (no further matvecs), formed block by block on
     long vectors, into the state's slots (z_1, which no step reads, is
-    not formed). Early convergence (some ||r_j|| <= tol * ||b||)
-    short-circuits; a singular degree-j system raises BootstrapBreakdown(j).
+    not formed). The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one
+    call per Krylov vector, side by side on long vectors. The state's
+    `z3_products` is left empty. Early convergence (some ||r_j|| <= tol *
+    ||b||) short-circuits; a singular degree-j system raises
+    BootstrapBreakdown(j).
     """
     bv = linalg.as_vector(b)
     x0v = linalg.as_vector(x0)
@@ -160,15 +169,17 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
         state.converged = True
         return state
 
-    powers = moments.krylov_vectors(A, r0, 2 * BOOTSTRAP_DEGREE + 1)
+    # A^0..A^4 r0 are read; A^5..A^9 r0 only keep the 10 + 7 product contract, so none is kept.
+    powers = moments.krylov_vectors(A, r0, 2 * BOOTSTRAP_DEGREE + 1)[:BOOTSTRAP_DEGREE + 1]
     n = len(bv)
     window = np.empty((WINDOW, n))
     left = [yv / np.linalg.norm(yv), *window]  # v_0..v_7, the window rows as views
     recurrence = [_extend_left(A, left[j - 1] if j else None, left[j], left[j + 1]) for j in range(WINDOW)]
     columns = np.zeros((WINDOW, 3))
     columns[:-1] = recurrence[1:]  # row s holds the column of v_{s+1}
-    # c(N_m x^i) = (v_m, A^i r0) and c1(N_m x^i) = (A^T v_m, A^i r0), m = 0..3
-    gram = np.array([[float(v @ p) for p in powers[:BOOTSTRAP_DEGREE + 1]] for v in left[:BOOTSTRAP_DEGREE + 1]])
+    # c(N_m x^i) = (v_m, A^i r0) and c1(N_m x^i) = (A^T v_m, A^i r0), m = 0..3. `v.dot(p)`, not
+    # `v @ p`, which holds the GIL on two vectors and so would run the calls one after another.
+    gram = np.array([*zip(*linalg.parallel_map(lambda p: [float(v.dot(p)) for v in left[:len(powers)]], powers))])
     shifted = np.array([beta * (gram[m - 1] if m else 0.0) + alpha * gram[m] + gamma * gram[m + 1]
                         for m, (beta, alpha, gamma) in enumerate(recurrence[:BOOTSTRAP_DEGREE])])
 
@@ -281,8 +292,11 @@ def _advance(r, x, z, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb):
 def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     """Advance one degree in place: new r, x, z and one new left vector.
 
-    Exactly 6 applications of A plus 1 of A^T. All six products come
-    first; r_k, x_k and z_k are then formed together, block by block on
+    Exactly 6 applications of A plus 1 of A^T. The window products come
+    first, two gemvs when `state.z3_products` holds the step before's
+    products with this step's z_{k-3}, three after a bootstrap; they are
+    kept in `z3_products` for the next step. All six matrix products come
+    next; r_k, x_k and z_k are then formed together, block by block on
     long vectors, the blocks split across the usable CPUs, over r_{k-3},
     x_{k-3} and z_{k-4}; a slot still empty or holding `best_x` gets a
     new vector. Returns `state` itself. Breakdowns from the coefficient
@@ -295,7 +309,8 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
         raise ValueError("state is not positioned for recurrence steps")
     r2, x2, z3, z2 = state.r[(k - 2) % 3], state.x[(k - 2) % 3], state.z[(k - 3) % 4], state.z[(k - 2) % 4]
     head = (k - 5) % WINDOW  # the row of v_{k-4}
-    sp = recurrences.assemble_scalar_products(state.u_window, r2, z3, z2, columns=state.u_columns, head=head)
+    sp = recurrences.assemble_scalar_products(state.u_window, r2, z3, z2, columns=state.u_columns, head=head,
+                                              z3_products=state.z3_products)
     ca = recurrences.a13_coefficients(sp)
     cb = recurrences.b13_coefficients(sp)
 
@@ -320,6 +335,7 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     state.iterations += 1
     state.k = k + 1
     state.r[k % 3], state.x[k % 3], state.z[k % 4] = r_k, x_k, z_k
+    state.z3_products = sp.next_z3
     if rn < state.best_resnorm:
         state.best_resnorm, state.best_x = rn, x_k
     return state
@@ -405,6 +421,7 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
             r0n = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
             state = SolverState(k=0, best_x=x0v.copy(), best_resnorm=r0n, history=[(0, r0n, "bootstrap")])
             cause = exc.cause
+        y = x0v = None  # neither is read again; at n = 1e6 they hold 16 MB
 
         while True:
             if cause is not None:

@@ -16,6 +16,7 @@ from fopsolve.errors import (
     DivisorBreakdown,
     GhostBreakdown,
     NormalizationBreakdown,
+    NumericOverflow,
     SingularSystem,
     TrueBreakdown,
 )
@@ -173,8 +174,9 @@ def reconstruct_from_relation(blocks, bases, k):
 # ---------------------------------------------------------------------------
 # Reference coefficient path: a verbatim copy of the list-based expansion
 # (`_times_x`), `_solve_system` and `solve_dense` that the flat-float
-# implementation in `fopsolve` replaced. The bit-equality tests compare the
-# two on random windows, random systems and along seeded solves.
+# implementation in `fopsolve` replaced, plus the later rule that an
+# overflowed right-hand side is NumericOverflow. The bit-equality tests
+# compare the two on random windows, random systems and along seeded solves.
 # ---------------------------------------------------------------------------
 
 def reference_scalar_products(window, r_km2, z_km3, z_km2, columns, head=0):
@@ -252,6 +254,8 @@ def _reference_step_scale(sp, eps: float) -> float:
 
 def _reference_solve_system(rows, rhs, delta: float, eps: float,
                             divisor: float | None = None, scale: float = 0.0) -> list[float]:
+    if not all(map(math.isfinite, rhs)):
+        raise NumericOverflow("right-hand side of the coefficient system overflows")
     if abs(delta) <= eps * max(map(abs, itertools.chain.from_iterable(rows))) ** 3:
         raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
     if divisor is not None and abs(divisor) <= eps * scale:

@@ -158,6 +158,35 @@ def test_finite_values_whose_cube_overflows_are_numeric_overflow():
         fs.b13_coefficients(sp)
 
 
+def _rows_with_an_overflowing_right_hand_side(p0, p1, q0, s0, s1):
+    """Hand-built rows, every entry finite, whose first 3x3 right-hand side
+    entry overflows in both recurrences: c(N_(k-4) x^2 P_(k-2)) and
+    c1(N_(k-4) x^2 P1_(k-2)) are 1e298 against a shared denominator of
+    1e297, so E_k = C_k = -10, times c1(N_(k-3) x P1_(k-3)) = 1e308."""
+    x2 = (1e298, 1.0, 1.0, 1.0)
+    q1 = (1e297, 1e308, 1.0, 1.0)
+    rows = (p0, p1, x2, q0, q1, s0, s1, x2)
+    return recurrences.ScalarProducts((), (), rows, max(map(abs, sum(rows, ()))))
+
+
+def test_an_overflowing_right_hand_side_is_numeric_overflow():
+    # Each 3x3 system is nonsingular with O(1) entries, and only -p2[1] -
+    # e_k * q1[1] (A13) or -s2[1] - c_k * q1[1] (B13) is not finite. A13
+    # used to reach solve_dense, whose ValueError escaped `solve`; B13's
+    # back-substitution divisors underflow that scale, so it used to read
+    # DivisorBreakdown. A non-finite value is NumericOverflow first.
+    a13 = _rows_with_an_overflowing_right_hand_side(  # rows (p1[i], p0[i], q0[i]) = identity
+        p0=(0.0, 0.0, 1.0, 0.0), p1=(0.0, 1.0, 0.0, 0.0), q0=(0.0, 0.0, 0.0, 1.0),
+        s0=(0.0,) * 4, s1=(0.0,) * 4)
+    b13 = _rows_with_an_overflowing_right_hand_side(  # rows (q0[i], s1[i], s0[i]) = unit upper bidiagonal
+        p0=(0.0,) * 4, p1=(0.0,) * 4, q0=(0.0, 1.0, 0.0, 0.0),
+        s0=(0.0, 0.0, 1.0, 1.0), s1=(0.0, 1.0, 1.0, 0.0))
+    for sp, coefficients in ((a13, fs.a13_coefficients), (b13, fs.b13_coefficients)):
+        assert sp.scale == 1e308
+        with pytest.raises(NumericOverflow, match="right-hand side"):
+            coefficients(sp)
+
+
 # ---------------------------------------------------------------------------
 # closed-form coefficients vs the fitted certificate
 # ---------------------------------------------------------------------------

@@ -274,6 +274,40 @@ def test_steps_write_over_their_slots_in_place():
     assert replaced == [11]
 
 
+def _count_parallel_map_calls(monkeypatch) -> list:
+    """Patch `linalg.parallel_map` to record how many calls each use of it
+    makes; returns the record."""
+    calls, parallel_map = [], linalg.parallel_map
+
+    def counted(fn, vectors):
+        calls.append(len(vectors))
+        return parallel_map(fn, vectors)
+
+    monkeypatch.setattr(linalg, "parallel_map", counted)
+    return calls
+
+
+def test_a_step_keeps_its_window_products_for_the_next(monkeypatch):
+    # A bootstrap or a restart leaves no kept products, so the first step
+    # after either takes three window gemvs and each later step two. The
+    # kept products are the bits of fresh ones: the next step's z_{k-3}
+    # against its v_{k-4}..v_{k+1}, rows that stayed in place.
+    A, r0, y = ring_spectrum_fixture(40, 3)
+    calls = _count_parallel_map_calls(monkeypatch)
+    state = fs.bootstrap(A, r0, np.zeros(A.rows), y, tol=1e-14)
+    assert state.z3_products == ()
+    for steps in (4, 2):
+        for _ in range(steps):
+            fs.step(state, A)
+            k, head = state.k, (state.k - 5) % recurrences.WINDOW
+            fresh = state.u_window.dot(state.z[(k - 3) % 4]).tolist()
+            assert float_bits(state.z3_products) == float_bits((fresh[head:] + fresh[:head])[:6])
+        if steps == 4:
+            state = fs.restart(state, A, r0, fs.SolverConfig(tol=1e-14), cause="Ghost", rng=np.random.default_rng(0))
+            assert state.z3_products == ()
+    assert calls == [5, 3, 2, 2, 2, 5, 3, 2]  # each bootstrap's Gram: one call per Krylov vector
+
+
 # ---------------------------------------------------------------------------
 # restart
 # ---------------------------------------------------------------------------
@@ -468,8 +502,8 @@ def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, mon
     b = np.random.default_rng(8).standard_normal(A.rows)
     assemble, solve_dense, steps, solves = recurrences.assemble_scalar_products, linalg.solve_dense, [], []
 
-    def checked_assemble(window, r_km2, z_km3, z_km2, columns, head=0):
-        sp = assemble(window, r_km2, z_km3, z_km2, columns=columns, head=head)
+    def checked_assemble(window, r_km2, z_km3, z_km2, columns, head=0, z3_products=()):
+        sp = assemble(window, r_km2, z_km3, z_km2, columns=columns, head=head, z3_products=z3_products)
         steps.append(assert_same_coefficient_path(sp, reference_scalar_products(window, r_km2, z_km3, z_km2,
                                                                                 columns, head)))
         return sp
@@ -576,6 +610,25 @@ def _solve_records(problems):
     return [(x.tobytes(), repr(report)) for x, report in (fs.solve(A, b, config=cfg) for A, b, cfg in problems)]
 
 
+def _step_taking_every_window_product(state, A, step=solver.step):
+    """`solver.step` with the products kept by the step before dropped, so
+    that it takes all three window gemvs."""
+    state.z3_products = ()
+    return step(state, A)
+
+
+def _fresh_window_records(monkeypatch, problems):
+    """`_solve_records` of solves whose steps take every window product."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "step", _step_taking_every_window_product)
+        return _solve_records(problems)
+
+
+def test_kept_window_products_give_the_bits_of_fresh_ones(monkeypatch):
+    problems = _desk_and_restart_long_problems()
+    assert _solve_records(problems) == _fresh_window_records(monkeypatch, problems)
+
+
 @pytest.mark.parametrize("block", [7, 16])
 def test_blocked_step_and_bootstrap_are_bit_identical(monkeypatch, block):
     # A tiny BLOCK drives the blocked products, step, projections and
@@ -583,9 +636,10 @@ def test_blocked_step_and_bootstrap_are_bit_identical(monkeypatch, block):
     # split into one run, one per core here and more runs than cores, with
     # the interpreter switching threads every microsecond: each run writes
     # only its own rows, and the helper pool grows to at most four threads
-    # and then keeps them.
+    # and then keeps them. The reference is whole-vector solves whose steps
+    # take every window product fresh.
     problems = _desk_and_restart_long_problems()
-    want = _solve_records(problems)
+    want = _fresh_window_records(monkeypatch, problems)
     assert sum(cfg.max_iter == 400 for _, _, cfg in problems) == 1
     assert "restart:" in want[-1][1]
     monkeypatch.setattr(linalg, "BLOCK", block)
@@ -602,6 +656,50 @@ def test_blocked_step_and_bootstrap_are_bit_identical(monkeypatch, block):
         sys.setswitchinterval(interval)
     assert pooled - before <= 4
     assert threading.active_count() == pooled
+
+
+def _bootstrap_record(A, r0, y):
+    state = fs.bootstrap(A, r0, np.zeros(A.rows), y)
+    vectors = [v for v in (*state.r, *state.x, *state.z) if v is not None]
+    return state.history, [v.tobytes() for v in (*vectors, state.u_window, state.u_columns)]
+
+
+@pytest.mark.parametrize("cpus", [2, 5])
+def test_side_by_side_bootstrap_gives_the_serial_grams_bits(monkeypatch, cpus):
+    # Past BLOCK rows the 25 Gram products run one call per Krylov vector
+    # on the helper pool; every vector and coefficient the Gram feeds keeps
+    # the bits of the serial calls that shorter vectors make.
+    fixtures = [ring_spectrum_fixture(n, n) for n in (12, 24, 40)]
+    want = [_bootstrap_record(*fixture) for fixture in fixtures]
+    calls = _count_parallel_map_calls(monkeypatch)
+    monkeypatch.setattr(linalg, "BLOCK", 7)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert within(60, lambda: [_bootstrap_record(*fixture) for fixture in fixtures]) == want
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [5] * len(fixtures)
+
+
+@pytest.mark.parametrize("cpus", [2, 5])
+def test_side_by_side_steps_keep_the_bits_of_fresh_window_products(monkeypatch, cpus):
+    # The window gemvs of a step, two of them once a step kept its
+    # products, run side by side on the helper pool past BLOCK rows. Three
+    # of `_desk_and_restart_long_problems`, few enough for CI's pool stress
+    # step to run this test many times over.
+    problems = _desk_and_restart_long_problems()
+    problems = [problems[0], problems[7], problems[-3]]  # ring:12, ring:40, tridiag:30
+    monkeypatch.setattr(linalg, "BLOCK", 7)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        want = within(120, _fresh_window_records, monkeypatch, problems)
+        assert within(120, _solve_records, problems) == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e200])
