@@ -173,10 +173,12 @@ class Matrix:
     # the stencil's triplets when they are listed diagonal by diagonal, so
     # both storages give the same bits. (np.bincount starts each sum from
     # +0.0, so a row whose terms are all -0.0 sums to +0.0 there and to
-    # -0.0 here.) `head += ...` on a bound view updates `y` in place
-    # without the copy-back of `y[:-1] += ...`. On vectors longer than
-    # BLOCK, `blockwise` runs `_stencil_rows` on the rows with both
-    # neighbours, and rows 0 and n-1 take their two terms in the same order.
+    # -0.0 here. With no stored entry it gives integer zeros, hence the
+    # cast, which returns a float result itself.) `head += ...` on a bound
+    # view updates `y` in place without the copy-back of `y[:-1] += ...`.
+    # On vectors longer than BLOCK, `blockwise` runs `_stencil_rows` on the
+    # rows with both neighbours, and rows 0 and n-1 take their two terms in
+    # the same order.
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if len(v) != self.cols:
@@ -196,7 +198,7 @@ class Matrix:
             tail += lower * v[:-1]
             return y
         r, c, vals = self._coo
-        return np.bincount(r, weights=vals * v[c], minlength=self.rows)
+        return np.bincount(r, weights=vals * v[c], minlength=self.rows).astype(float, copy=False)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         if len(v) != self.rows:
@@ -216,7 +218,7 @@ class Matrix:
             head += lower * v[1:]
             return y
         r, c, vals = self._coo
-        return np.bincount(c, weights=vals * v[r], minlength=self.cols)
+        return np.bincount(c, weights=vals * v[r], minlength=self.cols).astype(float, copy=False)
 
 
 def _checked_shape(shape) -> tuple[int, int]:

@@ -8,13 +8,14 @@ Two jobs:
       P1_k = (C_k x + D_k) P1_{k-3} + (x^2 + F_k x + G_k) P1_{k-2}
 
   from scalar products of iteration vectors (`a13_coefficients`,
-  `b13_coefficients`), detecting the breakdown conditions. The products
-  are taken against left vectors v_j = N_j(A^T) y of a three-term basis
-  (`assemble_scalar_products`) and expanded into the orthogonality
-  conditions against the test functions N_{k-4}..N_{k-1}
-  (`ScalarProducts.rows`). The values, the rows and the two 3x3 systems
-  are Python floats, solved by `linalg.solve_dense`; a pivot below its
-  floor is reported as GhostBreakdown;
+  `b13_coefficients`), detecting the breakdown conditions. The solver
+  takes the products against left vectors v_j = N_j(A^T) y of a
+  three-term basis; `assemble_scalar_products` turns them into functional
+  values, expanded into the orthogonality conditions against the test
+  functions N_{k-4}..N_{k-1} (`ScalarProducts.rows`). The values, the
+  rows and the two 3x3 systems are Python floats, solved by
+  `linalg.solve_dense`; a pivot below its floor is reported as
+  GhostBreakdown;
 
 * numerically certify which candidate relation shapes exist at all, by
   least-squares fitting expanded multiplier candidates against oracle
@@ -69,19 +70,16 @@ class ScalarProducts(NamedTuple):
     (c(N_j P_{k-2}) for j < k-2, c1(N_j P1_m) for j < m) are set to zero;
     N_{k-5} enters as zero. The rows are tuples of Python floats, expanded
     with unrolled arithmetic by `_expand`. `scale` is the largest magnitude
-    among them, or inf when one is not finite. `next_z3` holds the window
-    products (v_j, z_{k-2}), j = k-3..k+2, as Python floats (empty when not
-    taken): the next step's products with its z_{k-3}.
+    among them, or inf when one is not finite.
     """
 
     values: tuple
     columns: tuple
     rows: tuple
     scale: float
-    next_z3: tuple = ()
 
 
-def _expand(values: tuple, columns: tuple, next_z3: tuple = ()) -> ScalarProducts:
+def _expand(values: tuple, columns: tuple) -> ScalarProducts:
     """The record of the twelve `values` and the `columns` of j = k-4..k,
     with the rows and the scale they expand to."""
     pv2, pv3, pv4, pv5, qv1, qv2, qv3, qv4, sv2, sv3, sv4, sv5 = values  # pvi, qvi, svi: against N_{k-4+i}
@@ -94,7 +92,7 @@ def _expand(values: tuple, columns: tuple, next_z3: tuple = ()) -> ScalarProduct
     flat = (*p0, *p1, *p2, *q0, *q1, *s0, *s1, *s2)
     total = sum(flat)  # NaN when an entry is NaN; an infinite entry makes max or -min infinite
     return ScalarProducts(values, columns, (p0, p1, p2, q0, q1, s0, s1, s2),
-                          math.inf if total != total else max(max(flat), -min(flat)), next_z3)
+                          math.inf if total != total else max(max(flat), -min(flat)))
 
 
 def _times_x_twice(columns, v2: float, v3: float, v4: float, v5: float) -> tuple:
@@ -204,28 +202,22 @@ class FitReport:
         return "indeterminate"
 
 
-def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns, head: int = 0,
-                             z3_products: tuple = ()) -> ScalarProducts:
-    """Form the twelve functional values from a left window; no matvecs happen here.
+def assemble_scalar_products(r_products, z3_products, z2_products, columns, head: int = 0) -> ScalarProducts:
+    """Form the twelve functional values from a left window's products; no vector is read here.
 
-    `window` is a (7, n) array holding v_{k-4}..v_{k+2} cyclically from
-    row `head` on, and row s of the (7, 3) `columns` holds (beta_j,
-    alpha_j, gamma_j) of the v_j in row s (the newest row's is unused).
-    The products of the window with r_{k-2}, z_{k-3} and z_{k-2}, one whole
-    gemv each, give the c values directly and the c1 values through
-    c1(N_j q) = c(x N_j q), on Python floats. `z3_products`, when given,
-    holds the products (v_j, z_{k-3}), j = k-4..k+1, that the step before
-    took as its `next_z3`; only the r_{k-2} and z_{k-2} gemvs are then
-    taken. On long vectors `linalg.parallel_map` runs the gemvs side by
-    side. OpenBLAS's gemv rounds a row's product by the row's position,
-    not by the other rows' contents, so products kept while their rows
-    stay in place are the bits of fresh ones.
+    The (7, n) left window holds v_{k-4}..v_{k+2} cyclically from row
+    `head` on. `r_products`, `z3_products` and `z2_products` are its
+    products with r_{k-2}, z_{k-3} and z_{k-2}, and row s of the (7, 3)
+    `columns` holds (beta_j, alpha_j, gamma_j) of the v_j in row s, all in
+    window row order (arrays). The products give the c values directly and
+    the c1 values through c1(N_j q) = c(x N_j q), on Python floats. Only
+    the six rows of `z3_products` from `head` on, v_{k-4}..v_{k+1}, are
+    read, and the newest row's column is unused.
     """
-    if len(window) != WINDOW or len(columns) != WINDOW:
-        raise DimensionMismatch(f"left window must hold {WINDOW} vectors, got {len(window)}")
-    r, z2, *z3, cols = ((values[head:] + values[:head]) for values in map(np.ndarray.tolist, (
-        *linalg.parallel_map(window.dot, (r_km2, z_km2) if z3_products else (r_km2, z_km2, z_km3)), columns)))
-    z3 = z3_products or z3[0]
+    if not len(r_products) == len(z3_products) == len(z2_products) == len(columns) == WINDOW:
+        raise DimensionMismatch(f"left window products and columns must hold {WINDOW} rows each")
+    r, z3, z2, cols = ((values[head:] + values[:head])
+                       for values in map(np.ndarray.tolist, (r_products, z3_products, z2_products, columns)))
     c0, (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4), (b5, a5, g5), _ = cols  # j = k-4..k+2
     # c1(N_j q) = c(x N_j q) = beta_j c(N_{j-1} q) + alpha_j c(N_j q) + gamma_j c(N_{j+1} q)
     return _expand((*r[2:6],
@@ -233,7 +225,7 @@ def assemble_scalar_products(window, r_km2, z_km3, z_km2, columns, head: int = 0
                     b3 * z3[2] + a3 * z3[3] + g3 * z3[4], b4 * z3[3] + a4 * z3[4] + g4 * z3[5],
                     b2 * z2[1] + a2 * z2[2] + g2 * z2[3], b3 * z2[2] + a3 * z2[3] + g3 * z2[4],
                     b4 * z2[3] + a4 * z2[4] + g4 * z2[5], b5 * z2[4] + a5 * z2[5] + g5 * z2[6]),
-                   (tuple(c0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4)), tuple(z2[1:]))
+                   (tuple(c0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4)))
 
 
 def a13_coefficients(sp: ScalarProducts) -> A13Coeffs:

@@ -34,12 +34,12 @@ runs one block of rows at a time, the blocks split across the usable
 CPUs. Each element sees the same operations in the same order, so
 iterates and reports are bit-identical at any block size and CPU count,
 at a fixed BLAS thread count. Inner products stay whole-vector BLAS
-calls, which a multithreaded BLAS may split and round differently. Each
-is taken once: a step keeps its window products with z_{k-2} for the
-next step, which reads the window twice, not three times. On long
-vectors `linalg.parallel_map` runs a step's window products, and the
-bootstrap's Gram products, side by side, each the same BLAS call as
-alone.
+calls, which a multithreaded BLAS may split and round differently. This
+module takes each once and hands `recurrences` only the products: a step
+takes two window gemvs and keeps the one with z_{k-2} for the next step,
+the bootstrap the one with z_2 for the first. On long vectors
+`linalg.parallel_map` runs them, and the bootstrap's Gram products, side
+by side, each the same BLAS call as alone.
 """
 from __future__ import annotations
 
@@ -100,11 +100,12 @@ class SolverState:
     in the (7, n) `u_window` cyclically from row (k - 5) % 7 on; row s of
     the (7, 3) `u_columns` holds (beta_j, alpha_j, gamma_j) of the v_j in
     row s (the newest row's is not yet known). `z3_products` holds the
-    products (v_j, z_{k-3}), j = k-4..k+1, that the step before took with
-    its z_{k-2}, or is empty, as after a bootstrap. `step` advances the
-    state in place. `history` is append-only across restarts, and `iterations`
-    counts its bootstrap and step entries of degree k >= 1. `best_x`,
-    the iterate of least residual norm, is the solution once `converged`.
+    window's products with z_{k-3}, in row order, as the bootstrap or the
+    step before took them; the row of v_{k+2}, written since, is not
+    read. `step` advances the state in place. `history` is append-only
+    across restarts, and `iterations` counts its bootstrap and step
+    entries of degree k >= 1. `best_x`, the iterate of least residual
+    norm, is the solution once `converged`.
     """
 
     k: int
@@ -113,7 +114,7 @@ class SolverState:
     z: list | None = None
     u_window: np.ndarray | None = None
     u_columns: np.ndarray | None = None
-    z3_products: tuple = ()
+    z3_products: np.ndarray | None = None
     history: list = field(default_factory=list)
     iterations: int = 0
     best_x: np.ndarray | None = None
@@ -147,10 +148,9 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     combinations of them (no further matvecs), formed block by block on
     long vectors, into the state's slots (z_1, which no step reads, is
     not formed). The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one
-    call per Krylov vector, side by side on long vectors. The state's
-    `z3_products` is left empty. Early convergence (some ||r_j|| <= tol *
-    ||b||) short-circuits; a singular degree-j system raises
-    BootstrapBreakdown(j).
+    call per Krylov vector, side by side on long vectors; one more gemv
+    gives `z3_products`. Early convergence (some ||r_j|| <= tol * ||b||)
+    short-circuits; a singular degree-j system raises BootstrapBreakdown(j).
     """
     bv = linalg.as_vector(b)
     x0v = linalg.as_vector(x0)
@@ -209,6 +209,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     state.k = BOOTSTRAP_DEGREE + 1
     state.r, state.x, state.z = r, x, z
     state.u_window, state.u_columns = window, columns
+    state.z3_products = window.dot(z[2])  # z_2, the first step's z_{k-3}
     return state
 
 
@@ -292,25 +293,24 @@ def _advance(r, x, z, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb):
 def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     """Advance one degree in place: new r, x, z and one new left vector.
 
-    Exactly 6 applications of A plus 1 of A^T. The window products come
-    first, two gemvs when `state.z3_products` holds the step before's
-    products with this step's z_{k-3}, three after a bootstrap; they are
-    kept in `z3_products` for the next step. All six matrix products come
-    next; r_k, x_k and z_k are then formed together, block by block on
-    long vectors, the blocks split across the usable CPUs, over r_{k-3},
-    x_{k-3} and z_{k-4}; a slot still empty or holding `best_x` gets a
-    new vector. Returns `state` itself. Breakdowns from the coefficient
-    computation and overflow of the new iterates propagate before any
-    live vector or field is modified. The new left vector v_{k+3}
-    overwrites v_{k-4}, the oldest row of the window.
+    Exactly 6 applications of A plus 1 of A^T. First come two window
+    gemvs, with r_{k-2} and z_{k-2}, the latter kept as the next step's
+    `z3_products`, then all six matrix products; r_k, x_k and z_k are then
+    formed together, block by block on long vectors, the blocks split
+    across the usable CPUs, over r_{k-3}, x_{k-3} and z_{k-4}; a slot
+    still empty or holding `best_x` gets a new vector. Returns `state`
+    itself. Breakdowns from the coefficient computation and
+    overflow of the new iterates propagate before any live vector or
+    field is modified. The new left vector v_{k+3} overwrites v_{k-4},
+    the oldest row of the window.
     """
     k = state.k
     if k < BOOTSTRAP_DEGREE + 1 or state.u_window is None:
         raise ValueError("state is not positioned for recurrence steps")
     r2, x2, z3, z2 = state.r[(k - 2) % 3], state.x[(k - 2) % 3], state.z[(k - 3) % 4], state.z[(k - 2) % 4]
     head = (k - 5) % WINDOW  # the row of v_{k-4}
-    sp = recurrences.assemble_scalar_products(state.u_window, r2, z3, z2, columns=state.u_columns, head=head,
-                                              z3_products=state.z3_products)
+    r_products, z2_products = linalg.parallel_map(state.u_window.dot, (r2, z2))
+    sp = recurrences.assemble_scalar_products(r_products, state.z3_products, z2_products, state.u_columns, head)
     ca = recurrences.a13_coefficients(sp)
     cb = recurrences.b13_coefficients(sp)
 
@@ -335,7 +335,7 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     state.iterations += 1
     state.k = k + 1
     state.r[k % 3], state.x[k % 3], state.z[k % 4] = r_k, x_k, z_k
-    state.z3_products = sp.next_z3
+    state.z3_products = z2_products
     if rn < state.best_resnorm:
         state.best_resnorm, state.best_x = rn, x_k
     return state

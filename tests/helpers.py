@@ -45,6 +45,12 @@ def iterate(state, j):
     return state.r[j % 3], state.x[j % 3], state.z[j % 4]
 
 
+def window_products(window, *vectors) -> list:
+    """The (7, n) window's products with each vector, one gemv each, as
+    `solver.step` takes them."""
+    return [window.dot(v) for v in vectors]
+
+
 def apply_functional(c, p, shift=0, power=0):
     """c(x^power p) for shift 0, c1(x^power p) for shift 1; `p` is a
     Polynomial or an ascending coefficient sequence."""
@@ -179,9 +185,10 @@ def reconstruct_from_relation(blocks, bases, k):
 # compare the two on random windows, random systems and along seeded solves.
 # ---------------------------------------------------------------------------
 
-def reference_scalar_products(window, r_km2, z_km3, z_km2, columns, head=0):
-    """The twelve values, the rows and the scale, as a namespace."""
-    r, z3, z2 = (_reference_from_head((window @ q).tolist(), head) for q in (r_km2, z_km3, z_km2))
+def reference_scalar_products(r_products, z3_products, z2_products, columns, head=0):
+    """The twelve values, the rows and the scale, as a namespace, from the
+    window's products with r_{k-2}, z_{k-3} and z_{k-2}."""
+    r, z3, z2 = (_reference_from_head(np.asarray(p).tolist(), head) for p in (r_products, z3_products, z2_products))
     cols = _reference_from_head(columns.tolist(), head)  # j = k-4..k+2
     values = (*r[2:6], *_reference_times_x(cols[1:5], z3[1:6], z3[0]),
               *_reference_times_x(cols[2:6], z2[2:7], z2[1]))

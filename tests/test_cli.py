@@ -342,6 +342,16 @@ def test_cmd_solve_from_matrix_market(tmp_path):
     assert doc["matrix"]["nnz"] == 2
 
 
+def test_cmd_solve_matrix_market_file_without_entries_ends_on_breakdown(tmp_path, capsys):
+    # A valid file: the zero matrix, whose every bootstrap breaks down.
+    path = tmp_path / "empty.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 0\n")
+    assert run(["solve", "--matrix", str(path)]) == cli.EXIT_BREAKDOWN == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert json.loads(out)["status"] == "BreakdownExhausted"
+
+
 # ---------------------------------------------------------------------------
 # verify command
 # ---------------------------------------------------------------------------

@@ -533,6 +533,12 @@ def test_matrix_dimensions_numpy_cannot_size_are_rejected(build):
             build(n)
 
 
+def test_coordinate_products_without_stored_entries_are_float_zeros():
+    m = fs.Matrix.from_triplets((2, 3), [])
+    for product, n in ((m.matvec(np.ones(3)), 2), (m.rmatvec(np.ones(2)), 3)):
+        assert product.dtype == np.float64 and product.tobytes() == np.zeros(n).tobytes()
+
+
 def test_matrix_triplet_index_range():
     with pytest.raises(DimensionMismatch):
         fs.Matrix.from_triplets((2, 2), [(0, 2, 1.0)])

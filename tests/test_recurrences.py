@@ -33,6 +33,7 @@ from helpers import (
     power_window,
     reconstruct_from_relation,
     reference_scalar_products,
+    window_products,
 )
 
 
@@ -45,9 +46,13 @@ def sp_from_values(cr, cz, dz):
 # ---------------------------------------------------------------------------
 
 def test_assemble_window_length_contract():
-    v = np.ones(3)
-    with pytest.raises(DimensionMismatch):
-        fs.assemble_scalar_products(np.ones((3, 3)), v, v, v, columns=np.ones((3, 3)))
+    # Each of the three product arrays and the columns must hold a row per
+    # window vector.
+    for short in range(4):
+        inputs = [np.ones(7), np.ones(7), np.ones(7), np.ones((7, 3))]
+        inputs[short] = inputs[short][:3]
+        with pytest.raises(DimensionMismatch):
+            fs.assemble_scalar_products(*inputs)
 
 
 def test_assemble_matches_functional_on_d3b():
@@ -58,7 +63,7 @@ def test_assemble_matches_functional_on_d3b():
     q_km3 = fs.oracle_p1(c, k - 3)
     q_km2 = fs.oracle_p1(c, k - 2)
     r_km2, z_km3, z_km2 = (poly_matrix_apply(p, A, ones) for p in (p_km2, q_km3, q_km2))
-    sp = fs.assemble_scalar_products(window, r_km2, z_km3, z_km2, columns=columns)
+    sp = fs.assemble_scalar_products(*window_products(window, r_km2, z_km3, z_km2), columns=columns)
     expected = [
         apply_functional(c, p_km2, 0, k - 2 + i) for i in range(4)
     ] + [
@@ -73,7 +78,8 @@ def test_assemble_matches_functional_on_d3b():
 def test_assemble_zero_residual_degenerate_case():
     ones = np.ones(4)
     r1 = np.zeros(4)  # converged residual
-    sp = fs.assemble_scalar_products(np.full((7, 4), 2.0), r1, ones, ones, columns=np.array(PURE_SHIFT[:1] * 7))
+    sp = fs.assemble_scalar_products(*window_products(np.full((7, 4), 2.0), r1, ones, ones),
+                                     columns=np.array(PURE_SHIFT[:1] * 7))
     assert sp.values[0] == 0.0 and sp.values[3] == 0.0
 
 
@@ -83,7 +89,7 @@ def test_assemble_symmetric_matrix_reduces_to_power_products():
     r0 = np.array([1.0, 0.5, -0.25])
     window, columns = power_window(A, r0, 4)  # u_0..u_6, so c(x^{k-2+i} .) is u_{2+i}
     r_m = np.array([0.1, -0.2, 0.3])
-    sp = fs.assemble_scalar_products(window, r_m, r_m, r_m, columns=columns)
+    sp = fs.assemble_scalar_products(*window_products(window, r_m, r_m, r_m), columns=columns)
     for i in range(4):
         direct = float((np.linalg.matrix_power(a, i + 2) @ r0) @ r_m)
         assert abs(sp.values[i] - direct) <= 1e-12 * max(1.0, abs(direct))
@@ -98,7 +104,7 @@ def test_pure_shift_window_matches_power_products_at_every_head():
         window, columns = power_window(A, y, 6)
         ref = power_scalar_products(window[2:], r_km2, z_km3, z_km2)
         for head in range(7):
-            sp = fs.assemble_scalar_products(np.roll(window, head, axis=0), r_km2, z_km3, z_km2,
+            sp = fs.assemble_scalar_products(*window_products(np.roll(window, head, axis=0), r_km2, z_km3, z_km2),
                                              columns=np.roll(columns, head, axis=0), head=head)
             assert sp.columns == PURE_SHIFT
             for got, want in zip(sp.values, ref.values):
@@ -128,8 +134,9 @@ def test_flat_float_path_matches_the_reference_on_random_windows():
     for i in range(20000):
         window, r_km2, z_km3, z_km2, columns = random_window_case(rng, i % 4)
         head = int(rng.integers(7))
-        sp = fs.assemble_scalar_products(window, r_km2, z_km3, z_km2, columns=columns, head=head)
-        ref = reference_scalar_products(window, r_km2, z_km3, z_km2, columns, head)
+        products = window_products(window, r_km2, z_km3, z_km2)
+        sp = fs.assemble_scalar_products(*products, columns=columns, head=head)
+        ref = reference_scalar_products(*products, columns, head)
         seen.update(assert_same_coefficient_path(sp, ref))
     assert seen == {"ok", TrueBreakdown, GhostBreakdown, NormalizationBreakdown, DivisorBreakdown}
 
@@ -298,7 +305,7 @@ def test_bounded_window_coefficients_match_power_basis():
             assert state.k == k
             r_km2, _, z_km2 = iterate(state, k - 2)
             z_km3 = iterate(state, k - 3)[2]
-            sp = fs.assemble_scalar_products(state.u_window, r_km2, z_km3, z_km2,
+            sp = fs.assemble_scalar_products(*window_products(state.u_window, r_km2, z_km3, z_km2),
                                              columns=state.u_columns, head=(k - 5) % 7)
             ref = bridged_scalar_products(A, r0, y, c, k)
             got_a, want_a = fs.a13_coefficients(sp), fs.a13_coefficients(ref)

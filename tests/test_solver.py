@@ -231,6 +231,7 @@ def test_failed_step_leaves_state_untouched(monkeypatch):
         before = [v.copy() for v in live]
         best_x, best_bits = state.best_x, state.best_x.tobytes()
         u_before = [u.copy() for u in state.u_window]
+        z3_products, z3_bits = state.z3_products, state.z3_products.tobytes()
         k, history, iterations = state.k, list(state.history), state.iterations
         with monkeypatch.context() as patch:
             patch.setattr(module, name, value)
@@ -242,6 +243,7 @@ def test_failed_step_leaves_state_untouched(monkeypatch):
         assert state.best_x is best_x and best_x.tobytes() == best_bits
         assert len(state.u_window) == len(u_before)
         assert all(np.array_equal(u, v) for u, v in zip(state.u_window, u_before))
+        assert state.z3_products is z3_products and z3_products.tobytes() == z3_bits
 
 
 def test_step_gives_the_slot_of_best_x_a_new_vector():
@@ -287,25 +289,29 @@ def _count_parallel_map_calls(monkeypatch) -> list:
     return calls
 
 
+def _fresh_z3_products(state) -> np.ndarray:
+    """The window's products with z_{k-3}, taken afresh."""
+    return state.u_window.dot(state.z[(state.k - 3) % 4])
+
+
 def test_a_step_keeps_its_window_products_for_the_next(monkeypatch):
-    # A bootstrap or a restart leaves no kept products, so the first step
-    # after either takes three window gemvs and each later step two. The
-    # kept products are the bits of fresh ones: the next step's z_{k-3}
-    # against its v_{k-4}..v_{k+1}, rows that stayed in place.
+    # A bootstrap or a restart hands over the bits of a fresh product of the
+    # window with z_2, so every step, the first after either included,
+    # takes two window gemvs. The products a step keeps are the bits of
+    # fresh ones: the next step's z_{k-3} against its v_{k-4}..v_{k+1},
+    # rows that stayed in place; the row of v_{k+2} is not read.
     A, r0, y = ring_spectrum_fixture(40, 3)
     calls = _count_parallel_map_calls(monkeypatch)
     state = fs.bootstrap(A, r0, np.zeros(A.rows), y, tol=1e-14)
-    assert state.z3_products == ()
     for steps in (4, 2):
+        assert state.k == 5 and state.z3_products.tobytes() == _fresh_z3_products(state).tobytes()
         for _ in range(steps):
             fs.step(state, A)
-            k, head = state.k, (state.k - 5) % recurrences.WINDOW
-            fresh = state.u_window.dot(state.z[(k - 3) % 4]).tolist()
-            assert float_bits(state.z3_products) == float_bits((fresh[head:] + fresh[:head])[:6])
+            read = [(state.k - 5 + i) % recurrences.WINDOW for i in range(6)]
+            assert state.z3_products[read].tobytes() == _fresh_z3_products(state)[read].tobytes()
         if steps == 4:
             state = fs.restart(state, A, r0, fs.SolverConfig(tol=1e-14), cause="Ghost", rng=np.random.default_rng(0))
-            assert state.z3_products == ()
-    assert calls == [5, 3, 2, 2, 2, 5, 3, 2]  # each bootstrap's Gram: one call per Krylov vector
+    assert calls == [5, 2, 2, 2, 2, 5, 2, 2]  # each bootstrap's Gram: one call per Krylov vector
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +508,10 @@ def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, mon
     b = np.random.default_rng(8).standard_normal(A.rows)
     assemble, solve_dense, steps, solves = recurrences.assemble_scalar_products, linalg.solve_dense, [], []
 
-    def checked_assemble(window, r_km2, z_km3, z_km2, columns, head=0, z3_products=()):
-        sp = assemble(window, r_km2, z_km3, z_km2, columns=columns, head=head, z3_products=z3_products)
-        steps.append(assert_same_coefficient_path(sp, reference_scalar_products(window, r_km2, z_km3, z_km2,
-                                                                                columns, head)))
+    def checked_assemble(r_products, z3_products, z2_products, columns, head=0):
+        sp = assemble(r_products, z3_products, z2_products, columns, head)
+        steps.append(assert_same_coefficient_path(sp, reference_scalar_products(r_products, z3_products,
+                                                                                z2_products, columns, head)))
         return sp
 
     def checked_solve_dense(M, rhs):
@@ -522,6 +528,14 @@ def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, mon
     _, report = fs.solve(A, b)
     assert len(steps) >= sum(ev == "step" for _, _, ev in report.entries) > 10
     assert len(solves) > 2 * len(steps)
+
+
+def test_solve_on_a_coordinate_matrix_without_stored_entries_is_the_dense_zero_solve():
+    b = np.ones(3)
+    x, report = fs.solve(fs.Matrix.from_triplets((3, 3), []), b)
+    x_dense, report_dense = fs.solve(fs.Matrix.from_dense(np.zeros((3, 3))), b)
+    assert x.tobytes() == x_dense.tobytes() and report == report_dense
+    assert report.status == STATUS_BREAKDOWN_EXHAUSTED and report.restart_causes == ("True",) * 5
 
 
 def test_solve_ends_on_an_exhausted_budget_after_a_failed_step():
@@ -610,17 +624,17 @@ def _solve_records(problems):
     return [(x.tobytes(), repr(report)) for x, report in (fs.solve(A, b, config=cfg) for A, b, cfg in problems)]
 
 
-def _step_taking_every_window_product(state, A, step=solver.step):
-    """`solver.step` with the products kept by the step before dropped, so
-    that it takes all three window gemvs."""
-    state.z3_products = ()
+def _step_with_fresh_z3_products(state, A, step=solver.step):
+    """`solver.step` with `state.z3_products` taken afresh from the window,
+    not kept by the bootstrap or the step before."""
+    state.z3_products = _fresh_z3_products(state)
     return step(state, A)
 
 
 def _fresh_window_records(monkeypatch, problems):
-    """`_solve_records` of solves whose steps take every window product."""
+    """`_solve_records` of solves whose steps take every window product afresh."""
     with monkeypatch.context() as patch:
-        patch.setattr(solver, "step", _step_taking_every_window_product)
+        patch.setattr(solver, "step", _step_with_fresh_z3_products)
         return _solve_records(problems)
 
 
@@ -685,18 +699,18 @@ def test_side_by_side_bootstrap_gives_the_serial_grams_bits(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus", [2, 5])
 def test_side_by_side_steps_keep_the_bits_of_fresh_window_products(monkeypatch, cpus):
-    # The window gemvs of a step, two of them once a step kept its
-    # products, run side by side on the helper pool past BLOCK rows. Three
-    # of `_desk_and_restart_long_problems`, few enough for CI's pool stress
-    # step to run this test many times over.
+    # The two window gemvs of a step run side by side on the helper pool
+    # past BLOCK rows, and match whole-vector solves whose steps take every
+    # window product afresh. Three of `_desk_and_restart_long_problems`, few
+    # enough for CI's pool stress step to run this test many times over.
     problems = _desk_and_restart_long_problems()
     problems = [problems[0], problems[7], problems[-3]]  # ring:12, ring:40, tridiag:30
+    want = _fresh_window_records(monkeypatch, problems)
     monkeypatch.setattr(linalg, "BLOCK", 7)
     monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        want = within(120, _fresh_window_records, monkeypatch, problems)
         assert within(120, _solve_records, problems) == want
     finally:
         sys.setswitchinterval(interval)
