@@ -1,14 +1,15 @@
 """Dense/sparse matrix and vector kernels.
 
 Everything is double precision. A `Matrix` is immutable after
-construction and safe to share across threads; the products and the
-solve return new values, while `blockwise` runs a kernel that writes
-into vectors among its arguments. A `Matrix` has one of three storages:
-dense, one coefficient per diagonal (the tridiagonal stencil) or
-coordinate triplets (general sparse input).
-Matrix and vector products run in numpy; the small pivoted solve
-(`solve_dense`, n <= 10) runs on Python floats, because at that size
-numpy's per-call overhead costs more than the arithmetic.
+construction and safe to share across threads. Each product returns a
+fresh, writable array that nothing else holds (the solver writes its
+iterates over them), the solve new values; `blockwise` runs a kernel
+that writes into vectors among its arguments. A `Matrix` has one of
+three storages: dense, one coefficient per diagonal (the tridiagonal
+stencil) or coordinate triplets (general sparse input). Matrix and
+vector products run in numpy; the small pivoted solve (`solve_dense`,
+n <= 10) runs on Python floats, because at that size numpy's per-call
+overhead costs more than the arithmetic.
 
 On vectors longer than `BLOCK` rows, the element-wise kernels that
 callers hand to `blockwise`, the diagonal-storage products' rows with

@@ -26,14 +26,14 @@ products are reused between the r and x updates) plus one of A^T to
 advance the left window. Bootstrap costs 10 applications of A plus 7 of
 A^T.
 
-The element-wise vector work (a step's r_k, x_k and z_k, the
-left-window projections, the bootstrap's combinations of Krylov vectors)
-runs through `linalg.blockwise`, which writes it in place, a step's over
-r_{k-3}, x_{k-3} and z_{k-4}. On vectors longer than `linalg.BLOCK` rows it
-runs one block of rows at a time, the blocks split across the usable
-CPUs. Each element sees the same operations in the same order, so
-iterates and reports are bit-identical at any block size and CPU count,
-at a fixed BLAS thread count. Inner products stay whole-vector BLAS
+The element-wise vector work (a step's r_k, x_k and z_k, the left-window
+projections, the bootstrap's combinations of Krylov vectors) runs through
+`linalg.blockwise`, which writes it in place, a step's over three of its
+own products, so no iterate is written once formed. On vectors longer than
+`linalg.BLOCK` rows it runs one block of rows at a time, the blocks split
+across the usable CPUs. Each element sees the same operations in the same
+order, so iterates and reports are bit-identical at any block size and CPU
+count, at a fixed BLAS thread count. Inner products stay whole-vector BLAS
 calls, which a multithreaded BLAS may split and round differently. This
 module takes each once and hands `recurrences` only the products: a step
 takes two window gemvs and keeps the one with z_{k-2} for the next step,
@@ -95,8 +95,9 @@ class SolverState:
     """Iteration state positioned to produce degree k next.
 
     It holds what one combined step consumes. The iterates sit in slots
-    indexed by degree, r_j in `r[j % 3]`, x_j in `x[j % 3]` and z_j in
-    `z[j % 4]` (None until filled). The left vectors v_{k-4}..v_{k+2} sit
+    indexed by degree, r_j in `r[j % 2]`, x_j in `x[j % 2]` and z_j in
+    `z[j % 3]` (None until filled); none is written once formed, so
+    `best_x` may be one of them. The left vectors v_{k-4}..v_{k+2} sit
     in the (7, n) `u_window` cyclically from row (k - 5) % 7 on; row s of
     the (7, 3) `u_columns` holds (beta_j, alpha_j, gamma_j) of the v_j in
     row s (the newest row's is not yet known). `z3_products` holds the
@@ -152,18 +153,15 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     gives `z3_products`. Early convergence (some ||r_j|| <= tol * ||b||)
     short-circuits; a singular degree-j system raises BootstrapBreakdown(j).
     """
-    bv = linalg.as_vector(b)
-    x0v = linalg.as_vector(x0)
-    yv = linalg.as_vector(y)
+    bv, x0v, yv = map(linalg.as_vector, (b, x0, y))
     if A.rows != A.cols or A.rows != len(bv) or len(x0v) != len(bv) or len(yv) != len(bv):
         raise DimensionMismatch("bootstrap: inconsistent dimensions")
     if not np.any(yv):
         raise ValueError("left seed y must be nonzero")
-    bn = float(np.linalg.norm(bv))
-    conv_floor = tol * bn
+    conv_floor = tol * float(np.linalg.norm(bv))
 
     r0 = bv - linalg.matvec(A, x0v)
-    state = SolverState(k=0, best_x=x0v.copy(), best_resnorm=float(np.linalg.norm(r0)))
+    state = SolverState(k=0, best_x=x0v, best_resnorm=float(np.linalg.norm(r0)))
     state.history.append((0, state.best_resnorm, "bootstrap"))
     if state.best_resnorm <= conv_floor:
         state.converged = True
@@ -180,19 +178,20 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     # c(N_m x^i) = (v_m, A^i r0) and c1(N_m x^i) = (A^T v_m, A^i r0), m = 0..3. `v.dot(p)`, not
     # `v @ p`, which holds the GIL on two vectors and so would run the calls one after another.
     gram = np.array([*zip(*linalg.parallel_map(lambda p: [float(v.dot(p)) for v in left[:len(powers)]], powers))])
+    left = None  # frees v_0, which nothing reads again
     shifted = np.array([beta * (gram[m - 1] if m else 0.0) + alpha * gram[m] + gamma * gram[m + 1]
                         for m, (beta, alpha, gamma) in enumerate(recurrence[:BOOTSTRAP_DEGREE])])
 
-    r, x, z = [None] * 3, [None] * 3, [None] * 4  # SolverState's slots
+    r, x, z = [None] * 2, [None] * 2, [None] * 3  # SolverState's slots
     for j in range(1, BOOTSTRAP_DEGREE + 1):
         try:
             a = linalg.solve_dense(gram[:j, 1:j + 1], -gram[:j, 0])
             c = linalg.solve_dense(shifted[:j, :j], -shifted[:j, j])
         except SingularSystem as exc:
             raise BootstrapBreakdown(j) from exc
-        r[(j + 1) % 3] = x[(j + 1) % 3] = None  # degree j - 2, which no step reads
+        r[j % 2] = x[j % 2] = None  # degree j - 2, which no step reads
         r_j, x_j, z_j = np.empty(n), np.empty(n), np.empty(n) if j > 1 else None
-        r[j % 3], x[j % 3], z[j % 4] = r_j, x_j, z_j
+        r[j % 2], x[j % 2], z[j % 3] = r_j, x_j, z_j
         linalg.blockwise(_degree_vectors, r_j, x_j, z_j, x0v, a, c, *powers[:j + 1])
         rn = float(np.linalg.norm(r_j))
         if not np.isfinite(rn):
@@ -265,15 +264,17 @@ def _subtract_multiple(w, u, coefficient) -> None:
     w -= np.multiply(coefficient, u)
 
 
-def _advance(r, x, z, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb):
-    """Write r_k, x_k and z_k, from the vectors of degree k - 2 and k - 3 and
-    their products, into r, x and z:
+def _advance(r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb):
+    """Write r_k over a2r, x_k over ar and z_k over az3, products that die with
+    the step, from the vectors of degree k - 2 and k - 3 and their products:
 
-        r = ca.a_k * (a2r + ca.b_k * ar + ca.c_k * r2 + ca.e_k * a2z3 + ca.f_k * az3)
-        x = x2 - ca.a_k * (ar + ca.b_k * r2 + ca.e_k * az3 + ca.f_k * z3)
-        z = cb.c_k * az3 + cb.d_k * z3 + a2z2 + cb.f_k * az2 + cb.g_k * z2
-    """
-    add, multiply = np.add, np.multiply
+        r_k = ca.a_k * (a2r + ca.b_k * ar + ca.c_k * r2 + ca.e_k * a2z3 + ca.f_k * az3)
+        x_k = x2 - ca.a_k * (ar + ca.b_k * r2 + ca.e_k * az3 + ca.f_k * z3)
+        z_k = cb.c_k * az3 + cb.d_k * z3 + a2z2 + cb.f_k * az2 + cb.g_k * z2
+
+    In that order: r_k still reads ar and az3, x_k still reads az3. The
+    ufunc calls are those into new vectors, so the bits are too."""
+    add, multiply, r, x, z = np.add, np.multiply, a2r, ar, az3
     add(a2r, multiply(ca.b_k, ar), out=r)
     add(r, multiply(ca.c_k, r2), out=r)
     add(r, multiply(ca.e_k, a2z3), out=r)
@@ -297,17 +298,17 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     gemvs, with r_{k-2} and z_{k-2}, the latter kept as the next step's
     `z3_products`, then all six matrix products; r_k, x_k and z_k are then
     formed together, block by block on long vectors, the blocks split
-    across the usable CPUs, over r_{k-3}, x_{k-3} and z_{k-4}; a slot
-    still empty or holding `best_x` gets a new vector. Returns `state`
-    itself. Breakdowns from the coefficient computation and
-    overflow of the new iterates propagate before any live vector or
-    field is modified. The new left vector v_{k+3} overwrites v_{k-4},
-    the oldest row of the window.
+    across the usable CPUs, over A^2 r_{k-2}, A r_{k-2} and A z_{k-3},
+    and take the slots of r_{k-2}, x_{k-2} and z_{k-3}. Returns `state`
+    itself. Breakdowns from the coefficient computation and overflow of
+    the new iterates propagate before any live vector or field is
+    modified. The new left vector v_{k+3} overwrites v_{k-4}, the oldest
+    row of the window, after the other three products are freed.
     """
     k = state.k
     if k < BOOTSTRAP_DEGREE + 1 or state.u_window is None:
         raise ValueError("state is not positioned for recurrence steps")
-    r2, x2, z3, z2 = state.r[(k - 2) % 3], state.x[(k - 2) % 3], state.z[(k - 3) % 4], state.z[(k - 2) % 4]
+    r2, x2, z3, z2 = state.r[(k - 2) % 2], state.x[(k - 2) % 2], state.z[(k - 3) % 3], state.z[(k - 2) % 3]
     head = (k - 5) % WINDOW  # the row of v_{k-4}
     r_products, z2_products = linalg.parallel_map(state.u_window.dot, (r2, z2))
     sp = recurrences.assemble_scalar_products(r_products, state.z3_products, z2_products, state.u_columns, head)
@@ -320,10 +321,8 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     a2z3 = linalg.matvec(A, az3)
     az2 = linalg.matvec(A, z2)
     a2z2 = linalg.matvec(A, az2)
-    n = len(ar)
-    r_k, x_k, z_k = (np.empty(n) if slot is None or slot is state.best_x else slot
-                     for slot in (state.r[k % 3], state.x[k % 3], state.z[k % 4]))
-    linalg.blockwise(_advance, r_k, x_k, z_k, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb)
+    linalg.blockwise(_advance, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb)
+    r_k, x_k, z_k, a2z3, az2, a2z2 = a2r, ar, az3, None, None, None  # frees the three products not reused
 
     rn = math.sqrt(float(r_k.dot(r_k)))  # np.linalg.norm's arithmetic, without its dispatch
     if not (math.isfinite(rn) and np.isfinite(z_k).all() and np.isfinite(x_k).all()):
@@ -334,7 +333,7 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     state.history.append((k, rn, "step"))
     state.iterations += 1
     state.k = k + 1
-    state.r[k % 3], state.x[k % 3], state.z[k % 4] = r_k, x_k, z_k
+    state.r[k % 2], state.x[k % 2], state.z[k % 3] = r_k, x_k, z_k
     state.z3_products = z2_products
     if rn < state.best_resnorm:
         state.best_resnorm, state.best_x = rn, x_k
@@ -419,9 +418,9 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
             state = bootstrap(A, bv, x0v, y, tol=cfg.tol)
         except (BreakdownError, NumericOverflow) as exc:
             r0n = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
-            state = SolverState(k=0, best_x=x0v.copy(), best_resnorm=r0n, history=[(0, r0n, "bootstrap")])
+            state = SolverState(k=0, best_x=x0v, best_resnorm=r0n, history=[(0, r0n, "bootstrap")])
             cause = exc.cause
-        y = x0v = None  # neither is read again; at n = 1e6 they hold 16 MB
+        y = x0v = None  # not read again (x0v may live on as best_x); at n = 1e6 each holds 8 MB
 
         while True:
             if cause is not None:
@@ -443,7 +442,8 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
                 cause = exc.cause
             else:
                 state.converged = state.history[-1][1] <= conv_floor
-        return np.ldexp(state.best_x, exponent), _report(state, status, bn, exponent)
+        best_x, report, state = state.best_x, _report(state, status, bn, exponent), None  # frees the vectors
+        return np.ldexp(best_x, exponent), report
 
 
 def _draw_left_seed(rng, A, b, x0) -> np.ndarray:
@@ -471,18 +471,17 @@ def _report(state: SolverState, status: str, bn: float, exponent: int) -> SolveR
     caller's scale is reported as inf.
     """
     denom = bn if bn > 0 else 1.0
-    history = state.history
-    for i, (k, rn, ev) in enumerate(history):
+    for i, (k, rn, ev) in enumerate(state.history):
         try:
             rn = math.ldexp(rn, exponent)
         except OverflowError:
             rn = math.inf
-        history[i] = (k, rn, ev)
+        state.history[i] = (k, rn, ev)
     return SolveReport(
         status=status,
         iterations=state.iterations,
         restarts=state.restarts,
         restart_causes=tuple(state.restart_causes),
-        entries=tuple(history),
+        entries=tuple(state.history),
         final_relative_residual=state.best_resnorm / denom,
     )

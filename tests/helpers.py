@@ -42,7 +42,7 @@ def d3b_fixture(m: int = 18):
 
 def iterate(state, j):
     """(r_j, x_j, z_j) from the degree-indexed slots of a SolverState."""
-    return state.r[j % 3], state.x[j % 3], state.z[j % 4]
+    return state.r[j % 2], state.x[j % 2], state.z[j % 3]
 
 
 def window_products(window, *vectors) -> list:
