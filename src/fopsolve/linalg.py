@@ -12,16 +12,16 @@ n <= 10) runs on Python floats, because at that size numpy's per-call
 overhead costs more than the arithmetic.
 
 On vectors longer than `BLOCK` rows, the element-wise kernels that
-callers hand to `blockwise`, the diagonal-storage products' rows with
-both neighbours among them, work one block of rows at a time, so that
+callers hand to `blockwise` work one block of rows at a time, so that
 each block's operands stay in cache across all the operations that touch
 them instead of streaming every whole vector through memory once per
-operation; `blockwise` splits the blocks across the usable CPUs. Each
-element still sees the same operations in the same order, so the results
-are bit-identical to the whole-vector code at any block size and CPU
-count. The products keep the whole-vector code on vectors of at most
-`BLOCK` rows, where the blocked path's extra calls would cost more than
-the arithmetic. Inner products are not split: a split sum would round
+operation, and so do the diagonal-storage products, each block with one
+row of context on either side; the blocks are split across the usable
+CPUs. Each element still sees the same operations in the same order, so
+the results are bit-identical to the whole-vector code at any block size
+and CPU count. Vectors of at most `BLOCK` rows keep the whole-vector
+code, where the blocked path's extra calls would cost more than the
+arithmetic. Inner products are not split: a split sum would round
 differently, so each stays one whole-vector BLAS call, and `parallel_map`
 runs independent ones side by side instead. A multithreaded BLAS may
 still split such a sum itself, so results that depend on inner products,
@@ -169,17 +169,14 @@ class Matrix:
 
     # -- products -----------------------------------------------------
     #
-    # The diagonal products add each row's terms in the order main, upper,
-    # lower: the order in which the coordinate kernel's np.bincount adds
-    # the stencil's triplets when they are listed diagonal by diagonal, so
-    # both storages give the same bits. (np.bincount starts each sum from
-    # +0.0, so a row whose terms are all -0.0 sums to +0.0 there and to
-    # -0.0 here. With no stored entry it gives integer zeros, hence the
-    # cast, which returns a float result itself.) `head += ...` on a bound
-    # view updates `y` in place without the copy-back of `y[:-1] += ...`.
-    # On vectors longer than BLOCK, `blockwise` runs `_stencil_rows` on the
-    # rows with both neighbours, and rows 0 and n-1 take their two terms in
-    # the same order.
+    # The diagonal products, `_stencil` (block by block through
+    # `_in_segments` on vectors longer than BLOCK), add each row's terms in
+    # the order main, upper, lower: the order in which the coordinate
+    # kernel's np.bincount adds the stencil's triplets when they are listed
+    # diagonal by diagonal, so both storages give the same bits. (np.bincount
+    # starts each sum from +0.0, so a row whose terms are all -0.0 sums to
+    # +0.0 there and to -0.0 here. With no stored entry it gives integer
+    # zeros, hence the cast, which returns a float result itself.)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if len(v) != self.cols:
@@ -187,17 +184,7 @@ class Matrix:
         if self._dense is not None:
             return self._dense @ v
         if self._bands is not None:
-            main, upper, lower = self._bands
-            if len(v) > BLOCK:
-                y = np.empty(len(v))
-                blockwise(_stencil_rows, y[1:-1], v[1:-1], v[2:], v[:-2], main, upper, lower)
-                y[0], y[-1] = main * v[0] + upper * v[1], main * v[-1] + lower * v[-2]
-                return y
-            y = main * v
-            head, tail = y[:-1], y[1:]
-            head += upper * v[1:]
-            tail += lower * v[:-1]
-            return y
+            return (_in_segments if len(v) > BLOCK else _stencil)(v, *self._bands, _HEAD, _TAIL)
         r, c, vals = self._coo
         return np.bincount(r, weights=vals * v[c], minlength=self.rows).astype(float, copy=False)
 
@@ -207,17 +194,7 @@ class Matrix:
         if self._dense is not None:
             return self._dense.T @ v
         if self._bands is not None:
-            main, upper, lower = self._bands
-            if len(v) > BLOCK:
-                y = np.empty(len(v))
-                blockwise(_stencil_rows, y[1:-1], v[1:-1], v[:-2], v[2:], main, upper, lower)
-                y[0], y[-1] = main * v[0] + lower * v[1], main * v[-1] + upper * v[-2]
-                return y
-            y = main * v
-            head, tail = y[:-1], y[1:]
-            tail += upper * v[:-1]
-            head += lower * v[1:]
-            return y
+            return (_in_segments if len(v) > BLOCK else _stencil)(v, *self._bands, _TAIL, _HEAD)
         r, c, vals = self._coo
         return np.bincount(c, weights=vals * v[r], minlength=self.cols).astype(float, copy=False)
 
@@ -230,12 +207,35 @@ def _checked_shape(shape) -> tuple[int, int]:
     return rows, cols
 
 
-def _stencil_rows(y, v, w1, w2, main, b1, b2) -> None:
-    """y = main * v + b1 * w1 + b2 * w2, added in that order: the diagonal
-    products on the rows that have both neighbours, w1 and w2 holding them."""
-    np.multiply(main, v, out=y)
-    np.add(y, np.multiply(b1, w1), out=y)
-    np.add(y, np.multiply(b2, w2), out=y)
+_HEAD, _TAIL = slice(None, -1), slice(1, None)  # the rows with a successor, and those with a predecessor
+
+
+def _stencil(v, main, b1, b2, near, far) -> np.ndarray:
+    """main * v, then b1 * v[far] added on rows `near` and b2 * v[near] on
+    rows `far`: A v for (near, far) = (_HEAD, _TAIL), A^T v for the two
+    swapped, b1 and b2 the upper and lower coefficients. `+=` on a bound
+    view updates `y` in place without the copy-back of `y[near] += ...`."""
+    y = main * v
+    y_near, y_far = y[near], y[far]
+    y_near += b1 * v[far]
+    y_far += b2 * v[near]
+    return y
+
+
+def _in_segments(v, *stencil) -> np.ndarray:
+    """`_stencil(v, *stencil)`, one block of rows per `_spread` item, each
+    from its rows and one row of context on either side: every row takes
+    the same terms in the same order as on the whole vector."""
+    n = len(v)
+    y = np.empty(n)
+
+    def each(start: int) -> None:
+        first = max(start - 1, 0)
+        rows = slice(start - first, start - first + BLOCK)
+        y[start:start + BLOCK] = _stencil(v[first:start + BLOCK + 1], *stencil)[rows]
+
+    _spread(range(0, n, BLOCK), each)
+    return y
 
 
 def blockwise(kernel, *args) -> None:

@@ -353,8 +353,11 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig, cause
     failure that ends the run is recorded as an `exhausted:<cause>`
     history entry and RestartsExhausted is raised. Otherwise the run
     record (history, restart causes, iteration count, best iterate) moves
-    on to the fresh bootstrap state, history append-only.
+    on to the fresh bootstrap state, history append-only. `state` keeps
+    only that record: its iterates, window and window products are dropped
+    before the first draw, so no bootstrap runs beside them.
     """
+    state.r = state.x = state.z = state.u_window = state.u_columns = state.z3_products = None
     bv = linalg.as_vector(b)
     fresh = None
     k_at_failure = state.k

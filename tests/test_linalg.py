@@ -149,17 +149,20 @@ CPU_COUNTS = (1, 2, 5)
 ])
 def test_blocked_banded_products_match_the_whole_vector_formula_bit_for_bit(monkeypatch, block, sizes):
     # Random (non-stencil) coefficients across block edges, a one-row last
-    # block included; each length also runs with one coefficient 0.0, and
-    # the blocks are split into runs for every CPU count. The blocks cut
-    # rows 1..n-2, so n = block + 2 fills exactly one block and n = block
-    # + 3 and 2 * block + 3 end in a one-row block.
+    # block included; each length also runs with one coefficient 0.0 and
+    # with a vector of some ±0.0 entries, so that signed zeros meet at block
+    # edges, and the blocks are split into runs for every CPU count. The
+    # blocks cut rows 0..n-1, so n = block + 1 and 2 * block + 1 end in a
+    # one-row block.
     monkeypatch.setattr(linalg, "BLOCK", block)
     rng = np.random.default_rng(block)
     for i, n in enumerate(sizes):
-        for zero in (None, i % 3):
+        for zero, signed_zeros in ((None, False), (i % 3, False), (None, True)):
             main, upper, lower = _random_bands(rng, zero)
             m = fs.Matrix((n, n), bands=(main, upper, lower))
             v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+            if signed_zeros:
+                v[::3], v[1::5] = 0.0, -0.0
             want_y, want_t = _whole_vector_products(main, upper, lower, v)
             for cpus in CPU_COUNTS:
                 monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)

@@ -12,7 +12,8 @@ import pytest
 import fopsolve as fs
 from fopsolve import linalg, recurrences, solver
 from fopsolve.cli import build_generator, random_sdd_matrix, ring_spectrum_fixture
-from fopsolve.errors import BootstrapBreakdown, BreakdownError, DimensionMismatch, NumericOverflow, RestartsExhausted
+from fopsolve.errors import (BootstrapBreakdown, BreakdownError, DimensionMismatch, KrylovOverflow, NumericOverflow,
+                             RestartsExhausted)
 from fopsolve.solver import (
     STATUS_BREAKDOWN_EXHAUSTED,
     STATUS_CONVERGED,
@@ -117,6 +118,29 @@ def test_bootstrap_breakdown_on_deficient_left_seed():
     with pytest.raises(BootstrapBreakdown) as info:
         fs.bootstrap(A, b, np.zeros(4), y)
     assert info.value.degree == 1
+
+
+def test_an_overflowing_bootstrap_residual_is_not_a_krylov_overflow(monkeypatch):
+    # An r_j past the double range ends the bootstrap with NumericOverflow,
+    # which another left seed may avoid, so solve spends its whole restart
+    # budget on it (a KrylovOverflow would end the run at the first
+    # restart) and reports it without raising.
+    A = fs.Matrix.tridiagonal(30)
+    b = fs.matvec(A, np.ones(30))
+    degree_vectors = solver._degree_vectors
+
+    def overflowing_degree_vectors(r, *rest):
+        degree_vectors(r, *rest)
+        r[-1] = np.inf
+
+    monkeypatch.setattr(solver, "_degree_vectors", overflowing_degree_vectors)
+    with pytest.raises(NumericOverflow, match="bootstrap residual overflowed") as info:
+        fs.bootstrap(A, b, np.zeros(30), b.copy())
+    assert not isinstance(info.value, KrylovOverflow)
+    x, report = fs.solve(A, b)
+    assert report.status == STATUS_BREAKDOWN_EXHAUSTED
+    assert report.restart_causes == ("Overflow",) * fs.SolverConfig().max_restarts
+    assert np.array_equal(x, np.zeros(30))
 
 
 # ---------------------------------------------------------------------------
@@ -748,18 +772,22 @@ def test_long_solve_peak_memory_is_bounded_in_vectors():
     # buffers. It measures 23.08, at bootstrap degree 4: b, x0, y, the five
     # Krylov vectors read, the window's seven rows, r_3, x_3, z_2..z_4, r_4
     # and x_4, and best_x, x_1 here. Steps peak a vector lower. The bound
-    # is that plus one vector.
+    # is that plus one vector. At 80 iterations the solve restarts once on
+    # Ghost, and the restart's bootstrap peaks no higher (23.12): the failed
+    # state's iterates, window and products are dropped before it.
     n = 1 << 20
     A, _ = build_generator(f"tridiag:{n}")
     b = np.random.default_rng(0).standard_normal(n)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        fs.solve(A, b, config=fs.SolverConfig(max_iter=9))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24.1 * 8 * n, f"{peak / (8 * n):.2f} vectors"
+    for max_iter, causes in ((9, ()), (80, ("Ghost",))):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, report = fs.solve(A, b, config=fs.SolverConfig(max_iter=max_iter))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.restart_causes == causes
+        assert peak <= 24.1 * 8 * n, f"max_iter={max_iter}: {peak / (8 * n):.2f} vectors"
 
 
 def test_solver_config_validation():
