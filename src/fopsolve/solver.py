@@ -26,6 +26,12 @@ products are reused between the r and x updates) plus one of A^T to
 advance the left window. Bootstrap costs 10 applications of A plus 7 of
 A^T.
 
+On long vectors memory is a count of n-vectors, so each is dropped once
+nothing reads it again: the scaled b lives through a (re)start's seed
+draw and bootstrap only, the bootstrap forms x_j only for the iterates it
+hands on, and a step forms r_k and x_k before it takes the products of
+z_{k-2}, so at most five of its products are alive at once.
+
 The element-wise vector work (a step's r_k, x_k and z_k, the left-window
 projections, the bootstrap's combinations of Krylov vectors) runs through
 `linalg.blockwise`, which writes it in place, a step's over three of its
@@ -147,11 +153,16 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     P1_j through A^T v_i = beta_i v_{i-1} + alpha_i v_i + gamma_i v_{i+1})
     applied to the Krylov vectors; r_j, z_j and x_j are linear
     combinations of them (no further matvecs), formed block by block on
-    long vectors, into the state's slots (z_1, which no step reads, is
-    not formed). The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one
-    call per Krylov vector, side by side on long vectors; one more gemv
-    gives `z3_products`. Early convergence (some ||r_j|| <= tol * ||b||)
-    short-circuits; a singular degree-j system raises BootstrapBreakdown(j).
+    long vectors, into the state's slots. r_j and z_j are formed degree by
+    degree (z_1, which no step reads, is not). x_j is formed only where it
+    is handed on, after the degree loop: x_4, then x_3, then the best x_j
+    if that is x_1 or x_2; on early convergence (some ||r_j|| <= tol *
+    ||b||) only x_j, the best. Each x_j reads r0..A^{j-1} r0, so A^4 r0,
+    A^3 r0 and A^2 r0 are dropped as soon as no x left to form reads them.
+    The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one call per
+    Krylov vector, side by side on long vectors; one more gemv gives
+    `z3_products`. A singular degree-j system raises BootstrapBreakdown(j),
+    and a failed bootstrap forms no x at all.
     """
     bv, x0v, yv = map(linalg.as_vector, (b, x0, y))
     if A.rows != A.cols or A.rows != len(bv) or len(x0v) != len(bv) or len(yv) != len(bv):
@@ -182,51 +193,71 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     shifted = np.array([beta * (gram[m - 1] if m else 0.0) + alpha * gram[m] + gamma * gram[m + 1]
                         for m, (beta, alpha, gamma) in enumerate(recurrence[:BOOTSTRAP_DEGREE])])
 
-    r, x, z = [None] * 2, [None] * 2, [None] * 3  # SolverState's slots
+    r, z = [None] * 2, [None] * 3  # SolverState's slots of r_j and z_j
+    solutions, best = [None], 0  # a of each degree, read by x_j; the degree of least ||r_j||
     for j in range(1, BOOTSTRAP_DEGREE + 1):
         try:
             a = linalg.solve_dense(gram[:j, 1:j + 1], -gram[:j, 0])
             c = linalg.solve_dense(shifted[:j, :j], -shifted[:j, j])
         except SingularSystem as exc:
             raise BootstrapBreakdown(j) from exc
-        r[j % 2] = x[j % 2] = None  # degree j - 2, which no step reads
-        r_j, x_j, z_j = np.empty(n), np.empty(n), np.empty(n) if j > 1 else None
-        r[j % 2], x[j % 2], z[j % 3] = r_j, x_j, z_j
-        linalg.blockwise(_degree_vectors, r_j, x_j, z_j, x0v, a, c, *powers[:j + 1])
-        rn = float(np.linalg.norm(r_j))
+        r[j % 2] = None  # r_{j-2}, which no step reads
+        r[j % 2], z[j % 3] = np.empty(n), np.empty(n) if j > 1 else None
+        linalg.blockwise(_degree_vectors, r[j % 2], z[j % 3], a, c, *powers[:j + 1])
+        rn = float(np.linalg.norm(r[j % 2]))
         if not np.isfinite(rn):
             raise NumericOverflow("bootstrap residual overflowed")
         state.history.append((j, rn, "bootstrap"))
         state.iterations += 1
+        solutions.append(a)
         if rn < state.best_resnorm:
-            state.best_resnorm, state.best_x = rn, x_j
+            state.best_resnorm, best = rn, j
         if rn <= conv_floor:
             state.converged = True
-            state.k = j + 1
-            return state
+            break
+    state.k = j + 1
 
-    state.k = BOOTSTRAP_DEGREE + 1
-    state.r, state.x, state.z = r, x, z
+    # Only the x_j handed on are formed, newest first, as each reads r0..A^{j-1} r0:
+    # the best alone on convergence, else x_4 and x_3 for the steps, then the best.
+    handed_on = {best} if state.converged else {BOOTSTRAP_DEGREE, BOOTSTRAP_DEGREE - 1, best}
+    formed = {0: x0v}
+    for j in sorted(handed_on - {0}, reverse=True):
+        del powers[j:]  # A^j r0 and up, which no x left to form reads
+        formed[j] = np.empty(n)
+        linalg.blockwise(_degree_x, formed[j], x0v, solutions[j], *powers)
+    state.best_x = formed[best]
+    if state.converged:
+        return state
+    state.r, state.x, state.z = r, [formed[4], formed[3]], z  # x_j in slot j % 2
     state.u_window, state.u_columns = window, columns
     state.z3_products = window.dot(z[2])  # z_2, the first step's z_{k-3}
     return state
 
 
-def _degree_vectors(r, x, z, x0, a, c, *p):
-    """Write r_j, x_j and z_j of bootstrap degree j = len(a), combined from
-    x0 and the Krylov vectors p = (r0, A r0, ..., A^j r0), into r, x and z:
+def _degree_vectors(r, z, a, c, *p):
+    """Write r_j and z_j of bootstrap degree j = len(a), combined from the
+    Krylov vectors p = (r0, A r0, ..., A^j r0), into r and z:
 
         r = p[0] + sum(a[i - 1] * p[i] for i in range(1, j + 1))
-        x = x0 - sum(a[i - 1] * p[i - 1] for i in range(1, j + 1))
         z = p[j] + sum(c[i] * p[i] for i in range(j))
 
     each sum added left to right from the 0 that `sum` starts from. z is
-    None for j = 1: z_1, which no step reads, is not formed."""
+    None for j = 1: z_1, which no step reads, is not formed. x_j is
+    `_degree_x`'s, formed after the degree loop and only where handed on."""
     j = len(a)
     np.add(p[0], _sum_into(r, a, p[1:]), out=r)
-    np.subtract(x0, _sum_into(x, a, p), out=x)
     if z is not None:
         np.add(p[j], _sum_into(z, c, p[:j]), out=z)
+
+
+def _degree_x(x, x0, a, *p):
+    """Write x_j of bootstrap degree j = len(a), from x0 and the Krylov
+    vectors p = (r0, A r0, ..., A^{j-1} r0), into x:
+
+        x = x0 - sum(a[i - 1] * p[i - 1] for i in range(1, j + 1))
+
+    the sum added as `_degree_vectors` adds its own."""
+    np.subtract(x0, _sum_into(x, a, p), out=x)
 
 
 def _sum_into(out, coefficients, vectors) -> np.ndarray:
@@ -264,17 +295,16 @@ def _subtract_multiple(w, u, coefficient) -> None:
     w -= np.multiply(coefficient, u)
 
 
-def _advance(r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb):
-    """Write r_k over a2r, x_k over ar and z_k over az3, products that die with
-    the step, from the vectors of degree k - 2 and k - 3 and their products:
+def _advance_rx(r2, z3, x2, ar, a2r, az3, a2z3, ca):
+    """Write r_k over a2r and x_k over ar, products that die with the step,
+    from the vectors of degree k - 2 and k - 3 and their products:
 
         r_k = ca.a_k * (a2r + ca.b_k * ar + ca.c_k * r2 + ca.e_k * a2z3 + ca.f_k * az3)
         x_k = x2 - ca.a_k * (ar + ca.b_k * r2 + ca.e_k * az3 + ca.f_k * z3)
-        z_k = cb.c_k * az3 + cb.d_k * z3 + a2z2 + cb.f_k * az2 + cb.g_k * z2
 
-    In that order: r_k still reads ar and az3, x_k still reads az3. The
-    ufunc calls are those into new vectors, so the bits are too."""
-    add, multiply, r, x, z = np.add, np.multiply, a2r, ar, az3
+    In that order, since r_k still reads ar. The ufunc calls are those into
+    new vectors, so the bits are too."""
+    add, multiply, r, x = np.add, np.multiply, a2r, ar
     add(a2r, multiply(ca.b_k, ar), out=r)
     add(r, multiply(ca.c_k, r2), out=r)
     add(r, multiply(ca.e_k, a2z3), out=r)
@@ -284,6 +314,16 @@ def _advance(r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb):
     add(x, multiply(ca.e_k, az3), out=x)
     add(x, multiply(ca.f_k, z3), out=x)
     np.subtract(x2, multiply(ca.a_k, x, out=x), out=x)
+
+
+def _advance_z(z3, z2, az3, az2, a2z2, cb):
+    """Write z_k over az3, the last product of z_{k-3} left, from the vectors
+    of degree k - 2 and k - 3 and their products:
+
+        z_k = cb.c_k * az3 + cb.d_k * z3 + a2z2 + cb.f_k * az2 + cb.g_k * z2
+
+    The ufunc calls are those into a new vector, so the bits are too."""
+    add, multiply, z = np.add, np.multiply, az3
     multiply(cb.c_k, az3, out=z)
     add(z, multiply(cb.d_k, z3), out=z)
     add(z, a2z2, out=z)
@@ -296,14 +336,19 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
 
     Exactly 6 applications of A plus 1 of A^T. First come two window
     gemvs, with r_{k-2} and z_{k-2}, the latter kept as the next step's
-    `z3_products`, then all six matrix products; r_k, x_k and z_k are then
-    formed together, block by block on long vectors, the blocks split
-    across the usable CPUs, over A^2 r_{k-2}, A r_{k-2} and A z_{k-3},
-    and take the slots of r_{k-2}, x_{k-2} and z_{k-3}. Returns `state`
-    itself. Breakdowns from the coefficient computation and overflow of
-    the new iterates propagate before any live vector or field is
-    modified. The new left vector v_{k+3} overwrites v_{k-4}, the oldest
-    row of the window, after the other three products are freed.
+    `z3_products`. The new iterates are then formed in two stages, block
+    by block on long vectors, the blocks split across the usable CPUs:
+    after the four products with r_{k-2} and z_{k-3}, r_k and x_k are
+    written over A^2 r_{k-2} and A r_{k-2}, and A^2 z_{k-3} is dropped;
+    then, after the two with z_{k-2}, z_k is written over A z_{k-3}. So
+    at most five products are alive at once. r_k, x_k and z_k take the
+    slots of r_{k-2}, x_{k-2} and z_{k-3}. Returns `state` itself.
+    Breakdowns from the coefficient computation and overflow of the new
+    iterates, read after both stages, propagate before any live vector or
+    field is modified, an overflow after the six products with A and
+    before the one with A^T. The new left vector v_{k+3} overwrites
+    v_{k-4}, the oldest row of the window, after the products not reused
+    are freed.
     """
     k = state.k
     if k < BOOTSTRAP_DEGREE + 1 or state.u_window is None:
@@ -319,10 +364,12 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     a2r = linalg.matvec(A, ar)
     az3 = linalg.matvec(A, z3)
     a2z3 = linalg.matvec(A, az3)
+    linalg.blockwise(_advance_rx, r2, z3, x2, ar, a2r, az3, a2z3, ca)
+    r_k, x_k, a2z3 = a2r, ar, None  # frees A^2 z_{k-3} before the products of z_{k-2}
     az2 = linalg.matvec(A, z2)
     a2z2 = linalg.matvec(A, az2)
-    linalg.blockwise(_advance, r2, z3, z2, x2, ar, a2r, az3, a2z3, az2, a2z2, ca, cb)
-    r_k, x_k, z_k, a2z3, az2, a2z2 = a2r, ar, az3, None, None, None  # frees the three products not reused
+    linalg.blockwise(_advance_z, z3, z2, az3, az2, a2z2, cb)
+    z_k, az2, a2z2 = az3, None, None  # frees the two products not reused
 
     rn = math.sqrt(float(r_k.dot(r_k)))  # np.linalg.norm's arithmetic, without its dispatch
     if not (math.isfinite(rn) and np.isfinite(z_k).all() and np.isfinite(x_k).all()):
@@ -396,19 +443,21 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     of max|b|, so that norms of b near the ends of the double range
     neither overflow nor underflow; x and the residual norms of the
     report are scaled back. Power-of-two scaling is exact, so the result
-    is the unit-scale solve times 2^e, bit for bit.
+    is the unit-scale solve times 2^e, bit for bit. The scaled b is held
+    per (re)start, through its seed draw and bootstrap: each restart gets
+    a fresh np.ldexp(b, -e), and no step holds one.
     """
     cfg = config if config is not None else SolverConfig()
-    bv = linalg.as_vector(b)
+    b = linalg.as_vector(b)
     n = A.rows
-    if A.cols != n or len(bv) != n:
+    if A.cols != n or len(b) != n:
         raise DimensionMismatch("solve needs a square matrix matching b")
     x0v = None if x0 is None else linalg.as_vector(x0)
     if x0v is not None and len(x0v) != n:
         raise DimensionMismatch(f"solve needs x0 of length {n} to match b, got length {len(x0v)}")
     with np.errstate(all="ignore"):  # every failure is read off the values computed
-        exponent = math.frexp(max(float(bv.max()), -float(bv.min())))[1]  # of max|b|; b is finite
-        bv = np.ldexp(bv, -exponent)
+        exponent = math.frexp(max(float(b.max()), -float(b.min())))[1]  # of max|b|; b is finite
+        bv = np.ldexp(b, -exponent)
         x0v = np.zeros(n) if x0v is None else np.ldexp(x0v, -exponent)
         max_iter = cfg.max_iter if cfg.max_iter is not None else 2 * n + 10
         rng = np.random.default_rng(cfg.seed)
@@ -423,12 +472,13 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
             r0n = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
             state = SolverState(k=0, best_x=x0v, best_resnorm=r0n, history=[(0, r0n, "bootstrap")])
             cause = exc.cause
-        y = x0v = None  # not read again (x0v may live on as best_x); at n = 1e6 each holds 8 MB
+        # Not read again (x0v may live on as best_x; a restart scales b afresh); at n = 1e6 each holds 8 MB.
+        bv = y = x0v = None
 
         while True:
             if cause is not None:
                 try:
-                    state = restart(state, A, bv, cfg, cause=cause, rng=rng)
+                    state = restart(state, A, np.ldexp(b, -exponent), cfg, cause=cause, rng=rng)
                 except RestartsExhausted:
                     status = STATUS_BREAKDOWN_EXHAUSTED
                     break

@@ -10,7 +10,7 @@ import types
 import numpy as np
 
 import fopsolve as fs
-from fopsolve import recurrences
+from fopsolve import linalg, moments, recurrences, solver
 from fopsolve.errors import (
     DimensionMismatch,
     DivisorBreakdown,
@@ -43,6 +43,36 @@ def d3b_fixture(m: int = 18):
 def iterate(state, j):
     """(r_j, x_j, z_j) from the degree-indexed slots of a SolverState."""
     return state.r[j % 2], state.x[j % 2], state.z[j % 3]
+
+
+def bootstrap_x_reference(A, b, x0, y) -> list:
+    """x_0..x_4 of `solver.bootstrap(A, b, x0, y)`, each formed whole with
+    the arithmetic of a bootstrap that formed x_j at every degree j: the
+    Krylov vectors A^i r0, the left vectors v_0..v_3 and the Gram products
+    (v_m, A^i r0) taken as the bootstrap takes them, a the solution of the
+    degree-j conditions, and
+
+        x_j = x0 - sum(a[i - 1] * A^(i-1) r0 for i in range(1, j + 1)),
+
+    the sum added left to right from 0. The list stops before a degree
+    whose system is singular."""
+    b, x0, y = (linalg.as_vector(v) for v in (b, x0, y))
+    powers = moments.krylov_vectors(A, b - linalg.matvec(A, x0), solver.BOOTSTRAP_DEGREE)
+    left = [y / np.linalg.norm(y), *np.empty((recurrences.WINDOW, len(b)))]
+    for m in range(solver.BOOTSTRAP_DEGREE - 1):
+        solver._extend_left(A, left[m - 1] if m else None, left[m], left[m + 1])
+    gram = np.array([[float(v.dot(p)) for p in powers] for v in left[:solver.BOOTSTRAP_DEGREE]])
+    xs = [x0]
+    for j in range(1, solver.BOOTSTRAP_DEGREE + 1):
+        try:
+            a = linalg.solve_dense(gram[:j, 1:j + 1], -gram[:j, 0])
+        except SingularSystem:
+            break
+        total = 0
+        for coefficient, vector in zip(a, powers):
+            total = np.add(total, np.multiply(coefficient, vector))
+        xs.append(np.subtract(x0, total))
+    return xs
 
 
 def window_products(window, *vectors) -> list:
