@@ -305,7 +305,8 @@ def _spread(items: range, each) -> None:
     others, each helper under the caller's numpy error settings
     (`np.errstate`), which it sets itself: numpy 2 keeps them per context
     and numpy 1 per thread, and neither reaches another thread. Returns once
-    every run has finished; the caller's exception is then raised, or else
+    every run has finished and no helper holds `each` any more (`_serve`);
+    the caller's exception is then raised, or else
     that of the first failing helper run, in run order. `each` calls numpy
     only, never the package's public functions (a profiler that wraps those
     keeps state that concurrent calls would corrupt), and must not itself
@@ -332,18 +333,25 @@ def _spread(items: range, each) -> None:
 
 
 def _serve(inbox: queue.SimpleQueue) -> None:
-    """A helper's loop: work through each run it receives and report how it ended."""
+    """A helper's loop: work through each run it receives and report how it ended.
+
+    The run's callable is dropped before the report, so once `_spread`
+    returns no helper holds anything of the caller's: a vector the caller
+    drops then is freed at once, in the caller's thread, and not whenever
+    the helper gets round to it, where it would race the caller's next
+    allocation for the memory."""
     while True:
         index, run, each, settings, done = inbox.get()
+        error = None
         try:
             with np.errstate(**settings):
                 for i in run:
                     each(i)
         except BaseException as exc:  # raised again in the caller
-            done.put((index, exc))
-        else:
-            done.put((index, None))
-        del each, settings  # keep nothing of the caller's alive while idle
+            error = exc
+        del each, settings
+        done.put((index, error))
+        del error  # nor, while idle, a failed run's traceback
 
 
 def _usable_cpus() -> int:

@@ -29,8 +29,14 @@ A^T.
 On long vectors memory is a count of n-vectors, so each is dropped once
 nothing reads it again: the scaled b lives through a (re)start's seed
 draw and bootstrap only, the bootstrap forms x_j only for the iterates it
-hands on, and a step forms r_k and x_k before it takes the products of
-z_{k-2}, so at most five of its products are alive at once.
+hands on, over Krylov vectors no x left to form reads, and a step forms
+r_k and x_k before it takes the products of z_{k-2}, so at most five of
+its products are alive at once. Which vectors a solve allocates and
+frees, and in what order, does not depend on b: the best iterate is
+copied into one vector of the solve's own, `SolverState.kept`, when the
+slot that held it moves on, rather than keeping that slot's vector alive,
+and the solution is scaled into `kept` too. A solve then leaves the heap
+the same whichever iterate was best.
 
 The element-wise vector work (a step's r_k, x_k and z_k, the left-window
 projections, the bootstrap's combinations of Krylov vectors) runs through
@@ -112,7 +118,10 @@ class SolverState:
     read. `step` advances the state in place. `history` is append-only
     across restarts, and `iterations` counts its bootstrap and step
     entries of degree k >= 1. `best_x`, the iterate of least residual
-    norm, is the solution once `converged`.
+    norm, is the solution once `converged`. `solve` sets `kept`, a vector
+    of its own: once no x slot holds best_x, best_x is copied into it, so
+    no other vector stays alive for it. A state without one (from
+    `bootstrap` alone) keeps the vector that held best_x alive instead.
     """
 
     k: int
@@ -126,6 +135,7 @@ class SolverState:
     iterations: int = 0
     best_x: np.ndarray | None = None
     best_resnorm: float = np.inf
+    kept: np.ndarray | None = None
     restart_causes: list = field(default_factory=list)
     converged: bool = False
 
@@ -157,8 +167,9 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     degree (z_1, which no step reads, is not). x_j is formed only where it
     is handed on, after the degree loop: x_4, then x_3, then the best x_j
     if that is x_1 or x_2; on early convergence (some ||r_j|| <= tol *
-    ||b||) only x_j, the best. Each x_j reads r0..A^{j-1} r0, so A^4 r0,
-    A^3 r0 and A^2 r0 are dropped as soon as no x left to form reads them.
+    ||b||) only x_j, the best. Each x_j reads r0..A^{j-1} r0, so they are
+    written over A^4 r0, A^3 r0 and A^2 r0 in turn, which no x left to
+    form reads: forming them allocates nothing.
     The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one call per
     Krylov vector, side by side on long vectors; one more gemv gives
     `z3_products`. A singular degree-j system raises BootstrapBreakdown(j),
@@ -221,10 +232,9 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     # the best alone on convergence, else x_4 and x_3 for the steps, then the best.
     handed_on = {best} if state.converged else {BOOTSTRAP_DEGREE, BOOTSTRAP_DEGREE - 1, best}
     formed = {0: x0v}
-    for j in sorted(handed_on - {0}, reverse=True):
-        del powers[j:]  # A^j r0 and up, which no x left to form reads
-        formed[j] = np.empty(n)
-        linalg.blockwise(_degree_x, formed[j], x0v, solutions[j], *powers)
+    for j, over in zip(sorted(handed_on - {0}, reverse=True), (4, 3, 2)):
+        formed[j] = powers[over]  # A^over r0, which no x left to form reads
+        linalg.blockwise(_degree_x, formed[j], x0v, solutions[j], *powers[:j])
     state.best_x = formed[best]
     if state.converged:
         return state
@@ -348,7 +358,8 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     field is modified, an overflow after the six products with A and
     before the one with A^T. The new left vector v_{k+3} overwrites
     v_{k-4}, the oldest row of the window, after the products not reused
-    are freed.
+    are freed. If x_{k-2}, which leaves its slot, is still `best_x`, it is
+    copied into `state.kept` (see `SolverState`).
     """
     k = state.k
     if k < BOOTSTRAP_DEGREE + 1 or state.u_window is None:
@@ -384,7 +395,22 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     state.z3_products = z2_products
     if rn < state.best_resnorm:
         state.best_resnorm, state.best_x = rn, x_k
+    elif state.best_x is x2:
+        _keep_best(state)
     return state
+
+
+def _keep_best(state: SolverState) -> None:
+    """Copy `best_x` into `state.kept`, if the state has one, and name it best_x."""
+    if state.kept is not None and state.best_x is not state.kept:
+        np.copyto(state.kept, state.best_x)
+        state.best_x = state.kept
+
+
+def _settle_best(state: SolverState) -> None:
+    """After a bootstrap: `best_x` into `state.kept` unless an x slot holds it."""
+    if not any(state.best_x is x for x in state.x or ()):
+        _keep_best(state)
 
 
 def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig, cause: str, rng) -> SolverState:
@@ -402,8 +428,10 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig, cause
     record (history, restart causes, iteration count, best iterate) moves
     on to the fresh bootstrap state, history append-only. `state` keeps
     only that record: its iterates, window and window products are dropped
-    before the first draw, so no bootstrap runs beside them.
+    before the first draw, so no bootstrap runs beside them, and the best
+    iterate is held in `kept` first, which the fresh state takes over.
     """
+    _keep_best(state)
     state.r = state.x = state.z = state.u_window = state.u_columns = state.z3_products = None
     bv = linalg.as_vector(b)
     fresh = None
@@ -427,8 +455,10 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig, cause
     fresh.history = state.history
     fresh.restart_causes = state.restart_causes
     fresh.iterations += state.iterations
+    fresh.kept = state.kept
     if state.best_resnorm < fresh.best_resnorm:
         fresh.best_resnorm, fresh.best_x = state.best_resnorm, state.best_x
+    _settle_best(fresh)
     return fresh
 
 
@@ -445,7 +475,8 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     report are scaled back. Power-of-two scaling is exact, so the result
     is the unit-scale solve times 2^e, bit for bit. The scaled b is held
     per (re)start, through its seed draw and bootstrap: each restart gets
-    a fresh np.ldexp(b, -e), and no step holds one.
+    a fresh np.ldexp(b, -e), and no step holds one. The scaled x0 is the
+    state's `kept` vector, and x is scaled back into it.
     """
     cfg = config if config is not None else SolverConfig()
     b = linalg.as_vector(b)
@@ -472,7 +503,9 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
             r0n = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
             state = SolverState(k=0, best_x=x0v, best_resnorm=r0n, history=[(0, r0n, "bootstrap")])
             cause = exc.cause
-        # Not read again (x0v may live on as best_x; a restart scales b afresh); at n = 1e6 each holds 8 MB.
+        state.kept = x0v
+        _settle_best(state)
+        # Not read again (x0v lives on as `kept`; a restart scales b afresh); at n = 1e6 each holds 8 MB.
         bv = y = x0v = None
 
         while True:
@@ -495,8 +528,10 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
                 cause = exc.cause
             else:
                 state.converged = state.history[-1][1] <= conv_floor
-        best_x, report, state = state.best_x, _report(state, status, bn, exponent), None  # frees the vectors
-        return np.ldexp(best_x, exponent), report
+        # x goes into `kept`, which best_x then names, so the vectors freed here are the same whichever was best.
+        x = state.best_x = np.ldexp(state.best_x, exponent, out=state.kept)
+        report, state = _report(state, status, bn, exponent), None  # frees the vectors
+        return x, report
 
 
 def _draw_left_seed(rng, A, b, x0) -> np.ndarray:

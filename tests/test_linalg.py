@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import math
 import os
+import queue
 import signal
 import subprocess
 import sys
@@ -398,6 +399,33 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
     assert [got.get(k) for k in range(3)] == want
     assert len(linalg._inboxes) == max(helpers, 2)
     assert threading.active_count() - threads == len(linalg._inboxes) - helpers
+
+
+def test_a_helper_holds_nothing_of_a_run_once_it_reports(monkeypatch):
+    # The helper lingers in the put of its report. A vector the caller
+    # drops as soon as blockwise returns must be freed then, in the
+    # caller's thread, not when the helper goes on: freed there, it would
+    # race the caller's next allocation for the memory.
+    monkeypatch.setattr(linalg, "BLOCK", 7)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+
+    class LingeringQueue(queue.SimpleQueue):
+        def put(self, item, block=True, timeout=None):
+            super().put(item, block, timeout)
+            if threading.current_thread().name.startswith("fopsolve-helper"):
+                time.sleep(0.2)
+
+    monkeypatch.setattr(linalg.queue, "SimpleQueue", LingeringQueue)
+
+    def caller():
+        v = np.arange(50.0)
+        alive = weakref.ref(v)
+        linalg.blockwise(np.negative, v, v)
+        assert v.tobytes() == (-np.arange(50.0)).tobytes()
+        del v
+        return alive() is None
+
+    assert within(60, caller)
 
 
 def _split_calls_in_a_forked_child(monkeypatch, hold_lock: bool) -> None:

@@ -850,14 +850,15 @@ def test_long_solve_peak_memory_is_bounded_in_vectors():
     # vectors of length n under tracemalloc, to which numpy reports its
     # buffers. It measures 20.11, in a step: the window's seven rows, the
     # seven iterates r, x of degrees k - 1, k - 2 and z of k - 1..k - 3,
-    # best_x, and five products, r_k and x_k written over two of them.
+    # the solve's `kept` vector (its scaled x0, which holds best_x once no
+    # slot does), and five products, r_k and x_k written over two of them.
     # The scaled b is not held by the steps. The bootstrap peaks at 20.07,
     # at degree 4: b, x0, y, the five Krylov vectors read, the window's
-    # seven rows, r_3, r_4 and z_2..z_4; its x_j are formed after that. The
-    # bound is the peak plus one vector. At 80 iterations the solve
-    # restarts once on Ghost, and peaks no higher (20.19): the failed
-    # state's iterates, window and products are dropped before the
-    # restart's bootstrap.
+    # seven rows, r_3, r_4 and z_2..z_4; its x_j are then written over
+    # Krylov vectors. The bound is the peak plus one vector. At 80
+    # iterations the solve restarts once on Ghost, and peaks no higher
+    # (20.16): the failed state's iterates, window and products are
+    # dropped before the restart's bootstrap.
     n = 1 << 20
     A, _ = build_generator(f"tridiag:{n}")
     b = np.random.default_rng(0).standard_normal(n)
@@ -871,6 +872,48 @@ def test_long_solve_peak_memory_is_bounded_in_vectors():
             tracemalloc.stop()
         assert report.restart_causes == causes
         assert peak <= 21.2 * 8 * n, f"max_iter={max_iter}: {peak / (8 * n):.2f} vectors"
+
+
+def test_a_solve_holds_the_same_memory_whichever_iterate_is_best(monkeypatch):
+    # Four right-hand sides whose best iterate is x_0, x_1 (formed by the
+    # bootstrap only because it is the best), x_3 and x_9, the last. After
+    # every step, and at its peak, each solve holds as much memory, in
+    # vectors of length n under tracemalloc: the best iterate is copied
+    # into the solve's `kept` vector once no slot holds it, so no other
+    # vector stays alive for it, and which vectors a solve allocates and
+    # frees does not depend on b. Small Python objects move the counts by
+    # a few hundredths of a vector; a vector kept alive moves them by one.
+    # n is past linalg.BLOCK, so the blocked kernels run.
+    n = 40000
+    A, _ = build_generator(f"tridiag:{n}")
+    step = solver.step
+
+    def profile(seed):
+        record = []
+
+        def recorded(state, A):
+            tracemalloc.reset_peak()
+            try:
+                return step(state, A)
+            finally:
+                current, peak = tracemalloc.get_traced_memory()
+                record.append((current / (8 * n), peak / (8 * n)))
+
+        monkeypatch.setattr(solver, "step", recorded)
+        b = np.random.default_rng(seed).standard_normal(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, report = fs.solve(A, b, config=fs.SolverConfig(max_iter=9))
+        finally:
+            tracemalloc.stop()
+        return min(report.entries, key=lambda entry: entry[1])[0], record
+
+    profiles = [profile(seed) for seed in (4, 7, 0, 1)]
+    assert [best for best, _ in profiles] == [0, 1, 3, 9]
+    assert len(profiles[0][1]) == 5
+    first = np.array(profiles[0][1])
+    assert all(np.abs(np.array(record) - first).max() < 0.5 for _, record in profiles), profiles
 
 
 def test_solver_config_validation():
