@@ -202,30 +202,27 @@ class FitReport:
         return "indeterminate"
 
 
-def assemble_scalar_products(r_products, z3_products, z2_products, columns, head: int = 0) -> ScalarProducts:
-    """Form the twelve functional values from a left window's products; no vector is read here.
+def assemble_scalar_products(r_products, z3_products, z2_products, columns) -> ScalarProducts:
+    """Form the twelve functional values from products with the left vectors; no vector is read here.
 
-    The (7, n) left window holds v_{k-4}..v_{k+2} cyclically from row
-    `head` on. `r_products`, `z3_products` and `z2_products` are its
-    products with r_{k-2}, z_{k-3} and z_{k-2}, and row s of the (7, 3)
-    `columns` holds (beta_j, alpha_j, gamma_j) of the v_j in row s, all in
-    window row order (arrays). The products give the c values directly and
-    the c1 values through c1(N_j q) = c(x N_j q), on Python floats. Only
-    the six rows of `z3_products` from `head` on, v_{k-4}..v_{k+1}, are
-    read, and the newest row's column is unused.
+    Every input is in degree order, of Python floats: `r_products` and
+    `z2_products` are the products of v_{k-4}..v_{k+2} with r_{k-2} and
+    with z_{k-2}, `z3_products` those of v_{k-4}..v_{k+1} with z_{k-3},
+    and `columns` the tuples (beta_j, alpha_j, gamma_j) of j = k-4..k+1.
+    The products give the c values directly and the c1 values through
+    c1(N_j q) = c(x N_j q).
     """
-    if not len(r_products) == len(z3_products) == len(z2_products) == len(columns) == WINDOW:
-        raise DimensionMismatch(f"left window products and columns must hold {WINDOW} rows each")
-    r, z3, z2, cols = ((values[head:] + values[:head])
-                       for values in map(np.ndarray.tolist, (r_products, z3_products, z2_products, columns)))
-    c0, (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4), (b5, a5, g5), _ = cols  # j = k-4..k+2
+    if not len(r_products) == len(z2_products) == WINDOW or not len(z3_products) == len(columns) == WINDOW - 1:
+        raise DimensionMismatch(f"left products and columns must hold {WINDOW}, {WINDOW - 1}, {WINDOW}, {WINDOW - 1}")
+    r, z3, z2 = r_products, z3_products, z2_products
+    c0, (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4), (b5, a5, g5) = columns  # j = k-4..k+1
     # c1(N_j q) = c(x N_j q) = beta_j c(N_{j-1} q) + alpha_j c(N_j q) + gamma_j c(N_{j+1} q)
     return _expand((*r[2:6],
                     b1 * z3[0] + a1 * z3[1] + g1 * z3[2], b2 * z3[1] + a2 * z3[2] + g2 * z3[3],
                     b3 * z3[2] + a3 * z3[3] + g3 * z3[4], b4 * z3[3] + a4 * z3[4] + g4 * z3[5],
                     b2 * z2[1] + a2 * z2[2] + g2 * z2[3], b3 * z2[2] + a3 * z2[3] + g3 * z2[4],
                     b4 * z2[3] + a4 * z2[4] + g4 * z2[5], b5 * z2[4] + a5 * z2[5] + g5 * z2[6]),
-                   (tuple(c0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4)))
+                   (c0, (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4)))
 
 
 def a13_coefficients(sp: ScalarProducts) -> A13Coeffs:

@@ -110,12 +110,11 @@ class SolverState:
     indexed by degree, r_j in `r[j % 2]`, x_j in `x[j % 2]` and z_j in
     `z[j % 3]` (None until filled); none is written once formed, so
     `best_x` may be one of them. The left vectors v_{k-4}..v_{k+2} sit
-    in the (7, n) `u_window` cyclically from row (k - 5) % 7 on; row s of
-    the (7, 3) `u_columns` holds (beta_j, alpha_j, gamma_j) of the v_j in
-    row s (the newest row's is not yet known). `z3_products` holds the
-    window's products with z_{k-3}, in row order, as the bootstrap or the
-    step before took them; the row of v_{k+2}, written since, is not
-    read. `step` advances the state in place. `history` is append-only
+    in the (7, n) `u_window` cyclically from row (k - 5) % 7 on.
+    `u_columns` lists the tuples (beta_j, alpha_j, gamma_j) of
+    j = k-4..k+1, and `z3_products` the products of v_{k-4}..v_{k+1} with
+    z_{k-3}, both in degree order, as the bootstrap or the step before left
+    them. `step` advances the state in place. `history` is append-only
     across restarts, and `iterations` counts its bootstrap and step
     entries of degree k >= 1. `best_x`, the iterate of least residual
     norm, is the solution once `converged`. `solve` sets `kept`, a vector
@@ -129,8 +128,8 @@ class SolverState:
     x: list | None = None
     z: list | None = None
     u_window: np.ndarray | None = None
-    u_columns: np.ndarray | None = None
-    z3_products: np.ndarray | None = None
+    u_columns: list | None = None
+    z3_products: list | None = None
     history: list = field(default_factory=list)
     iterations: int = 0
     best_x: np.ndarray | None = None
@@ -171,9 +170,9 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     written over A^4 r0, A^3 r0 and A^2 r0 in turn, which no x left to
     form reads: forming them allocates nothing.
     The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one call per
-    Krylov vector, side by side on long vectors; one more gemv gives
-    `z3_products`. A singular degree-j system raises BootstrapBreakdown(j),
-    and a failed bootstrap forms no x at all.
+    Krylov vector, side by side on long vectors; one more gemv, with z_2,
+    gives `z3_products`. A singular degree-j system raises
+    BootstrapBreakdown(j), and a failed bootstrap forms no x at all.
     """
     bv, x0v, yv = map(linalg.as_vector, (b, x0, y))
     if A.rows != A.cols or A.rows != len(bv) or len(x0v) != len(bv) or len(yv) != len(bv):
@@ -195,8 +194,6 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     window = np.empty((WINDOW, n))
     left = [yv / np.linalg.norm(yv), *window]  # v_0..v_7, the window rows as views
     recurrence = [_extend_left(A, left[j - 1] if j else None, left[j], left[j + 1]) for j in range(WINDOW)]
-    columns = np.zeros((WINDOW, 3))
-    columns[:-1] = recurrence[1:]  # row s holds the column of v_{s+1}
     # c(N_m x^i) = (v_m, A^i r0) and c1(N_m x^i) = (A^T v_m, A^i r0), m = 0..3. `v.dot(p)`, not
     # `v @ p`, which holds the GIL on two vectors and so would run the calls one after another.
     gram = np.array([*zip(*linalg.parallel_map(lambda p: [float(v.dot(p)) for v in left[:len(powers)]], powers))])
@@ -239,8 +236,8 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     if state.converged:
         return state
     state.r, state.x, state.z = r, [formed[4], formed[3]], z  # x_j in slot j % 2
-    state.u_window, state.u_columns = window, columns
-    state.z3_products = window.dot(z[2])  # z_2, the first step's z_{k-3}
+    state.u_window, state.u_columns = window, recurrence[1:]  # the columns of v_1..v_6
+    state.z3_products = window.dot(z[2]).tolist()[:6]  # z_2, the first step's z_{k-3}, against v_1..v_6
     return state
 
 
@@ -344,30 +341,32 @@ def _advance_z(z3, z2, az3, az2, a2z2, cb):
 def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     """Advance one degree in place: new r, x, z and one new left vector.
 
-    Exactly 6 applications of A plus 1 of A^T. First come two window
-    gemvs, with r_{k-2} and z_{k-2}, the latter kept as the next step's
-    `z3_products`. The new iterates are then formed in two stages, block
-    by block on long vectors, the blocks split across the usable CPUs:
-    after the four products with r_{k-2} and z_{k-3}, r_k and x_k are
-    written over A^2 r_{k-2} and A r_{k-2}, and A^2 z_{k-3} is dropped;
-    then, after the two with z_{k-2}, z_k is written over A z_{k-3}. So
-    at most five products are alive at once. r_k, x_k and z_k take the
-    slots of r_{k-2}, x_{k-2} and z_{k-3}. Returns `state` itself.
-    Breakdowns from the coefficient computation and overflow of the new
-    iterates, read after both stages, propagate before any live vector or
-    field is modified, an overflow after the six products with A and
-    before the one with A^T. The new left vector v_{k+3} overwrites
+    Exactly 6 applications of A plus 1 of A^T. First come two window gemvs,
+    with r_{k-2} and z_{k-2}, put in degree order; the latter's last six
+    are the next step's `z3_products`. The new iterates are then formed in
+    two stages, block by block on long vectors, the blocks split across
+    the usable CPUs: after the four products with r_{k-2} and z_{k-3}, r_k
+    and x_k are written over A^2 r_{k-2} and A r_{k-2}, and A^2 z_{k-3} is
+    dropped; then, after the two with z_{k-2}, z_k is written over
+    A z_{k-3}. So at most five products are alive at once. r_k, x_k and z_k
+    take the slots of r_{k-2}, x_{k-2} and z_{k-3}. Returns `state`
+    itself. Breakdowns from the coefficient computation and overflow of
+    the new iterates, read after both stages, propagate before any live
+    vector or field is modified, an overflow after the six products with A
+    and before the one with A^T. The new left vector v_{k+3} overwrites
     v_{k-4}, the oldest row of the window, after the products not reused
-    are freed. If x_{k-2}, which leaves its slot, is still `best_x`, it is
-    copied into `state.kept` (see `SolverState`).
+    are freed, and the column of v_{k+2} replaces that of v_{k-4}. If
+    x_{k-2}, which leaves its slot, is still `best_x`, it is copied into
+    `state.kept` (see `SolverState`).
     """
     k = state.k
     if k < BOOTSTRAP_DEGREE + 1 or state.u_window is None:
         raise ValueError("state is not positioned for recurrence steps")
     r2, x2, z3, z2 = state.r[(k - 2) % 2], state.x[(k - 2) % 2], state.z[(k - 3) % 3], state.z[(k - 2) % 3]
     head = (k - 5) % WINDOW  # the row of v_{k-4}
-    r_products, z2_products = linalg.parallel_map(state.u_window.dot, (r2, z2))
-    sp = recurrences.assemble_scalar_products(r_products, state.z3_products, z2_products, state.u_columns, head)
+    r_products, z2_products = (p[head:] + p[:head]  # v_{k-4}..v_{k+2}, in degree order
+                               for p in map(np.ndarray.tolist, linalg.parallel_map(state.u_window.dot, (r2, z2))))
+    sp = recurrences.assemble_scalar_products(r_products, state.z3_products, z2_products, state.u_columns)
     ca = recurrences.a13_coefficients(sp)
     cb = recurrences.b13_coefficients(sp)
 
@@ -387,12 +386,13 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
         raise NumericOverflow(f"iterate overflowed at degree {k}")
 
     window, newest = state.u_window, (head - 1) % WINDOW
-    state.u_columns[newest] = _extend_left(A, window[(head - 2) % WINDOW], window[newest], window[head])
+    state.u_columns.append(_extend_left(A, window[(head - 2) % WINDOW], window[newest], window[head]))
+    del state.u_columns[0]
     state.history.append((k, rn, "step"))
     state.iterations += 1
     state.k = k + 1
     state.r[k % 2], state.x[k % 2], state.z[k % 3] = r_k, x_k, z_k
-    state.z3_products = z2_products
+    state.z3_products = z2_products[1:]
     if rn < state.best_resnorm:
         state.best_resnorm, state.best_x = rn, x_k
     elif state.best_x is x2:

@@ -81,6 +81,16 @@ def window_products(window, *vectors) -> list:
     return [window.dot(v) for v in vectors]
 
 
+def in_degree_order(products, columns, head=0) -> list:
+    """The arguments of `assemble_scalar_products` from a (7, n) window that
+    holds v_{k-4}..v_{k+2} cyclically from row `head` on: its products with
+    r_{k-2}, z_{k-3} and z_{k-2}, and its (7, 3) columns, each rolled into
+    degree order as Python floats; the products with z_{k-3} are cut to
+    v_{k-4}..v_{k+1}, and the columns to the tuples of j = k-4..k+1."""
+    r, z3, z2 = (np.roll(p, -head).tolist() for p in products)
+    return [r, z3[:6], z2, [tuple(c) for c in np.roll(columns, -head, axis=0).tolist()[:6]]]
+
+
 def apply_functional(c, p, shift=0, power=0):
     """c(x^power p) for shift 0, c1(x^power p) for shift 1; `p` is a
     Polynomial or an ascending coefficient sequence."""
@@ -217,9 +227,11 @@ def reconstruct_from_relation(blocks, bases, k):
 
 def reference_scalar_products(r_products, z3_products, z2_products, columns, head=0):
     """The twelve values, the rows and the scale, as a namespace, from the
-    window's products with r_{k-2}, z_{k-3} and z_{k-2}."""
+    window's products with r_{k-2}, z_{k-3} and z_{k-2}, in window row
+    order from `head` on; at head 0 the last row of `z3_products` and of
+    `columns`, which are not read, may be left out."""
     r, z3, z2 = (_reference_from_head(np.asarray(p).tolist(), head) for p in (r_products, z3_products, z2_products))
-    cols = _reference_from_head(columns.tolist(), head)  # j = k-4..k+2
+    cols = _reference_from_head(np.asarray(columns).tolist(), head)  # j = k-4..k+2
     values = (*r[2:6], *_reference_times_x(cols[1:5], z3[1:6], z3[0]),
               *_reference_times_x(cols[2:6], z2[2:7], z2[1]))
     return reference_expand(values, tuple([tuple(c) for c in cols[:5]]))

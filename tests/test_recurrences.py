@@ -27,6 +27,7 @@ from helpers import (
     d3b_fixture,
     expand_a13_multipliers,
     expand_b13_multipliers,
+    in_degree_order,
     iterate,
     poly_matrix_apply,
     power_scalar_products,
@@ -46,13 +47,16 @@ def sp_from_values(cr, cz, dz):
 # ---------------------------------------------------------------------------
 
 def test_assemble_window_length_contract():
-    # Each of the three product arrays and the columns must hold a row per
-    # window vector.
-    for short in range(4):
-        inputs = [np.ones(7), np.ones(7), np.ones(7), np.ones((7, 3))]
-        inputs[short] = inputs[short][:3]
-        with pytest.raises(DimensionMismatch):
-            fs.assemble_scalar_products(*inputs)
+    # The products with r_{k-2} and z_{k-2} hold a value per window vector,
+    # those with z_{k-3} and the columns one fewer; any other length raises.
+    good = [[1.0] * 7, [1.0] * 6, [1.0] * 7, [(0.0, 0.0, 1.0)] * 6]
+    fs.assemble_scalar_products(*good)
+    for at in range(4):
+        for length in (3, len(good[at]) + 1):
+            inputs = list(good)
+            inputs[at] = (good[at] * 2)[:length]
+            with pytest.raises(DimensionMismatch):
+                fs.assemble_scalar_products(*inputs)
 
 
 def test_assemble_matches_functional_on_d3b():
@@ -63,7 +67,7 @@ def test_assemble_matches_functional_on_d3b():
     q_km3 = fs.oracle_p1(c, k - 3)
     q_km2 = fs.oracle_p1(c, k - 2)
     r_km2, z_km3, z_km2 = (poly_matrix_apply(p, A, ones) for p in (p_km2, q_km3, q_km2))
-    sp = fs.assemble_scalar_products(*window_products(window, r_km2, z_km3, z_km2), columns=columns)
+    sp = fs.assemble_scalar_products(*in_degree_order(window_products(window, r_km2, z_km3, z_km2), columns))
     expected = [
         apply_functional(c, p_km2, 0, k - 2 + i) for i in range(4)
     ] + [
@@ -78,8 +82,8 @@ def test_assemble_matches_functional_on_d3b():
 def test_assemble_zero_residual_degenerate_case():
     ones = np.ones(4)
     r1 = np.zeros(4)  # converged residual
-    sp = fs.assemble_scalar_products(*window_products(np.full((7, 4), 2.0), r1, ones, ones),
-                                     columns=np.array(PURE_SHIFT[:1] * 7))
+    sp = fs.assemble_scalar_products(*in_degree_order(window_products(np.full((7, 4), 2.0), r1, ones, ones),
+                                                      np.array(PURE_SHIFT[:1] * 7)))
     assert sp.values[0] == 0.0 and sp.values[3] == 0.0
 
 
@@ -89,7 +93,7 @@ def test_assemble_symmetric_matrix_reduces_to_power_products():
     r0 = np.array([1.0, 0.5, -0.25])
     window, columns = power_window(A, r0, 4)  # u_0..u_6, so c(x^{k-2+i} .) is u_{2+i}
     r_m = np.array([0.1, -0.2, 0.3])
-    sp = fs.assemble_scalar_products(*window_products(window, r_m, r_m, r_m), columns=columns)
+    sp = fs.assemble_scalar_products(*in_degree_order(window_products(window, r_m, r_m, r_m), columns))
     for i in range(4):
         direct = float((np.linalg.matrix_power(a, i + 2) @ r0) @ r_m)
         assert abs(sp.values[i] - direct) <= 1e-12 * max(1.0, abs(direct))
@@ -97,15 +101,16 @@ def test_assemble_symmetric_matrix_reduces_to_power_products():
 
 def test_pure_shift_window_matches_power_products_at_every_head():
     # The power basis is the left window whose columns are the pure shift;
-    # the window rows are stored cyclically from `head` on.
+    # the window rows are stored cyclically from `head` on, and put back in
+    # degree order before the assembly.
     for seed in range(3):
         A, _, y = ring_spectrum_fixture(12, seed)
         r_km2, z_km3, z_km2 = np.random.default_rng(seed).standard_normal((3, 12))
         window, columns = power_window(A, y, 6)
         ref = power_scalar_products(window[2:], r_km2, z_km3, z_km2)
         for head in range(7):
-            sp = fs.assemble_scalar_products(*window_products(np.roll(window, head, axis=0), r_km2, z_km3, z_km2),
-                                             columns=np.roll(columns, head, axis=0), head=head)
+            products = window_products(np.roll(window, head, axis=0), r_km2, z_km3, z_km2)
+            sp = fs.assemble_scalar_products(*in_degree_order(products, np.roll(columns, head, axis=0), head))
             assert sp.columns == PURE_SHIFT
             for got, want in zip(sp.values, ref.values):
                 assert abs(got - want) <= 1e-12 * ref.scale
@@ -135,7 +140,7 @@ def test_flat_float_path_matches_the_reference_on_random_windows():
         window, r_km2, z_km3, z_km2, columns = random_window_case(rng, i % 4)
         head = int(rng.integers(7))
         products = window_products(window, r_km2, z_km3, z_km2)
-        sp = fs.assemble_scalar_products(*products, columns=columns, head=head)
+        sp = fs.assemble_scalar_products(*in_degree_order(products, columns, head))
         ref = reference_scalar_products(*products, columns, head)
         seen.update(assert_same_coefficient_path(sp, ref))
     assert seen == {"ok", TrueBreakdown, GhostBreakdown, NormalizationBreakdown, DivisorBreakdown}
@@ -305,8 +310,9 @@ def test_bounded_window_coefficients_match_power_basis():
             assert state.k == k
             r_km2, _, z_km2 = iterate(state, k - 2)
             z_km3 = iterate(state, k - 3)[2]
-            sp = fs.assemble_scalar_products(*window_products(state.u_window, r_km2, z_km3, z_km2),
-                                             columns=state.u_columns, head=(k - 5) % 7)
+            r_products, z3_products, z2_products = (np.roll(p, 5 - k).tolist()  # in degree order
+                                                    for p in window_products(state.u_window, r_km2, z_km3, z_km2))
+            sp = fs.assemble_scalar_products(r_products, z3_products[:6], z2_products, state.u_columns)
             ref = bridged_scalar_products(A, r0, y, c, k)
             got_a, want_a = fs.a13_coefficients(sp), fs.a13_coefficients(ref)
             got_b, want_b = fs.b13_coefficients(sp), fs.b13_coefficients(ref)

@@ -102,8 +102,8 @@ def test_bootstrap_tridiag30_partial_progress_and_consistency():
         direct = b - fs.matvec(A, x_j)
         assert np.linalg.norm(direct - r_j) <= 1e-10 * np.linalg.norm(b)
     # left window: unit vectors with A^T v_j = beta_j v_{j-1} + alpha_j v_j + gamma_j v_{j+1}
-    order = [(state.k - 5 + t) % 7 for t in range(7)]
-    v, columns = state.u_window[order], state.u_columns[order]
+    v, columns = state.u_window[[(state.k - 5 + t) % 7 for t in range(7)]], state.u_columns  # in degree order
+    assert len(columns) == 6
     for j in range(1, 6):
         beta, alpha, gamma = columns[j]
         assert np.allclose(fs.transpose_matvec(A, v[j]), beta * v[j - 1] + alpha * v[j] + gamma * v[j + 1],
@@ -332,7 +332,8 @@ def test_failed_step_leaves_state_untouched(monkeypatch):
         before = [v.copy() for v in live]
         best_x, best_bits = state.best_x, state.best_x.tobytes()
         u_before = [u.copy() for u in state.u_window]
-        z3_products, z3_bits = state.z3_products, state.z3_products.tobytes()
+        z3_products, z3_bits = state.z3_products, float_bits(state.z3_products)
+        columns, column_bits = state.u_columns, [float_bits(c) for c in state.u_columns]
         k, history, iterations = state.k, list(state.history), state.iterations
         counter = CountingMatrix(A)
         with monkeypatch.context() as patch:
@@ -346,7 +347,8 @@ def test_failed_step_leaves_state_untouched(monkeypatch):
         assert state.best_x is best_x and best_x.tobytes() == best_bits
         assert len(state.u_window) == len(u_before)
         assert all(np.array_equal(u, v) for u, v in zip(state.u_window, u_before))
-        assert state.z3_products is z3_products and z3_products.tobytes() == z3_bits
+        assert state.z3_products is z3_products and float_bits(z3_products) == z3_bits
+        assert state.u_columns is columns and [float_bits(c) for c in columns] == column_bits
 
 
 def test_a_step_writes_no_array_the_state_held():
@@ -360,12 +362,14 @@ def test_a_step_writes_no_array_the_state_held():
         fs.step(state, A)
     assert state.best_x is x_8 and not any(x is x_8 for x in state.x)
     best_resnorm = state.best_resnorm
-    held = [*state.r, *state.x, *state.z, state.best_x, state.z3_products]
+    held = [*state.r, *state.x, *state.z, state.best_x]
     bits = [v.tobytes() for v in held]
+    z3_products, z3_bits = state.z3_products, float_bits(state.z3_products)
     fs.step(state, A)
     assert state.history[-1][1] > best_resnorm
     assert state.best_x is x_8
     assert [v.tobytes() for v in held] == bits
+    assert float_bits(z3_products) == z3_bits
 
 
 def _count_parallel_map_calls(monkeypatch) -> list:
@@ -381,9 +385,10 @@ def _count_parallel_map_calls(monkeypatch) -> list:
     return calls
 
 
-def _fresh_z3_products(state) -> np.ndarray:
-    """The window's products with z_{k-3}, taken afresh."""
-    return state.u_window.dot(state.z[(state.k - 3) % 3])
+def _fresh_z3_products(state) -> list:
+    """The window's products of v_{k-4}..v_{k+1} with z_{k-3}, taken afresh
+    and put in degree order."""
+    return np.roll(state.u_window.dot(state.z[(state.k - 3) % 3]), 5 - state.k).tolist()[:6]
 
 
 def test_a_step_keeps_its_window_products_for_the_next(monkeypatch):
@@ -391,19 +396,56 @@ def test_a_step_keeps_its_window_products_for_the_next(monkeypatch):
     # window with z_2, so every step, the first after either included,
     # takes two window gemvs. The products a step keeps are the bits of
     # fresh ones: the next step's z_{k-3} against its v_{k-4}..v_{k+1},
-    # rows that stayed in place; the row of v_{k+2} is not read.
+    # rows that stayed in place.
     A, r0, y = ring_spectrum_fixture(40, 3)
     calls = _count_parallel_map_calls(monkeypatch)
     state = fs.bootstrap(A, r0, np.zeros(A.rows), y, tol=1e-14)
     for steps in (4, 2):
-        assert state.k == 5 and state.z3_products.tobytes() == _fresh_z3_products(state).tobytes()
+        assert state.k == 5 and float_bits(state.z3_products) == float_bits(_fresh_z3_products(state))
         for _ in range(steps):
             fs.step(state, A)
-            read = [(state.k - 5 + i) % recurrences.WINDOW for i in range(6)]
-            assert state.z3_products[read].tobytes() == _fresh_z3_products(state)[read].tobytes()
+            assert float_bits(state.z3_products) == float_bits(_fresh_z3_products(state))
         if steps == 4:
             state = fs.restart(state, A, r0, fs.SolverConfig(tol=1e-14), cause="Ghost", rng=np.random.default_rng(0))
     assert calls == [5, 2, 2, 2, 2, 5, 2, 2]  # each bootstrap's Gram: one call per Krylov vector
+
+
+def test_a_step_hands_the_assembly_degree_ordered_floats_at_every_head(monkeypatch):
+    # Nine steps put v_{k-4} in each of the window's seven rows at least
+    # once (v_j sits in row (j - 1) % 7). Each step hands
+    # `assemble_scalar_products` Python floats: the bits of the window's
+    # fresh products with r_{k-2}, z_{k-3} and z_{k-2}, and the columns the
+    # left recurrence gave, all of v_{k-4} on in degree order.
+    A, r0, y = ring_spectrum_fixture(40, 3)
+    columns, extend_left = [], solver._extend_left  # the column of v_j at index j
+    handed, assemble = [], recurrences.assemble_scalar_products
+
+    def recorded_extend_left(*args):
+        columns.append(extend_left(*args))
+        return columns[-1]
+
+    def recorded_assemble(*args):
+        handed.append([list(arg) for arg in args])  # copies: the step goes on to rotate `u_columns` in place
+        return assemble(*args)
+
+    monkeypatch.setattr(solver, "_extend_left", recorded_extend_left)
+    monkeypatch.setattr(recurrences, "assemble_scalar_products", recorded_assemble)
+    state = fs.bootstrap(A, r0, np.zeros(A.rows), y, tol=1e-14)
+    heads = set()
+    for k in range(5, 14):
+        assert state.k == k and len(columns) == k + 2  # v_0..v_{k+1}
+        rows = [(j - 1) % 7 for j in range(k - 4, k + 3)]  # of v_{k-4}..v_{k+2}
+        fresh = [state.u_window.dot(iterate(state, j)[slot])[rows].tolist() for j, slot in ((k - 2, 0), (k - 3, 2),
+                                                                                             (k - 2, 2))]
+        fs.step(state, A)
+        r_products, z3_products, z2_products, step_columns = handed[-1]
+        assert all(type(v) is float for v in (*r_products, *z3_products, *z2_products, *sum(step_columns, ())))
+        assert float_bits(r_products) == float_bits(fresh[0])
+        assert float_bits(z3_products) == float_bits(fresh[1][:6])
+        assert float_bits(z2_products) == float_bits(fresh[2])
+        assert [float_bits(c) for c in step_columns] == [float_bits(c) for c in columns[k - 4:k + 2]]
+        heads.add(rows[0])
+    assert len(handed) == 9 and heads == set(range(7))
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +642,10 @@ def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, mon
     b = np.random.default_rng(8).standard_normal(A.rows)
     assemble, solve_dense, steps, solves = recurrences.assemble_scalar_products, linalg.solve_dense, [], []
 
-    def checked_assemble(r_products, z3_products, z2_products, columns, head=0):
-        sp = assemble(r_products, z3_products, z2_products, columns, head)
+    def checked_assemble(r_products, z3_products, z2_products, columns):
+        sp = assemble(r_products, z3_products, z2_products, columns)
         steps.append(assert_same_coefficient_path(sp, reference_scalar_products(r_products, z3_products,
-                                                                                z2_products, columns, head)))
+                                                                                z2_products, columns)))
         return sp
 
     def checked_solve_dense(M, rhs):
@@ -767,7 +809,8 @@ def test_blocked_step_and_bootstrap_are_bit_identical(monkeypatch, block):
 def _bootstrap_record(A, r0, y):
     state = fs.bootstrap(A, r0, np.zeros(A.rows), y)
     vectors = [v for v in (*state.r, *state.x, *state.z) if v is not None]
-    return state.history, [v.tobytes() for v in (*vectors, state.u_window, state.u_columns)]
+    columns = [float_bits(c) for c in state.u_columns]
+    return state.history, [v.tobytes() for v in (*vectors, state.u_window)], columns, float_bits(state.z3_products)
 
 
 @pytest.mark.parametrize("cpus", [2, 5])
