@@ -88,11 +88,12 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
+        if isinstance(self.tol, (bool, np.bool_)) or not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
         for name in ("max_iter", "max_restarts", "seed"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) or name == "max_iter" and value is None):
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not (integer or name == "max_iter" and value is None):
                 raise ValueError(f"{name} must be an integer")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")

@@ -972,6 +972,8 @@ def test_solver_config_validation():
     ("tol", math.inf), ("tol", math.nan), ("tol", -math.inf),
     ("seed", 1.5), ("seed", None), ("seed", 2.0), ("max_iter", 2.5), ("max_iter", math.inf),
     ("max_restarts", math.inf), ("max_restarts", None), ("max_restarts", 3.0),
+    ("max_iter", True), ("max_restarts", False), ("seed", True), ("tol", True),
+    ("max_iter", np.True_), ("max_restarts", np.False_), ("seed", np.True_), ("tol", np.True_),
 ])
 def test_solver_config_rejects_what_solve_cannot_honour(field, value):
     with pytest.raises(ValueError, match=field):
