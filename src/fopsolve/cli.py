@@ -54,7 +54,10 @@ class InputError(Exception):
 # ---------------------------------------------------------------------------
 
 def read_matrix_market(path: str) -> linalg.Matrix:
-    """Parse a Matrix Market file (coordinate real general, 1-based indices)."""
+    """Parse a Matrix Market file (coordinate real general, 1-based indices).
+
+    As the reference reader mmio.c does, the banner is split on whitespace
+    and its four qualifiers compared in any case; words after them are ignored."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -62,10 +65,10 @@ def read_matrix_market(path: str) -> linalg.Matrix:
         raise InputError(f"{path}: cannot read file ({exc})") from exc
     if not lines:
         raise InputError(f"{path}:1: empty file")
-    header = lines[0].strip()
-    if not header.startswith("%%MatrixMarket matrix coordinate real general"):
+    banner = lines[0].split()
+    if banner[:1] != ["%%MatrixMarket"] or " ".join(banner[1:5]).lower() != "matrix coordinate real general":
         raise InputError(f"{path}:1: header must begin "
-                         f"'%%MatrixMarket matrix coordinate real general', got {header!r}")
+                         f"'%%MatrixMarket matrix coordinate real general', got {lines[0].strip()!r}")
     size_line = None
     triplets = []
     for lineno, raw in enumerate(lines[1:], start=2):

@@ -85,6 +85,31 @@ def test_matrix_market_errors_name_offending_line(tmp_path):
         cli.read_matrix_market(str(out_of_range))
 
 
+@pytest.mark.parametrize("banner", [
+    "%%MatrixMarket MATRIX Coordinate Real General", "%%MatrixMarket  matrix coordinate\treal   general",
+    "%%MatrixMarket matrix coordinate real general extra",
+])
+def test_matrix_market_banner_reads_as_the_reference_reader_does(tmp_path, banner):
+    # Qualifiers in any case and words split by any run of whitespace, as
+    # mmio.c's mm_read_banner accepts them; words after the four are ignored.
+    path = tmp_path / "m.mtx"
+    path.write_text(f"{banner}\n2 2 2\n1 1 2.0\n2 2 4.0\n")
+    assert np.array_equal(cli.read_matrix_market(str(path)).to_dense(), np.diag([2.0, 4.0]))
+
+
+@pytest.mark.parametrize("banner", [
+    "%%MatrixMarket matrix coordinate real generalized", "%%MatrixMarket matrix coordinate real",
+    "%%matrixmarket matrix coordinate real general", "%%MatrixMarketmatrix coordinate real general",
+])
+def test_matrix_market_banner_must_name_the_general_coordinate_format(tmp_path, banner):
+    # A qualifier that only begins with the expected word is another format,
+    # and the first word is `%%MatrixMarket` exactly.
+    path = tmp_path / "m.mtx"
+    path.write_text(f"{banner}\n2 2 2\n1 1 2.0\n2 2 4.0\n")
+    with pytest.raises(cli.InputError, match=":1: header"):
+        cli.read_matrix_market(str(path))
+
+
 def test_rhs_specs(tmp_path):
     assert np.array_equal(cli.build_rhs("ones", 3), np.ones(3))
     r1 = cli.build_rhs("rand:7", 5)
