@@ -387,8 +387,8 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
         raise NumericOverflow(f"iterate overflowed at degree {k}")
 
     window, newest = state.u_window, (head - 1) % WINDOW
-    state.u_columns.append(_extend_left(A, window[(head - 2) % WINDOW], window[newest], window[head]))
-    del state.u_columns[0]
+    column = _extend_left(A, window[(head - 2) % WINDOW], window[newest], window[head])  # of v_{k+2}
+    state.u_columns = [*state.u_columns[1:], column]  # a new list: the one handed to the assembly stays as it was
     state.history.append((k, rn, "step"))
     state.iterations += 1
     state.k = k + 1

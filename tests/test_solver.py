@@ -425,7 +425,7 @@ def test_a_step_hands_the_assembly_degree_ordered_floats_at_every_head(monkeypat
         return columns[-1]
 
     def recorded_assemble(*args):
-        handed.append([list(arg) for arg in args])  # copies: the step goes on to rotate `u_columns` in place
+        handed.append(args)
         return assemble(*args)
 
     monkeypatch.setattr(solver, "_extend_left", recorded_extend_left)
