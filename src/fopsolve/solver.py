@@ -19,7 +19,7 @@ those of the power basis u_j = (A^T)^j y, whose vectors grow like
 rho(A)^j. Degrees 1..4 are bootstrapped from the same conditions applied
 to Krylov vectors, the closed-form recurrences take over at k = 5.
 Breakdowns are caught and answered by a minimal restart policy: keep the
-best iterate, reseed y, bootstrap again.
+best iterate, reseed y, bootstrap again, as the first start does (`_start`).
 
 Cost contract per step: 6 applications of A (A*r_{k-2} and A*z_{k-3}
 products are reused between the r and x updates) plus one of A^T to
@@ -402,16 +402,27 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
 
 
 def _keep_best(state: SolverState) -> None:
-    """Copy `best_x` into `state.kept`, if the state has one, and name it best_x."""
-    if state.kept is not None and state.best_x is not state.kept:
+    """Copy `best_x` into `state.kept`, if any, once no x slot holds it; name it best_x."""
+    if state.kept is not None and state.best_x is not state.kept and not any(state.best_x is x for x in state.x or ()):
         np.copyto(state.kept, state.best_x)
         state.best_x = state.kept
 
 
-def _settle_best(state: SolverState) -> None:
-    """After a bootstrap: `best_x` into `state.kept` unless an x slot holds it."""
-    if not any(state.best_x is x for x in state.x or ()):
-        _keep_best(state)
+def _start(record: SolverState, A: linalg.Matrix, bv, rng, tol: float) -> SolverState:
+    """Draw y and bootstrap from `record.best_x`; the fresh state takes over
+    the run record (history, causes, iterations, `kept`, a better best
+    iterate) and keeps its best_x. A failure leaves `record` untouched."""
+    y = _draw_left_seed(rng, A, bv, record.best_x)
+    fresh = bootstrap(A, bv, record.best_x, y, tol=tol)
+    record.history.extend(fresh.history)
+    fresh.history = record.history
+    fresh.restart_causes = record.restart_causes
+    fresh.kept = record.kept
+    fresh.iterations += record.iterations
+    if record.best_resnorm < fresh.best_resnorm:
+        fresh.best_resnorm, fresh.best_x = record.best_resnorm, record.best_x
+    _keep_best(fresh)
+    return fresh
 
 
 def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig, cause: str, rng) -> SolverState:
@@ -425,42 +436,29 @@ def restart(state: SolverState, A: linalg.Matrix, b, config: SolverConfig, cause
     When the budget runs out, or after the first attempt whose Krylov
     vectors overflow (KrylovOverflow), which no other seed changes, the
     failure that ends the run is recorded as an `exhausted:<cause>`
-    history entry and RestartsExhausted is raised. Otherwise the run
-    record (history, restart causes, iteration count, best iterate) moves
-    on to the fresh bootstrap state, history append-only. `state` keeps
-    only that record: its iterates, window and window products are dropped
+    history entry and RestartsExhausted is raised. Otherwise each attempt
+    is `solve`'s own first start, `_start`: the fresh bootstrap state
+    takes over the run record, history append-only. `state` keeps only
+    that record: its iterates, window and window products are dropped
     before the first draw, so no bootstrap runs beside them, and the best
     iterate is held in `kept` first, which the fresh state takes over.
     """
-    _keep_best(state)
     state.r = state.x = state.z = state.u_window = state.u_columns = state.z3_products = None
+    _keep_best(state)
     bv = linalg.as_vector(b)
-    fresh = None
     k_at_failure = state.k
-    while fresh is None and state.restarts < config.max_restarts:
+    while state.restarts < config.max_restarts:
         state.restart_causes.append(cause)
         state.history.append((k_at_failure, state.best_resnorm, f"restart:{cause}"))
         try:
-            y = _draw_left_seed(rng, A, bv, state.best_x)
-            fresh = bootstrap(A, bv, state.best_x, y, tol=config.tol)
+            return _start(state, A, bv, rng, config.tol)
         except (BreakdownError, NumericOverflow) as exc:
             cause = exc.cause
             k_at_failure = 0
             if isinstance(exc, KrylovOverflow):
                 break  # the same products fail again with any other seed
-    if fresh is None:
-        state.history.append((k_at_failure, state.best_resnorm, f"exhausted:{cause}"))
-        raise RestartsExhausted(f"{state.restarts} restarts used without convergence")
-
-    state.history.extend(fresh.history)
-    fresh.history = state.history
-    fresh.restart_causes = state.restart_causes
-    fresh.iterations += state.iterations
-    fresh.kept = state.kept
-    if state.best_resnorm < fresh.best_resnorm:
-        fresh.best_resnorm, fresh.best_x = state.best_resnorm, state.best_x
-    _settle_best(fresh)
-    return fresh
+    state.history.append((k_at_failure, state.best_resnorm, f"exhausted:{cause}"))
+    raise RestartsExhausted(f"{state.restarts} restarts used without convergence")
 
 
 def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
@@ -471,13 +469,14 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
     The convergence test is ||r_k|| <= tol * ||b||.
 
     The iteration runs on b and x0 scaled by 2^-e, e the binary exponent
-    of max|b|, so that norms of b near the ends of the double range
-    neither overflow nor underflow; x and the residual norms of the
-    report are scaled back. Power-of-two scaling is exact, so the result
-    is the unit-scale solve times 2^e, bit for bit. The scaled b is held
-    per (re)start, through its seed draw and bootstrap: each restart gets
-    a fresh np.ldexp(b, -e), and no step holds one. The scaled x0 is the
-    state's `kept` vector, and x is scaled back into it.
+    of max|b| (or the least e that keeps the scaled x0 finite, if larger),
+    so that norms of b near the ends of the double range neither overflow
+    nor underflow; x and the residual norms of the report are scaled back.
+    Power-of-two scaling is exact, so the result is the unit-scale solve
+    times 2^e, bit for bit. The scaled b is held per (re)start, through
+    its seed draw and bootstrap: each restart gets a fresh np.ldexp(b, -e),
+    and no step holds one. The scaled x0 is the state's `kept` vector, and
+    x is scaled back into it.
     """
     cfg = config if config is not None else SolverConfig()
     b = linalg.as_vector(b)
@@ -489,6 +488,8 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
         raise DimensionMismatch(f"solve needs x0 of length {n} to match b, got length {len(x0v)}")
     with np.errstate(all="ignore"):  # every failure is read off the values computed
         exponent = math.frexp(max(float(b.max()), -float(b.min())))[1]  # of max|b|; b is finite
+        if x0v is not None:  # raised only where 2^-e would scale x0 past the double range
+            exponent = max(exponent, math.frexp(max(float(x0v.max()), -float(x0v.min())))[1] - 1024)
         bv = np.ldexp(b, -exponent)
         x0v = np.zeros(n) if x0v is None else np.ldexp(x0v, -exponent)
         max_iter = cfg.max_iter if cfg.max_iter is not None else 2 * n + 10
@@ -497,17 +498,15 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
         conv_floor = cfg.tol * bn
 
         cause = None
+        state = SolverState(k=0, best_x=x0v, kept=x0v)
         try:
-            y = _draw_left_seed(rng, A, bv, x0v)
-            state = bootstrap(A, bv, x0v, y, tol=cfg.tol)
+            state = _start(state, A, bv, rng, cfg.tol)
         except (BreakdownError, NumericOverflow) as exc:
-            r0n = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
-            state = SolverState(k=0, best_x=x0v, best_resnorm=r0n, history=[(0, r0n, "bootstrap")])
+            state.best_resnorm = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
+            state.history.append((0, state.best_resnorm, "bootstrap"))
             cause = exc.cause
-        state.kept = x0v
-        _settle_best(state)
         # Not read again (x0v lives on as `kept`; a restart scales b afresh); at n = 1e6 each holds 8 MB.
-        bv = y = x0v = None
+        bv = x0v = None
 
         while True:
             if cause is not None:

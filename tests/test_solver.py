@@ -722,6 +722,29 @@ def test_solve_iterations_count_bootstrap_and_step_entries_across_restarts():
     assert report.iterations == counted
 
 
+def test_solve_restarts_from_a_failed_first_bootstrap(monkeypatch):
+    # The first start and every restart run the same start-up: a first
+    # bootstrap that breaks down is answered by a restart from x0, whose
+    # fresh state takes the run record over.
+    calls, real = [], solver.bootstrap
+
+    def first_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise BootstrapBreakdown(4)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "bootstrap", first_fails)
+    A, b = fs.Matrix.tridiagonal(16), np.ones(16)
+    x, report = fs.solve(A, b)
+    bn = float(np.linalg.norm(b))
+    assert report.restart_causes == ("True",)
+    assert report.entries[:2] == ((0, bn, "bootstrap"), (0, bn, "restart:True"))
+    assert report.iterations == sum(1 for k, _, ev in report.entries if k >= 1 and ev in ("bootstrap", "step"))
+    assert report.status == STATUS_CONVERGED and report.final_relative_residual <= fs.SolverConfig().tol
+    assert np.linalg.norm(b - fs.matvec(A, x)) <= 1e-7 * bn
+
+
 def test_solve_is_exactly_scale_invariant_in_b():
     # Each case is (unit-scale b, e) with the solved b = unit * 2^e: b * 2^600,
     # b * 2^-600 and the constant vectors 1e300 and 1e-300, whose mantissas
@@ -886,6 +909,18 @@ def test_solve_reports_a_residual_norm_past_the_double_range_as_inf():
     assert (k0, ev0) == (0, "bootstrap") and type(rn0) is float and rn0 == math.inf
     assert rest and rest == [(k, math.ldexp(rn, e), ev) for k, rn, ev in report_unit.entries[1:]]
     assert report.final_relative_residual == report_unit.final_relative_residual
+
+
+def test_solve_keeps_an_x0_that_scaling_by_b_would_overflow():
+    # 1e10 / 1e-300 is past the double range, so x0 is scaled by its own
+    # exponent instead of that of b: it stays finite, and so does x.
+    x0 = np.full(12, 1e10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, report = fs.solve(fs.Matrix.tridiagonal(12), np.full(12, 1e-300), x0=x0)
+    assert report.status == STATUS_BREAKDOWN_EXHAUSTED
+    assert x.tobytes() == x0.tobytes()
+    assert not math.isnan(report.final_relative_residual)
+    assert not any(math.isnan(rn) for _, rn, _ in report.entries)
 
 
 def test_long_solve_peak_memory_is_bounded_in_vectors():

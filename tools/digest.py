@@ -10,7 +10,9 @@ script's own, so two checkouts are digested on the same inputs:
   fixed seeds, each solve digested as `x.tobytes()` and
   `repr(SolveReport)`, one line per workload and seed;
 * everything `fopsolve solve --gen tridiag:16 --seed 3` writes: exit code,
-  standard output and error, report, history and solution;
+  standard output and error, report, history and solution; the same for
+  `diag:0,0,0` and `diag:1e300,1e300,1e300`, whose first bootstrap fails
+  and whose restarts run out (five on True, one on Overflow);
 * everything `fopsolve verify --report` writes.
 
 The digests depend on the BLAS kernel and its thread count, so BLAS runs
@@ -32,8 +34,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOLVES = (("desk", range(701, 706)), ("restart-long", range(701, 704)), ("sparse-1e6", (9, 701)))
-COMMANDS = (("solve --gen tridiag:16 --seed 3", ["solve", "--gen", "tridiag:16", "--seed", "3", "--report", "report",
-                                                 "--history", "history", "--solution", "solution"]),
+OUTPUTS = ["--report", "report", "--history", "history", "--solution", "solution"]
+COMMANDS = (("solve --gen tridiag:16 --seed 3", ["solve", "--gen", "tridiag:16", "--seed", "3", *OUTPUTS]),
+            # First bootstraps that fail: five True restarts, then one Overflow restart; both exit 2.
+            ("solve --gen diag:0,0,0 --seed 3", ["solve", "--gen", "diag:0,0,0", "--seed", "3", *OUTPUTS]),
+            ("solve --gen diag:1e300,1e300,1e300 --seed 3",
+             ["solve", "--gen", "diag:1e300,1e300,1e300", "--seed", "3", *OUTPUTS]),
             ("verify --report", ["verify", "--report", "report"]))
 
 
