@@ -7,9 +7,10 @@ iterates over them), the solve new values; `blockwise` runs a kernel
 that writes into vectors among its arguments. A `Matrix` has one of
 three storages: dense, one coefficient per diagonal (the tridiagonal
 stencil) or coordinate triplets (general sparse input). Matrix and
-vector products run in numpy; the small pivoted solve (`solve_dense`,
-n <= 10) runs on Python floats, because at that size numpy's per-call
-overhead costs more than the arithmetic.
+vector products run in numpy; the small pivoted solve (`eliminate`, and
+`solve_dense`, n <= 10, which checks its input for it) runs on Python
+floats, because at that size numpy's per-call overhead costs more than
+the arithmetic.
 
 On vectors longer than `BLOCK` rows, the element-wise kernels that
 callers hand to `blockwise` work one block of rows at a time, so that
@@ -374,16 +375,13 @@ def transpose_matvec(M: Matrix, v) -> np.ndarray:
 def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b, *more_b) -> list[float] | list[list[float]]:
     """Solve a small square system by Gaussian elimination with row pivoting.
 
-    The single elimination routine of the package: its consumers are the
-    3x3 recurrence-coefficient systems, the bootstrap's degree 1..4
-    orthogonality systems and the oracle's Hankel moment systems, all
-    with n <= 10. `M` is an ndarray or a sequence of rows and is not
-    modified; the arithmetic runs on Python floats, and the solution is a
-    list of them. The pivot of each column is the first row with the
-    largest |entry|; back substitution accumulates each row's dot product
-    with fused multiply-adds. Raises SingularSystem (carrying the
-    offending elimination step) when that pivot falls below
-    1e-13 * max|M|, ValueError on non-finite entries.
+    Checks and converts its input, then calls `eliminate`, the package's
+    one elimination routine. Its consumers are the bootstrap's degree
+    1..4 orthogonality systems and the oracle's Hankel moment systems,
+    all with n <= 10; the recurrences' 3x3 systems, already checked, go
+    to `eliminate` directly. `M` is an ndarray or a sequence of rows and
+    is not modified; the solution is a list of Python floats. Raises
+    SingularSystem as `eliminate` does, ValueError on non-finite entries.
 
     Further right-hand sides `more_b` ride along the one elimination of
     `M`; the result is then one solution list per right-hand side, in
@@ -406,7 +404,6 @@ def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b, *more_b) -> list[f
     if not all(map(math.isfinite, entries)):
         raise ValueError("solve_dense: entries must be finite")
     del entries[n::n + 1]  # the right-hand side
-    width = n + 1
     if more_b:
         if list(map(len, more)) != [n] * len(more):
             raise DimensionMismatch(f"solve_dense needs n = {n} entries in each right-hand side, "
@@ -415,9 +412,22 @@ def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b, *more_b) -> list[f
             raise ValueError("solve_dense: entries must be finite")
         for row, values in zip(a, zip(*more)):
             row += values
-        width += len(more)
+    solutions = eliminate(a, max(max(entries), -min(entries)))
+    return solutions if more_b else solutions[0]
 
-    pivot_floor = _PIVOT_RTOL * max(max(entries), -min(entries))  # max|M|
+
+def eliminate(a: list[list[float]], max_abs: float) -> list[list[float]]:
+    """Solve the augmented rows `a` = [M | b_1 | ... | b_m], n rows of
+    n + m finite Python floats, in place, given `max_abs` = max|M|: one
+    solution list per right-hand side, in order. The package's one
+    elimination loop. The pivot of each column is the first row with the
+    largest |entry|; one at or below 1e-13 * max_abs raises
+    SingularSystem, carrying the offending elimination step. Back
+    substitution accumulates each row's dot product with fused
+    multiply-adds.
+    """
+    n, width = len(a), len(a[0])
+    pivot_floor = _PIVOT_RTOL * max_abs
     for col in range(n):
         p, big = col, abs(a[col][col])
         for i in range(col + 1, n):
@@ -432,10 +442,7 @@ def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b, *more_b) -> list[f
             factor = row[col] / pivot
             for j in range(col + 1, width):
                 row[j] -= factor * pivot_row[j]
-
-    if more_b:
-        return [_back_substitute(a, j) for j in range(n, width)]
-    return _back_substitute(a, n)
+    return [_back_substitute(a, j) for j in range(n, width)]
 
 
 def _back_substitute(a: list[list[float]], rhs_col: int) -> list[float]:

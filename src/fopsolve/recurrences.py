@@ -13,9 +13,9 @@ Two jobs:
   three-term basis; `assemble_scalar_products` turns them into functional
   values, expanded into the orthogonality conditions against the test
   functions N_{k-4}..N_{k-1} (`ScalarProducts.rows`). The values, the
-  rows and the two 3x3 systems are Python floats, solved by
-  `linalg.solve_dense`; a pivot below its floor is reported as
-  GhostBreakdown;
+  rows and the two 3x3 systems are Python floats, checked here and
+  handed as augmented rows straight to `linalg.eliminate`; a pivot
+  below its floor is reported as GhostBreakdown;
 
 * numerically certify which candidate relation shapes exist at all, by
   least-squares fitting expanded multiplier candidates against oracle
@@ -231,7 +231,7 @@ def a13_coefficients(sp: ScalarProducts) -> A13Coeffs:
     The lowest row, against N_{k-4}, gives E_k = -c(N_{k-4} x^2 P_{k-2}) /
     c1(N_{k-4} x P1_{k-3}); B_k, C_k, F_k solve the 3x3 system whose rows
     are the conditions against N_{k-3}..N_{k-1}; A_k = 1 / C_k. The 3x3 is
-    solved by `linalg.solve_dense` (the explicit cofactor formulas of the
+    solved by `linalg.eliminate` (the explicit cofactor formulas of the
     power basis are kept in the test suite as an equivalence check).
 
     Breakdowns: vanishing denominator -> TrueBreakdown; vanishing system
@@ -260,7 +260,7 @@ def b13_coefficients(sp: ScalarProducts) -> B13Coeffs:
 
     The lowest row gives C_k = -c1(N_{k-4} x^2 P1_{k-2}) /
     c1(N_{k-4} x P1_{k-3}); D_k, F_k, G_k solve the remaining 3x3
-    orthogonality system (`linalg.solve_dense` here, cofactor
+    orthogonality system (`linalg.eliminate` here, cofactor
     back-substitution kept as a test check). The entries a'_12 and a'_23
     are back-substitution divisors in that closed form, so their
     underflow is flagged as DivisorBreakdown.
@@ -301,10 +301,13 @@ def _solve_system(rows, rhs, delta: float, divisor: float | None = None, scale: 
     about 1e-13 the determinant test alone lets such systems through.
     Entries too large for the test's max|a_ij|^3 and a right-hand side
     that overflowed are NumericOverflow, raised before any breakdown test.
+    The rows are finite Python floats (`_step_scale` checked them), so
+    they go to `linalg.eliminate` with the max|a_ij| found here.
     """
     entries = (*rows[0], *rows[1], *rows[2])
+    max_abs = max(max(entries), -min(entries))  # max|a_ij|
     try:
-        cube = max(max(entries), -min(entries)) ** 3  # max|a_ij|^3
+        cube = max_abs ** 3
     except OverflowError:  # a float power raises where a product would give inf
         raise NumericOverflow("max|a_ij|^3 of the coefficient system overflows") from None
     if not all(map(math.isfinite, rhs)):  # finite entries, yet -p2[i] - e_k * q1[i] can overflow
@@ -314,7 +317,7 @@ def _solve_system(rows, rhs, delta: float, divisor: float | None = None, scale: 
     if divisor is not None and abs(divisor) <= BREAKDOWN_EPS * scale:
         raise DivisorBreakdown(f"back-substitution divisor {abs(divisor):.3e} underflows")
     try:
-        return linalg.solve_dense(rows, rhs)
+        return linalg.eliminate([[*rows[0], rhs[0]], [*rows[1], rhs[1]], [*rows[2], rhs[2]]], max_abs)[0]
     except SingularSystem as exc:
         raise GhostBreakdown(f"coefficient system singular at pivot {exc.pivot_index}") from exc
 

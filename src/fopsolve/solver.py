@@ -173,7 +173,9 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one call per
     Krylov vector, side by side on long vectors; one more gemv, with z_2,
     gives `z3_products`. A singular degree-j system raises
-    BootstrapBreakdown(j), and a failed bootstrap forms no x at all.
+    BootstrapBreakdown(j), Gram products of degree j that overflowed
+    NumericOverflow (they depend on y, so another seed may pass), and a
+    failed bootstrap forms no x at all.
     """
     bv, x0v, yv = map(linalg.as_vector, (b, x0, y))
     if A.rows != A.cols or A.rows != len(bv) or len(x0v) != len(bv) or len(yv) != len(bv):
@@ -205,6 +207,8 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     r, z = [None] * 2, [None] * 3  # SolverState's slots of r_j and z_j
     solutions, best = [None], 0  # a of each degree, read by x_j; the degree of least ||r_j||
     for j in range(1, BOOTSTRAP_DEGREE + 1):
+        if not (np.isfinite(gram[:j, :j + 1]).all() and np.isfinite(shifted[:j, :j + 1]).all()):
+            raise NumericOverflow(f"bootstrap Gram products of degree {j} overflowed")
         try:
             a = linalg.solve_dense(gram[:j, 1:j + 1], -gram[:j, 0])
             c = linalg.solve_dense(shifted[:j, :j], -shifted[:j, j])

@@ -799,3 +799,62 @@ def test_solve_dense_rejects_an_extra_right_hand_side_of_the_wrong_size():
             fs.solve_dense(np.eye(2), [1.0, 1.0], extra)
     with pytest.raises(DimensionMismatch):
         fs.solve_dense(np.eye(2), [1.0, 1.0], [1.0, 1.0], [1.0])
+
+
+def _solution_or_pivot(fn, *args):
+    """("ok", the bits of each solution) or ("singular", SingularSystem's pivot index)."""
+    try:
+        solutions = fn(*args)
+    except SingularSystem as exc:
+        return "singular", exc.pivot_index
+    return "ok", [float_bits(x) for x in solutions]
+
+
+def _eliminate_matches_solve_dense(m, *bs) -> tuple:
+    """Both paths on the system M x = b for each b in `bs`: `eliminate` on the
+    augmented rows and max|M|, `solve_dense` on M and the right-hand sides.
+    Asserts the two agree and returns the outcome."""
+    rows = [[*row, *b] for row, b in zip(m, zip(*bs))]
+    want = _solution_or_pivot(lambda: fs.solve_dense(m, *bs) if len(bs) > 1 else [fs.solve_dense(m, bs[0])])
+    assert _solution_or_pivot(linalg.eliminate, rows, max(map(abs, [x for row in m for x in row]))) == want
+    return want
+
+
+@pytest.mark.parametrize("kind", ["normal", "small integers", "signed zeros"])
+def test_eliminate_matches_solve_dense_bit_for_bit(kind):
+    # Seeded systems of n = 1..4, with one and with two right-hand sides:
+    # normal entries; small integers, so pivot candidates tie and systems
+    # are exactly singular; normal entries with many 0.0 and -0.0.
+    rng = np.random.default_rng(28)
+    seen = set()
+    for i in range(2000):
+        n = 1 + i % 4
+        if kind == "small integers":
+            a = rng.integers(-2, 3, size=(n, n + 2)).astype(float)
+        else:
+            a = rng.standard_normal((n, n + 2))
+            if kind == "signed zeros":
+                a[rng.random((n, n + 2)) < 0.4] = -0.0
+                a[rng.random((n, n + 2)) < 0.2] = 0.0
+        m, b, b2 = a[:, :n].tolist(), a[:, n].tolist(), a[:, n + 1].tolist()
+        got = _eliminate_matches_solve_dense(m, b)
+        assert _eliminate_matches_solve_dense(m, b, b2)[0] == got[0]
+        seen.add(got[0])
+    assert seen == ({"ok"} if kind == "normal" else {"ok", "singular"})
+
+
+@pytest.mark.parametrize("m, b, want", [
+    ([[2.0, 0.5], [-2.0, -1.0]], [-0.1, 0.4], "ok"),  # equal |pivot| candidates: the first row is the pivot
+    ([[1.0, 0.0], [0.0, 1e-13]], [1.0, 1.0], ("singular", 1)),  # a pivot exactly at the floor 1e-13 * max|M|
+    ([[4.0, 0.0], [0.0, 4e-13]], [1.0, 1.0], ("singular", 1)),
+    ([[1.0, 0.0], [0.0, math.nextafter(1e-13, 1.0)]], [1.0, 1.0], "ok"),  # one ulp above it
+    ([[-0.0, 1.0], [1.0, -0.0]], [-0.0, 0.0], "ok"),  # signed zeros in M and b
+    ([[1.0, -0.0], [-0.0, -1.0]], [0.0, -0.0], "ok"),
+    ([[-0.0]], [1.0], ("singular", 0)),
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]], [1.0, 1.0, 1.0], ("singular", 2)),
+])
+def test_eliminate_edge_cases_match_solve_dense(m, b, want):
+    got = _eliminate_matches_solve_dense(m, b)
+    assert (got[0] if want == "ok" else got) == want
+    two = _eliminate_matches_solve_dense(m, b, [1.0] * len(b))
+    assert (two if got[0] == "singular" else (two[0], two[1][:1])) == got

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import fopsolve as fs
-from fopsolve import linalg, recurrences, solver
+from fopsolve import linalg, moments, recurrences, solver
 from fopsolve.cli import build_generator, random_sdd_matrix, ring_spectrum_fixture
 from fopsolve.errors import (BootstrapBreakdown, BreakdownError, DimensionMismatch, KrylovOverflow, NumericOverflow,
                              RestartsExhausted)
@@ -211,6 +212,24 @@ def test_an_overflowing_bootstrap_residual_is_not_a_krylov_overflow(monkeypatch)
     assert report.status == STATUS_BREAKDOWN_EXHAUSTED
     assert report.restart_causes == ("Overflow",) * fs.SolverConfig().max_restarts
     assert np.array_equal(x, np.zeros(30))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_an_overflowing_bootstrap_gram_product_is_not_a_krylov_overflow(seed):
+    # Every A^i r0 is finite, but the bootstrap's products of them with the
+    # left window overflow. They depend on y, so the bootstrap raises
+    # NumericOverflow, which solve answers with a new seed until its budget
+    # runs out; solve itself raises nothing.
+    A = fs.Matrix.from_dense([[0.0, 0.0, 1.5e308], [0.0, 0.0, 1.5e308], [0.0, 0.0, 0.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    assert np.isfinite(moments.krylov_vectors(A, b, 2 * solver.BOOTSTRAP_DEGREE + 1)).all()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericOverflow, match="Gram") as info:
+        fs.bootstrap(A, b, np.zeros(3), np.ones(3))
+    assert not isinstance(info.value, KrylovOverflow)
+    x, report = fs.solve(A, b, config=fs.SolverConfig(seed=seed))
+    assert report.status == STATUS_BREAKDOWN_EXHAUSTED
+    assert report.restart_causes == ("Overflow",) * fs.SolverConfig().max_restarts
+    assert np.array_equal(x, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +656,12 @@ def test_solve_reports_numerical_failure_under_strict_float_settings(A, b, x0):
 @pytest.mark.parametrize("problem", ["ring:40", "tridiag:30", "tridiag:100"])
 def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, monkeypatch):
     # Every step's functional values, rows and coefficients, and every
-    # elimination (the bootstrap's included), against the reference path.
+    # elimination (the bootstrap's through solve_dense, the coefficient
+    # systems' straight through eliminate), against the reference path.
     A = ring_spectrum_fixture(40, 3)[0] if problem == "ring:40" else build_generator(problem)[0]
     b = np.random.default_rng(8).standard_normal(A.rows)
-    assemble, solve_dense, steps, solves = recurrences.assemble_scalar_products, linalg.solve_dense, [], []
+    assemble, solve_dense, eliminate = recurrences.assemble_scalar_products, linalg.solve_dense, linalg.eliminate
+    steps, solves = [], []
 
     def checked_assemble(r_products, z3_products, z2_products, columns):
         sp = assemble(r_products, z3_products, z2_products, columns)
@@ -657,8 +678,21 @@ def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, mon
         solves.append(got[0])
         return solve_dense(M, rhs)
 
+    def checked_eliminate(a, max_abs):
+        n = len(a)
+        M, rhs = [row[:n] for row in a], [row[n] for row in a]
+        assert len(a[0]) == n + 1 and max_abs == max(map(abs, itertools.chain(*M)))
+        got, want = outcome(eliminate, [row[:] for row in a], max_abs), outcome(reference_solve_dense, M, rhs)
+        if got[0] == "ok":
+            assert want[0] == "ok" and float_bits(got[1][0]) == float_bits(want[1])
+        else:
+            assert got == want
+        solves.append(got[0])
+        return eliminate(a, max_abs)
+
     monkeypatch.setattr(recurrences, "assemble_scalar_products", checked_assemble)
     monkeypatch.setattr(linalg, "solve_dense", checked_solve_dense)
+    monkeypatch.setattr(linalg, "eliminate", checked_eliminate)
     _, report = fs.solve(A, b)
     assert len(steps) >= sum(ev == "step" for _, _, ev in report.entries) > 10
     assert len(solves) > 2 * len(steps)
