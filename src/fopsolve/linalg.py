@@ -177,13 +177,17 @@ class Matrix:
     # diagonal by diagonal, so both storages give the same bits. (np.bincount
     # starts each sum from +0.0, so a row whose terms are all -0.0 sums to
     # +0.0 there and to -0.0 here. With no stored entry it gives integer
-    # zeros, hence the cast, which returns a float result itself.)
+    # zeros, hence the cast, which returns a float result itself.) Dense
+    # products call ndarray.dot, the BLAS gemv that `@` calls on a vector
+    # of positive stride (so the same bits there), without the matmul
+    # ufunc's dispatch; on a reversed view, where `@` leaves BLAS for a loop
+    # of its own, they give the bits of the product with a contiguous copy.
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if len(v) != self.cols:
             raise DimensionMismatch(f"matvec: matrix is {self._shape}, vector has length {len(v)}")
         if self._dense is not None:
-            return self._dense @ v
+            return self._dense.dot(v)
         if self._bands is not None:
             return (_in_segments if len(v) > BLOCK else _stencil)(v, *self._bands, _HEAD, _TAIL)
         r, c, vals = self._coo
@@ -193,7 +197,7 @@ class Matrix:
         if len(v) != self.rows:
             raise DimensionMismatch(f"transpose matvec: matrix is {self._shape}, vector has length {len(v)}")
         if self._dense is not None:
-            return self._dense.T @ v
+            return self._dense.T.dot(v)
         if self._bands is not None:
             return (_in_segments if len(v) > BLOCK else _stencil)(v, *self._bands, _TAIL, _HEAD)
         r, c, vals = self._coo
@@ -376,10 +380,11 @@ def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b, *more_b) -> list[f
     """Solve a small square system by Gaussian elimination with row pivoting.
 
     Checks and converts its input, then calls `eliminate`, the package's
-    one elimination routine. Its consumers are the bootstrap's degree
-    1..4 orthogonality systems and the oracle's Hankel moment systems,
-    all with n <= 10; the recurrences' 3x3 systems, already checked, go
-    to `eliminate` directly. `M` is an ndarray or a sequence of rows and
+    one elimination routine. Its consumer is the oracle, whose Hankel
+    moment systems have n <= 10; the solver's systems (the bootstrap's
+    degree 1..4 orthogonality systems, the recurrences' 3x3 systems) are
+    Python floats it has checked itself, and go to `eliminate` directly.
+    `M` is an ndarray or a sequence of rows and
     is not modified; the solution is a list of Python floats. Raises
     SingularSystem as `eliminate` does, ValueError on non-finite entries.
 

@@ -112,9 +112,9 @@ def _times_x_twice(columns, v2: float, v3: float, v4: float, v5: float) -> tuple
              b3 * x2 + a3 * x3 + g3 * x4))
 
 
-@dataclass(frozen=True)
-class A13Coeffs:
-    """Coefficients of the residual-family recurrence, plus diagnostics.
+class A13Coeffs(NamedTuple):
+    """Coefficients of the residual-family recurrence, plus diagnostics:
+    an immutable record, a tuple of its fields in the order below.
 
     The derivation forces G_k = 0 and D_k = 0, so they are not stored;
     A_k * C_k == 1 by the normalization P_k(0) = 1.
@@ -128,9 +128,9 @@ class A13Coeffs:
     delta_k: float
 
 
-@dataclass(frozen=True)
-class B13Coeffs:
-    """Coefficients of the monic-family recurrence, plus diagnostics.
+class B13Coeffs(NamedTuple):
+    """Coefficients of the monic-family recurrence, plus diagnostics:
+    an immutable record, a tuple of its fields in the order below.
 
     E_k = 1 (the x^2 P1_{k-2} block carries the monic leading term) and
     A_k = B_k = 0 are forced by the derivation and not stored.
@@ -244,15 +244,14 @@ def a13_coefficients(sp: ScalarProducts) -> A13Coeffs:
     _step_scale(sp)
     e_k = -p2[0] / q1[0]
 
-    # p0[1] = c(N_{k-3} P_{k-2}) vanishes by orthogonality.
-    rows = ((p1[1], p0[1], q0[1]), (p1[2], p0[2], q0[2]), (p1[3], p0[3], q0[3]))
-    rhs = (-p2[1] - e_k * q1[1], -p2[2] - e_k * q1[2], -p2[3] - e_k * q1[3])
-    (a11, _, a13), (a21, a22, a23), (a31, a32, a33) = rows
+    # a12 = p0[1] = c(N_{k-3} P_{k-2}) vanishes by orthogonality.
+    a11, a12, a13, a21, a22, a23, a31, a32, a33 = p1[1], p0[1], q0[1], p1[2], p0[2], q0[2], p1[3], p0[3], q0[3]
     delta = a11 * (a22 * a33 - a32 * a23) + a13 * (a21 * a32 - a31 * a22)
-    b_k, c_k, f_k = _solve_system(rows, rhs, delta)
+    b_k, c_k, f_k = _solve_system([[a11, a12, a13, -p2[1] - e_k * q1[1]], [a21, a22, a23, -p2[2] - e_k * q1[2]],
+                                   [a31, a32, a33, -p2[3] - e_k * q1[3]]], delta)
     if abs(c_k) <= BREAKDOWN_EPS * max(1.0, abs(b_k), abs(f_k)):
         raise NormalizationBreakdown(f"C_k = {c_k:.3e}; 1/C_k is undefined")
-    return A13Coeffs(a_k=1.0 / c_k, b_k=b_k, c_k=c_k, e_k=e_k, f_k=f_k, delta_k=delta)
+    return A13Coeffs(1.0 / c_k, b_k, c_k, e_k, f_k, delta)
 
 
 def b13_coefficients(sp: ScalarProducts) -> B13Coeffs:
@@ -269,14 +268,14 @@ def b13_coefficients(sp: ScalarProducts) -> B13Coeffs:
     scale = _step_scale(sp)
     c_k = -s2[0] / q1[0]
 
-    # s0[1] = c1(N_{k-3} P1_{k-2}) vanishes by orthogonality.
-    rows = ((q0[1], s1[1], s0[1]), (q0[2], s1[2], s0[2]), (q0[3], s1[3], s0[3]))
-    rhs = (-s2[1] - c_k * q1[1], -s2[2] - c_k * q1[2], -s2[3] - c_k * q1[3])
-    (a11, a12, _), (a21, a22, a23), (a31, a32, a33) = rows
+    # a13 = s0[1] = c1(N_{k-3} P1_{k-2}) vanishes by orthogonality.
+    a11, a12, a13, a21, a22, a23, a31, a32, a33 = q0[1], s1[1], s0[1], q0[2], s1[2], s0[2], q0[3], s1[3], s0[3]
     delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23)
     # a'_12 and a'_23 are the closed form's divisors; they are equal in the power basis.
-    d_k, f_k, g_k = _solve_system(rows, rhs, delta, divisor=min(abs(a12), abs(a23)), scale=scale)
-    return B13Coeffs(c_k=c_k, d_k=d_k, f_k=f_k, g_k=g_k, delta_prime_k=delta)
+    d_k, f_k, g_k = _solve_system([[a11, a12, a13, -s2[1] - c_k * q1[1]], [a21, a22, a23, -s2[2] - c_k * q1[2]],
+                                   [a31, a32, a33, -s2[3] - c_k * q1[3]]],
+                                  delta, divisor=min(abs(a12), abs(a23)), scale=scale)
+    return B13Coeffs(c_k, d_k, f_k, g_k, delta)
 
 
 def _step_scale(sp: ScalarProducts) -> float:
@@ -291,8 +290,10 @@ def _step_scale(sp: ScalarProducts) -> float:
     return sp.scale
 
 
-def _solve_system(rows, rhs, delta: float, divisor: float | None = None, scale: float = 0.0) -> list[float]:
-    """GhostBreakdown test of the determinant delta, then the 3x3 solve.
+def _solve_system(rows, delta: float, divisor: float | None = None, scale: float = 0.0) -> list[float]:
+    """GhostBreakdown test of the determinant delta, then the 3x3 solve of
+    the augmented `rows` [a_i1, a_i2, a_i3, rhs_i], three lists of Python
+    floats that the solve overwrites.
 
     A closed-form back-substitution `divisor`, when given, is tested
     against the step `scale` between the two (DivisorBreakdown). A pivot
@@ -301,23 +302,24 @@ def _solve_system(rows, rhs, delta: float, divisor: float | None = None, scale: 
     about 1e-13 the determinant test alone lets such systems through.
     Entries too large for the test's max|a_ij|^3 and a right-hand side
     that overflowed are NumericOverflow, raised before any breakdown test.
-    The rows are finite Python floats (`_step_scale` checked them), so
-    they go to `linalg.eliminate` with the max|a_ij| found here.
+    The a_ij are finite (`_step_scale` checked them), so the rows go to
+    `linalg.eliminate` with the max|a_ij| found here.
     """
-    entries = (*rows[0], *rows[1], *rows[2])
+    (a11, a12, a13, b1), (a21, a22, a23, b2), (a31, a32, a33, b3) = rows
+    entries = (a11, a12, a13, a21, a22, a23, a31, a32, a33)
     max_abs = max(max(entries), -min(entries))  # max|a_ij|
     try:
         cube = max_abs ** 3
     except OverflowError:  # a float power raises where a product would give inf
         raise NumericOverflow("max|a_ij|^3 of the coefficient system overflows") from None
-    if not all(map(math.isfinite, rhs)):  # finite entries, yet -p2[i] - e_k * q1[i] can overflow
+    if not (math.isfinite(b1) and math.isfinite(b2) and math.isfinite(b3)):  # -p2[i] - e_k * q1[i] can overflow
         raise NumericOverflow("right-hand side of the coefficient system overflows")
     if abs(delta) <= BREAKDOWN_EPS * cube:
         raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
     if divisor is not None and abs(divisor) <= BREAKDOWN_EPS * scale:
         raise DivisorBreakdown(f"back-substitution divisor {abs(divisor):.3e} underflows")
     try:
-        return linalg.eliminate([[*rows[0], rhs[0]], [*rows[1], rhs[1]], [*rows[2], rhs[2]]], max_abs)[0]
+        return linalg.eliminate(rows, max_abs)[0]
     except SingularSystem as exc:
         raise GhostBreakdown(f"coefficient system singular at pivot {exc.pivot_index}") from exc
 

@@ -55,6 +55,7 @@ by side, each the same BLAS call as alone.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -172,7 +173,10 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     form reads: forming them allocates nothing.
     The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one call per
     Krylov vector, side by side on long vectors; one more gemv, with z_2,
-    gives `z3_products`. A singular degree-j system raises
+    gives `z3_products`. The Gram products and the conditions of P1_j are
+    Python floats, and each degree's two systems go to `linalg.eliminate`
+    as augmented rows, once their entries are found finite. A singular
+    degree-j system raises
     BootstrapBreakdown(j), Gram products of degree j that overflowed
     NumericOverflow (they depend on y, so another seed may pass), and a
     failed bootstrap forms no x at all.
@@ -199,26 +203,29 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     recurrence = [_extend_left(A, left[j - 1] if j else None, left[j], left[j + 1]) for j in range(WINDOW)]
     # c(N_m x^i) = (v_m, A^i r0) and c1(N_m x^i) = (A^T v_m, A^i r0), m = 0..3. `v.dot(p)`, not
     # `v @ p`, which holds the GIL on two vectors and so would run the calls one after another.
-    gram = np.array([*zip(*linalg.parallel_map(lambda p: [float(v.dot(p)) for v in left[:len(powers)]], powers))])
+    gram = [*zip(*linalg.parallel_map(lambda p: [float(v.dot(p)) for v in left[:len(powers)]], powers))]
     left = None  # frees v_0, which nothing reads again
-    shifted = np.array([beta * (gram[m - 1] if m else 0.0) + alpha * gram[m] + gamma * gram[m + 1]
-                        for m, (beta, alpha, gamma) in enumerate(recurrence[:BOOTSTRAP_DEGREE])])
+    shifted = [[beta * below + alpha * at + gamma * above
+                for below, at, above in zip(gram[m - 1] if m else [0.0] * len(powers), gram[m], gram[m + 1])]
+               for m, (beta, alpha, gamma) in enumerate(recurrence[:BOOTSTRAP_DEGREE])]
 
     r, z = [None] * 2, [None] * 3  # SolverState's slots of r_j and z_j
     solutions, best = [None], 0  # a of each degree, read by x_j; the degree of least ||r_j||
     for j in range(1, BOOTSTRAP_DEGREE + 1):
-        if not (np.isfinite(gram[:j, :j + 1]).all() and np.isfinite(shifted[:j, :j + 1]).all()):
+        # The augmented rows [M | b] of a's conditions and of c's, m = 0..j-1.
+        a_rows = [[*gram[m][1:j + 1], -gram[m][0]] for m in range(j)]
+        c_rows = [[*shifted[m][:j], -shifted[m][j]] for m in range(j)]
+        if not all(map(math.isfinite, itertools.chain(*a_rows, *c_rows))):
             raise NumericOverflow(f"bootstrap Gram products of degree {j} overflowed")
         try:
-            a = linalg.solve_dense(gram[:j, 1:j + 1], -gram[:j, 0])
-            c = linalg.solve_dense(shifted[:j, :j], -shifted[:j, j])
+            a, c = _solve_conditions(a_rows), _solve_conditions(c_rows)
         except SingularSystem as exc:
             raise BootstrapBreakdown(j) from exc
         r[j % 2] = None  # r_{j-2}, which no step reads
         r[j % 2], z[j % 3] = np.empty(n), np.empty(n) if j > 1 else None
         linalg.blockwise(_degree_vectors, r[j % 2], z[j % 3], a, c, *powers[:j + 1])
-        rn = float(np.linalg.norm(r[j % 2]))
-        if not np.isfinite(rn):
+        rn = math.sqrt(float(r[j % 2].dot(r[j % 2])))  # np.linalg.norm's arithmetic, as in `step`
+        if not math.isfinite(rn):
             raise NumericOverflow("bootstrap residual overflowed")
         state.history.append((j, rn, "bootstrap"))
         state.iterations += 1
@@ -244,6 +251,14 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     state.u_window, state.u_columns = window, recurrence[1:]  # the columns of v_1..v_6
     state.z3_products = window.dot(z[2]).tolist()[:6]  # z_2, the first step's z_{k-3}, against v_1..v_6
     return state
+
+
+def _solve_conditions(rows) -> list[float]:
+    """The solution of one degree's augmented rows [M | b], finite Python
+    floats: `linalg.eliminate` with max|M|, as `linalg.solve_dense` would
+    call it."""
+    entries = [value for row in rows for value in row[:-1]]
+    return linalg.eliminate(rows, max(max(entries), -min(entries)))[0]
 
 
 def _degree_vectors(r, z, a, c, *p):
@@ -288,7 +303,9 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
     a unit vector (a zero remainder stays zero). One transpose product.
     Each projection and the division run through `linalg.blockwise`; the
     dot products stay whole-vector calls, whose summation order a blocked
-    reduction would change. Returns (beta_j, alpha_j, gamma_j).
+    reduction would change. gamma_j is sqrt(w . w) of the remainder w, or,
+    where only w . w overflows (||w|| above about 1.3e154), max|w| times
+    the norm of w / max|w|. Returns (beta_j, alpha_j, gamma_j).
     """
     w = linalg.transpose_matvec(A, v)
     beta = 0.0
@@ -298,6 +315,9 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
     alpha = float(v.dot(w))
     linalg.blockwise(_subtract_multiple, w, v, alpha)
     gamma = math.sqrt(float(w.dot(w)))
+    if gamma == math.inf and (big := float(np.abs(w).max())) < math.inf:
+        unit = w / big
+        gamma = big * math.sqrt(float(unit.dot(unit)))
     linalg.blockwise(np.divide, w, gamma if gamma > 0.0 else 1.0, out)
     return beta, alpha, gamma
 

@@ -88,6 +88,32 @@ def test_sparse_coo_matches_dense():
     assert np.allclose(m.to_dense(), ref)
 
 
+def test_dense_products_equal_the_matmul_operator_bit_for_bit():
+    # Dense storage takes its products with ndarray.dot, the gemv of `@`
+    # without the matmul dispatch: A v and A^T v must be the bits of A @ v
+    # and A.T @ v, on contiguous vectors and on the strided views (a column,
+    # every other entry of a row) that linalg.matvec passes through without
+    # a copy. On a reversed view, where `@` leaves BLAS for a loop of its
+    # own, they are the bits of the product with a contiguous copy.
+    rng = np.random.default_rng(29)
+    shapes = [(n, n) for n in range(1, 131)]
+    shapes += [(int(rng.integers(1, 131)), int(rng.integers(1, 131))) for _ in range(30)] + [(3, 70001)]
+    for rows, cols in shapes:
+        # mixed magnitudes, so that a different summation order would round differently
+        dense = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-8, 9, (rows, cols))
+        m = fs.Matrix.from_dense(dense)
+        block = rng.standard_normal((max(rows, cols), 2))
+        for v, u in ((rng.standard_normal(cols), rng.standard_normal(rows)),
+                     (block[:cols, 1], rng.standard_normal(2 * rows)[::2])):
+            want_y, want_t = dense @ v, dense.T @ u
+            for y, want in ((m.matvec(v), want_y), (fs.matvec(m, v), want_y),
+                            (m.rmatvec(u), want_t), (fs.transpose_matvec(m, u), want_t)):
+                assert y.tobytes() == want.tobytes()
+        v, u = rng.standard_normal(cols)[::-1], rng.standard_normal(rows)[::-1]
+        assert fs.matvec(m, v).tobytes() == (dense @ v.copy()).tobytes()
+        assert fs.transpose_matvec(m, u).tobytes() == (dense.T @ u.copy()).tobytes()
+
+
 def _stencil_triplets(n):
     """The (-1, 2, -1) stencil as coordinate triplets, diagonal by diagonal:
     main, then upper, then lower."""

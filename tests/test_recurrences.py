@@ -214,6 +214,18 @@ def test_a13_coefficients_match_fit_on_d3b_k5():
     assert np.abs(fitted - mapped).max() <= 1e-8 * np.abs(mapped).max()
 
 
+def test_coefficient_records_are_immutable_tuples_in_field_order():
+    a = recurrences.A13Coeffs(a_k=1.0, b_k=2.0, c_k=3.0, e_k=4.0, f_k=5.0, delta_k=6.0)
+    b = recurrences.B13Coeffs(c_k=7.0, d_k=8.0, f_k=9.0, g_k=10.0, delta_prime_k=11.0)
+    assert a._fields == ("a_k", "b_k", "c_k", "e_k", "f_k", "delta_k") and a == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    assert b._fields == ("c_k", "d_k", "f_k", "g_k", "delta_prime_k") and b == (7.0, 8.0, 9.0, 10.0, 11.0)
+    for record in (a, b):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+    assert a.c_k == 3.0 and b.delta_prime_k == 11.0
+
+
 def test_a13_normalization_identity():
     A, ones, c = d3b_fixture()
     sp = bridged_scalar_products(A, ones, ones, c, 5)

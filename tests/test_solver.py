@@ -232,6 +232,16 @@ def test_an_overflowing_bootstrap_gram_product_is_not_a_krylov_overflow(seed):
     assert np.array_equal(x, np.zeros(3))
 
 
+def test_extend_left_scales_a_norm_whose_square_overflows():
+    # ||w|| = 1e200 is representable though w . w is not: gamma takes the
+    # norm of w / max|w| times max|w|, so v_1 is a unit vector, not zero.
+    out = np.empty(2)
+    with np.errstate(over="ignore"):  # w . w overflows, as it may under solve's settings
+        got = solver._extend_left(fs.Matrix.from_dense([[0, 1e200], [1e200, 0]]), None, np.array([1.0, 0.0]), out)
+    assert got == (0.0, 0.0, 1e200)
+    assert out.tolist() == [0.0, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # step
 # ---------------------------------------------------------------------------
@@ -656,11 +666,11 @@ def test_solve_reports_numerical_failure_under_strict_float_settings(A, b, x0):
 @pytest.mark.parametrize("problem", ["ring:40", "tridiag:30", "tridiag:100"])
 def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, monkeypatch):
     # Every step's functional values, rows and coefficients, and every
-    # elimination (the bootstrap's through solve_dense, the coefficient
-    # systems' straight through eliminate), against the reference path.
+    # elimination (the bootstrap's systems and the coefficient systems, all
+    # straight through eliminate), against the reference path.
     A = ring_spectrum_fixture(40, 3)[0] if problem == "ring:40" else build_generator(problem)[0]
     b = np.random.default_rng(8).standard_normal(A.rows)
-    assemble, solve_dense, eliminate = recurrences.assemble_scalar_products, linalg.solve_dense, linalg.eliminate
+    assemble, eliminate = recurrences.assemble_scalar_products, linalg.eliminate
     steps, solves = [], []
 
     def checked_assemble(r_products, z3_products, z2_products, columns):
@@ -668,15 +678,6 @@ def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, mon
         steps.append(assert_same_coefficient_path(sp, reference_scalar_products(r_products, z3_products,
                                                                                 z2_products, columns)))
         return sp
-
-    def checked_solve_dense(M, rhs):
-        got, want = outcome(solve_dense, M, rhs), outcome(reference_solve_dense, M, rhs)
-        if got[0] == "ok":
-            assert want[0] == "ok" and float_bits(got[1]) == float_bits(want[1])
-        else:
-            assert got == want
-        solves.append(got[0])
-        return solve_dense(M, rhs)
 
     def checked_eliminate(a, max_abs):
         n = len(a)
@@ -691,7 +692,6 @@ def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, mon
         return eliminate(a, max_abs)
 
     monkeypatch.setattr(recurrences, "assemble_scalar_products", checked_assemble)
-    monkeypatch.setattr(linalg, "solve_dense", checked_solve_dense)
     monkeypatch.setattr(linalg, "eliminate", checked_eliminate)
     _, report = fs.solve(A, b)
     assert len(steps) >= sum(ev == "step" for _, _, ev in report.entries) > 10
