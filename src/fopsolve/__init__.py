@@ -9,7 +9,6 @@ from .errors import (
     BootstrapBreakdown,
     BreakdownError,
     DimensionMismatch,
-    DivisorBreakdown,
     GhostBreakdown,
     MomentRangeExceeded,
     NonexistentPolynomial,

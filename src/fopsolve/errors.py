@@ -2,7 +2,9 @@
 
 Breakdown exceptions are first-class results of the iteration, not bugs:
 the solver catches them and restarts, and the verification tools record
-them as "skipped" runs.
+them as "skipped" runs. The `cause` of each names it in the solver's
+report: `Ghost`, `True` and `Normalization` for the breakdowns, `Overflow`
+for NumericOverflow.
 """
 
 
@@ -80,12 +82,6 @@ class NormalizationBreakdown(BreakdownError):
     """The normalizing coefficient underflowed; its reciprocal is undefined."""
 
     cause = "Normalization"
-
-
-class DivisorBreakdown(BreakdownError):
-    """A back-substitution divisor underflowed."""
-
-    cause = "Divisor"
 
 
 class BootstrapBreakdown(BreakdownError):

@@ -35,7 +35,6 @@ import numpy as np
 from . import linalg, moments, oracle
 from .errors import (
     DimensionMismatch,
-    DivisorBreakdown,
     GhostBreakdown,
     NormalizationBreakdown,
     NumericOverflow,
@@ -260,44 +259,40 @@ def b13_coefficients(sp: ScalarProducts) -> B13Coeffs:
     The lowest row gives C_k = -c1(N_{k-4} x^2 P1_{k-2}) /
     c1(N_{k-4} x P1_{k-3}); D_k, F_k, G_k solve the remaining 3x3
     orthogonality system (`linalg.eliminate` here, cofactor
-    back-substitution kept as a test check). The entries a'_12 and a'_23
-    are back-substitution divisors in that closed form, so their
-    underflow is flagged as DivisorBreakdown.
+    back-substitution kept as a test check).
+
+    Breakdowns: vanishing denominator -> TrueBreakdown; vanishing system
+    determinant or elimination pivot -> GhostBreakdown.
     """
     _, _, _, q0, q1, s0, s1, s2 = sp.rows
-    scale = _step_scale(sp)
+    _step_scale(sp)
     c_k = -s2[0] / q1[0]
 
     # a13 = s0[1] = c1(N_{k-3} P1_{k-2}) vanishes by orthogonality.
     a11, a12, a13, a21, a22, a23, a31, a32, a33 = q0[1], s1[1], s0[1], q0[2], s1[2], s0[2], q0[3], s1[3], s0[3]
     delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23)
-    # a'_12 and a'_23 are the closed form's divisors; they are equal in the power basis.
     d_k, f_k, g_k = _solve_system([[a11, a12, a13, -s2[1] - c_k * q1[1]], [a21, a22, a23, -s2[2] - c_k * q1[2]],
-                                   [a31, a32, a33, -s2[3] - c_k * q1[3]]],
-                                  delta, divisor=min(abs(a12), abs(a23)), scale=scale)
+                                   [a31, a32, a33, -s2[3] - c_k * q1[3]]], delta)
     return B13Coeffs(c_k, d_k, f_k, g_k, delta)
 
 
-def _step_scale(sp: ScalarProducts) -> float:
-    """The step scale, after the TrueBreakdown test of the shared
-    denominator c1(N_{k-4} x P1_{k-3}) against it. Non-finite values are
-    NumericOverflow, raised before any breakdown test."""
+def _step_scale(sp: ScalarProducts) -> None:
+    """TrueBreakdown test of the shared denominator c1(N_{k-4} x P1_{k-3})
+    against the step scale. Non-finite values are NumericOverflow, raised
+    before any breakdown test."""
     if sp.scale == math.inf:
         raise NumericOverflow("non-finite functional value")
     denom = sp.rows[4][0]
     if abs(denom) <= BREAKDOWN_EPS * sp.scale:
         raise TrueBreakdown(f"c1(N_(k-4) x P1_(k-3)) = {denom:.3e} underflows the step scale")
-    return sp.scale
 
 
-def _solve_system(rows, delta: float, divisor: float | None = None, scale: float = 0.0) -> list[float]:
+def _solve_system(rows, delta: float) -> list[float]:
     """GhostBreakdown test of the determinant delta, then the 3x3 solve of
     the augmented `rows` [a_i1, a_i2, a_i3, rhs_i], three lists of Python
     floats that the solve overwrites.
 
-    A closed-form back-substitution `divisor`, when given, is tested
-    against the step `scale` between the two (DivisorBreakdown). A pivot
-    below the elimination's own floor is a vanishing system too, so
+    A pivot below the elimination's own floor is a vanishing system too, so
     SingularSystem surfaces as GhostBreakdown; with BREAKDOWN_EPS below
     about 1e-13 the determinant test alone lets such systems through.
     Entries too large for the test's max|a_ij|^3 and a right-hand side
@@ -316,8 +311,6 @@ def _solve_system(rows, delta: float, divisor: float | None = None, scale: float
         raise NumericOverflow("right-hand side of the coefficient system overflows")
     if abs(delta) <= BREAKDOWN_EPS * cube:
         raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
-    if divisor is not None and abs(divisor) <= BREAKDOWN_EPS * scale:
-        raise DivisorBreakdown(f"back-substitution divisor {abs(divisor):.3e} underflows")
     try:
         return linalg.eliminate(rows, max_abs)[0]
     except SingularSystem as exc:

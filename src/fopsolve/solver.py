@@ -189,7 +189,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     conv_floor = tol * float(np.linalg.norm(bv))
 
     r0 = bv - linalg.matvec(A, x0v)
-    state = SolverState(k=0, best_x=x0v, best_resnorm=float(np.linalg.norm(r0)))
+    state = SolverState(k=0, best_x=x0v, best_resnorm=_norm(r0))
     state.history.append((0, state.best_resnorm, "bootstrap"))
     if state.best_resnorm <= conv_floor:
         state.converged = True
@@ -303,9 +303,8 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
     a unit vector (a zero remainder stays zero). One transpose product.
     Each projection and the division run through `linalg.blockwise`; the
     dot products stay whole-vector calls, whose summation order a blocked
-    reduction would change. gamma_j is sqrt(w . w) of the remainder w, or,
-    where only w . w overflows (||w|| above about 1.3e154), max|w| times
-    the norm of w / max|w|. Returns (beta_j, alpha_j, gamma_j).
+    reduction would change. gamma_j is `_norm` of the remainder w. Returns
+    (beta_j, alpha_j, gamma_j).
     """
     w = linalg.transpose_matvec(A, v)
     beta = 0.0
@@ -314,12 +313,19 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
         linalg.blockwise(_subtract_multiple, w, v_prev, beta)
     alpha = float(v.dot(w))
     linalg.blockwise(_subtract_multiple, w, v, alpha)
-    gamma = math.sqrt(float(w.dot(w)))
-    if gamma == math.inf and (big := float(np.abs(w).max())) < math.inf:
-        unit = w / big
-        gamma = big * math.sqrt(float(unit.dot(unit)))
+    gamma = _norm(w)
     linalg.blockwise(np.divide, w, gamma if gamma > 0.0 else 1.0, out)
     return beta, alpha, gamma
+
+
+def _norm(v) -> float:
+    """||v||: sqrt(v . v), np.linalg.norm's arithmetic, or, where only v . v
+    overflows (||v|| above about 1.3e154), max|v| times the norm of v / max|v|."""
+    norm = math.sqrt(float(v.dot(v)))
+    if norm == math.inf and (big := float(np.abs(v).max())) < math.inf:
+        unit = v / big
+        norm = big * math.sqrt(float(unit.dot(unit)))
+    return norm
 
 
 def _subtract_multiple(w, u, coefficient) -> None:
@@ -526,7 +532,7 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
         try:
             state = _start(state, A, bv, rng, cfg.tol)
         except (BreakdownError, NumericOverflow) as exc:
-            state.best_resnorm = float(np.linalg.norm(bv - linalg.matvec(A, x0v)))
+            state.best_resnorm = _norm(bv - linalg.matvec(A, x0v))
             state.history.append((0, state.best_resnorm, "bootstrap"))
             cause = exc.cause
         # Not read again (x0v lives on as `kept`; a restart scales b afresh); at n = 1e6 each holds 8 MB.
@@ -565,7 +571,7 @@ def _draw_left_seed(rng, A, b, x0) -> np.ndarray:
     Raises KrylovOverflow when that residual is not finite.
     """
     r0 = b - linalg.matvec(A, x0)
-    r0n = float(np.linalg.norm(r0))
+    r0n = _norm(r0)
     if not math.isfinite(r0n):
         raise KrylovOverflow("residual of the starting iterate overflowed")
     for _ in range(_LEFT_SEED_TRIES):

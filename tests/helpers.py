@@ -13,7 +13,6 @@ import fopsolve as fs
 from fopsolve import linalg, moments, recurrences, solver
 from fopsolve.errors import (
     DimensionMismatch,
-    DivisorBreakdown,
     GhostBreakdown,
     NormalizationBreakdown,
     NumericOverflow,
@@ -221,7 +220,8 @@ def reconstruct_from_relation(blocks, bases, k):
 # Reference coefficient path: a verbatim copy of the list-based expansion
 # (`_times_x`), `_solve_system` and `solve_dense` that the flat-float
 # implementation in `fopsolve` replaced, plus the later rule that an
-# overflowed right-hand side is NumericOverflow. The bit-equality tests
+# overflowed right-hand side is NumericOverflow, less the later-dropped
+# test of B13's back-substitution divisors. The bit-equality tests
 # compare the two on random windows, random systems and along seeded solves.
 # ---------------------------------------------------------------------------
 
@@ -284,31 +284,27 @@ def reference_a13(sp, eps: float = 1e-12):
 def reference_b13(sp, eps: float = 1e-12):
     """(c_k, d_k, f_k, g_k, delta_prime_k) of `b13_coefficients`."""
     _, _, _, q0, q1, s0, s1, s2 = sp.rows
-    scale = _reference_step_scale(sp, eps)
+    _reference_step_scale(sp, eps)
     c_k = -s2[0] / q1[0]
     rows = [(q0[i], s1[i], s0[i]) for i in (1, 2, 3)]
     rhs = [-s2[i] - c_k * q1[i] for i in (1, 2, 3)]
     (a11, a12, _), (a21, a22, a23), (a31, a32, a33) = rows
     delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23)
-    d_k, f_k, g_k = _reference_solve_system(rows, rhs, delta, eps, divisor=min(abs(a12), abs(a23)), scale=scale)
+    d_k, f_k, g_k = _reference_solve_system(rows, rhs, delta, eps)
     return c_k, d_k, f_k, g_k, delta
 
 
-def _reference_step_scale(sp, eps: float) -> float:
+def _reference_step_scale(sp, eps: float) -> None:
     denom = sp.rows[4][0]
     if abs(denom) <= eps * sp.scale:
         raise TrueBreakdown(f"c1(N_(k-4) x P1_(k-3)) = {denom:.3e} underflows the step scale")
-    return sp.scale
 
 
-def _reference_solve_system(rows, rhs, delta: float, eps: float,
-                            divisor: float | None = None, scale: float = 0.0) -> list[float]:
+def _reference_solve_system(rows, rhs, delta: float, eps: float) -> list[float]:
     if not all(map(math.isfinite, rhs)):
         raise NumericOverflow("right-hand side of the coefficient system overflows")
     if abs(delta) <= eps * max(map(abs, itertools.chain.from_iterable(rows))) ** 3:
         raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
-    if divisor is not None and abs(divisor) <= eps * scale:
-        raise DivisorBreakdown(f"back-substitution divisor {abs(divisor):.3e} underflows")
     try:
         return reference_solve_dense(rows, rhs).tolist()
     except SingularSystem as exc:

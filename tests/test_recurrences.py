@@ -7,7 +7,6 @@ import fopsolve as fs
 from fopsolve.cli import ring_spectrum_fixture
 from fopsolve.errors import (
     DimensionMismatch,
-    DivisorBreakdown,
     GhostBreakdown,
     NormalizationBreakdown,
     NumericOverflow,
@@ -143,7 +142,7 @@ def test_flat_float_path_matches_the_reference_on_random_windows():
         sp = fs.assemble_scalar_products(*in_degree_order(products, columns, head))
         ref = reference_scalar_products(*products, columns, head)
         seen.update(assert_same_coefficient_path(sp, ref))
-    assert seen == {"ok", TrueBreakdown, GhostBreakdown, NormalizationBreakdown, DivisorBreakdown}
+    assert seen == {"ok", TrueBreakdown, GhostBreakdown, NormalizationBreakdown}
 
 
 @pytest.mark.parametrize("field", range(12))
@@ -183,10 +182,8 @@ def _rows_with_an_overflowing_right_hand_side(p0, p1, q0, s0, s1):
 
 def test_an_overflowing_right_hand_side_is_numeric_overflow():
     # Each 3x3 system is nonsingular with O(1) entries, and only -p2[1] -
-    # e_k * q1[1] (A13) or -s2[1] - c_k * q1[1] (B13) is not finite. A13
-    # used to reach solve_dense, whose ValueError escaped `solve`; B13's
-    # back-substitution divisors underflow that scale, so it used to read
-    # DivisorBreakdown. A non-finite value is NumericOverflow first.
+    # e_k * q1[1] (A13) or -s2[1] - c_k * q1[1] (B13) is not finite. A
+    # non-finite value is NumericOverflow before any breakdown test.
     a13 = _rows_with_an_overflowing_right_hand_side(  # rows (p1[i], p0[i], q0[i]) = identity
         p0=(0.0, 0.0, 1.0, 0.0), p1=(0.0, 1.0, 0.0, 0.0), q0=(0.0, 0.0, 0.0, 1.0),
         s0=(0.0,) * 4, s1=(0.0,) * 4)
@@ -456,10 +453,12 @@ def test_b13_ghost_breakdown():
         fs.b13_coefficients(sp)
 
 
-def test_b13_divisor_breakdown():
+def test_b13_zero_entries_of_a_regular_system_are_no_breakdown():
+    # a'_12 = a'_23 = 0, but the 3x3 matrix is the identity (delta' = 1):
+    # every coefficient exists, and the pivoted elimination divides by
+    # neither entry. repr tells the signed zeros apart.
     sp = sp_from_values([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
-    with pytest.raises(DivisorBreakdown):
-        fs.b13_coefficients(sp)
+    assert repr(fs.b13_coefficients(sp)) == repr(fs.B13Coeffs(-0.0, -1.0, 0.0, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -957,6 +957,16 @@ def test_solve_keeps_an_x0_that_scaling_by_b_would_overflow():
     assert not any(math.isnan(rn) for _, rn, _ in report.entries)
 
 
+def test_solve_reports_a_starting_residual_whose_square_overflows():
+    # ||b - A x0|| = sqrt(2) * 1e200 (A x0 is 0 but at the two ends) is
+    # representable, though its square is not: it is reported as it is,
+    # and the left seed draw no longer takes it for an overflowed one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, report = fs.solve(fs.Matrix.tridiagonal(12), np.ones(12), x0=np.full(12, 1e200))
+    assert report.entries[0] == (0, pytest.approx(1.4142135623730951e200), "bootstrap")
+    assert all(math.isfinite(rn) for _, rn, _ in report.entries)
+
+
 def test_long_solve_peak_memory_is_bounded_in_vectors():
     # The sparse-1e6 benchmark's solve at n = 2^20, its peak counted in
     # vectors of length n under tracemalloc, to which numpy reports its
