@@ -427,9 +427,11 @@ def eliminate(a: list[list[float]], max_abs: float) -> list[list[float]]:
     solution list per right-hand side, in order. The package's one
     elimination loop. The pivot of each column is the first row with the
     largest |entry|; one at or below 1e-13 * max_abs raises
-    SingularSystem, carrying the offending elimination step. Back
-    substitution accumulates each row's dot product with fused
-    multiply-adds.
+    SingularSystem, carrying the offending elimination step. The back
+    substitution of each right-hand side follows in the same loop,
+    accumulating each row's dot product with the solved entries from the
+    last column on, the first term rounded alone and each further one
+    fused (`_fma`).
     """
     n, width = len(a), len(a[0])
     pivot_floor = _PIVOT_RTOL * max_abs
@@ -447,20 +449,20 @@ def eliminate(a: list[list[float]], max_abs: float) -> list[list[float]]:
             factor = row[col] / pivot
             for j in range(col + 1, width):
                 row[j] -= factor * pivot_row[j]
-    return [_back_substitute(a, j) for j in range(n, width)]
+    solutions = []
+    for rhs in range(n, width):
+        x = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            dot = 0.0
+            for j in range(i + 1, n):
+                dot = _fma(row[j], x[j], dot) if dot else row[j] * x[j] + dot
+            x[i] = (row[rhs] - dot) / row[i]
+        solutions.append(x)
+    return solutions
 
 
-def _back_substitute(a: list[list[float]], rhs_col: int) -> list[float]:
-    """The solution for column `rhs_col` of the eliminated rows `a`."""
-    n = len(a)
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        dot = 0.0
-        for j in range(i + 1, n):
-            dot = _fma(row[j], x[j], dot) if dot else row[j] * x[j] + dot
-        x[i] = (row[rhs_col] - dot) / row[i]
-    return x
+_SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's constant: a double splits into two halves of 26 bits
 
 
 def _fma(a: float, b: float, c: float) -> float:
@@ -469,9 +471,31 @@ def _fma(a: float, b: float, c: float) -> float:
     numpy's `row @ x` does with an FMA BLAS, on any machine. (A zero c adds
     exactly as `a * b + c`.)
 
-    Exact on the operands' integer ratios, whose denominators are powers
-    of two; int true division rounds correctly.
+    Where 1e-280 < |a * b| < 1e280 and |a|, |b| < 1e290, Dekker's
+    TwoProduct (Numer. Math. 18, 1971) gives the rounding error e of
+    p = a * b exactly, a * b = p + e. Veltkamp's split of a and b into
+    halves of at most 26 significant bits cannot overflow below 1e290 *
+    (2**27 + 1). The four half products are then exact, and so are the
+    sums that form e, as nothing underflows: each is a multiple of the
+    product of the lowest bits of a and b, at least |a| |b| 2**-107 >
+    2**-1040. `math.fsum` rounds p + e + c once, correctly. It cannot
+    overflow on finite c, as |p + e| < 1e280 is below half an ulp of the
+    largest double; an infinite or NaN c is its own result, as in
+    a * b + c.
+
+    Elsewhere (a product that is zero, tiny, huge or not finite) the
+    result is exact on the operands' integer ratios, whose denominators
+    are powers of two; int true division rounds correctly.
     """
+    p = a * b
+    if 1e-280 < abs(p) < 1e280 and abs(a) < 1e290 and abs(b) < 1e290:
+        t = _SPLIT * a
+        a_hi = t - (t - a)
+        a_lo = a - a_hi
+        t = _SPLIT * b
+        b_hi = t - (t - b)
+        b_lo = b - b_hi
+        return math.fsum((p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo, c))
     try:
         (na, da), (nb, db), (nc, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
         d = da * db

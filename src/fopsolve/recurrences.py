@@ -12,10 +12,11 @@ Two jobs:
   takes the products against left vectors v_j = N_j(A^T) y of a
   three-term basis; `assemble_scalar_products` turns them into functional
   values, expanded into the orthogonality conditions against the test
-  functions N_{k-4}..N_{k-1} (`ScalarProducts.rows`). The values, the
-  rows and the two 3x3 systems are Python floats, checked here and
-  handed as augmented rows straight to `linalg.eliminate`; a pivot
-  below its floor is reported as GhostBreakdown;
+  functions N_{k-4}..N_{k-1} (`ScalarProducts.rows`, all eight formed in
+  one pass by `_expand`). The values, the rows and the two 3x3 systems
+  are Python floats, checked here and handed as augmented rows straight
+  to `linalg.eliminate`; a pivot below its floor is reported as
+  GhostBreakdown;
 
 * numerically certify which candidate relation shapes exist at all, by
   least-squares fitting expanded multiplier candidates against oracle
@@ -68,8 +69,8 @@ class ScalarProducts(NamedTuple):
     both recurrences' conditions. Values that vanish by orthogonality
     (c(N_j P_{k-2}) for j < k-2, c1(N_j P1_m) for j < m) are set to zero;
     N_{k-5} enters as zero. The rows are tuples of Python floats, expanded
-    with unrolled arithmetic by `_expand`. `scale` is the largest magnitude
-    among them, or inf when one is not finite.
+    in one pass with unrolled arithmetic by `_expand`. `scale` is the
+    largest magnitude among them, or inf when one is not finite.
     """
 
     values: tuple
@@ -80,35 +81,36 @@ class ScalarProducts(NamedTuple):
 
 def _expand(values: tuple, columns: tuple) -> ScalarProducts:
     """The record of the twelve `values` and the `columns` of j = k-4..k,
-    with the rows and the scale they expand to."""
+    with the rows and the scale they expand to, in one pass.
+
+    Each row over N_{k-4}..N_{k-1} comes from the values v against
+    N_{k-4}..N_{k+1} (for P and P1_{k-2} the first two are zero) through
+    x N_j = beta_j N_{j-1} + alpha_j N_j + gamma_j N_{j+1}: once for the x
+    rows, twice for the x^2 rows. It is unrolled with every term kept,
+    zeros and N_{k-5} included, so that signed zeros and non-finite values
+    propagate as in the summed form; the terms that read only zeros and
+    columns are taken once and shared by the rows of P, P1_{k-3} and
+    P1_{k-2}.
+    """
     pv2, pv3, pv4, pv5, qv1, qv2, qv3, qv4, sv2, sv3, sv4, sv5 = values  # pvi, qvi, svi: against N_{k-4+i}
-    p0, p1, p2 = _times_x_twice(columns, pv2, pv3, pv4, pv5)
-    s0, s1, s2 = _times_x_twice(columns, sv2, sv3, sv4, sv5)
-    (b0, a0, g0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), _ = columns
-    q0 = (0.0, qv1, qv2, qv3)
-    q1 = (b0 * 0.0 + a0 * 0.0 + g0 * qv1, b1 * 0.0 + a1 * qv1 + g1 * qv2,
-          b2 * qv1 + a2 * qv2 + g2 * qv3, b3 * qv2 + a3 * qv3 + g3 * qv4)
+    (b0, a0, g0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4) = columns
+    b0z, b1z, b2z = b0 * 0.0, b1 * 0.0, b2 * 0.0
+    zero0, zero1 = b0z + a0 * 0.0, b1z + a1 * 0.0
+    x0 = zero0 + g0 * 0.0  # the first entry of both x rows
+    head0, head1 = b0z + a0 * x0, b1 * x0  # the first partial sums of both x^2 rows
+    px1, px2, px3 = zero1 + g1 * pv2, b2z + a2 * pv2 + g2 * pv3, b3 * pv2 + a3 * pv3 + g3 * pv4
+    px4 = b4 * pv3 + a4 * pv4 + g4 * pv5
+    sx1, sx2, sx3 = zero1 + g1 * sv2, b2z + a2 * sv2 + g2 * sv3, b3 * sv2 + a3 * sv3 + g3 * sv4
+    sx4 = b4 * sv3 + a4 * sv4 + g4 * sv5
+    p0, q0, s0 = (0.0, 0.0, pv2, pv3), (0.0, qv1, qv2, qv3), (0.0, 0.0, sv2, sv3)
+    p1, s1 = (x0, px1, px2, px3), (x0, sx1, sx2, sx3)
+    p2 = (head0 + g0 * px1, head1 + a1 * px1 + g1 * px2, b2 * px1 + a2 * px2 + g2 * px3, b3 * px2 + a3 * px3 + g3 * px4)
+    q1 = (zero0 + g0 * qv1, b1z + a1 * qv1 + g1 * qv2, b2 * qv1 + a2 * qv2 + g2 * qv3, b3 * qv2 + a3 * qv3 + g3 * qv4)
+    s2 = (head0 + g0 * sx1, head1 + a1 * sx1 + g1 * sx2, b2 * sx1 + a2 * sx2 + g2 * sx3, b3 * sx2 + a3 * sx3 + g3 * sx4)
     flat = (*p0, *p1, *p2, *q0, *q1, *s0, *s1, *s2)
     total = sum(flat)  # NaN when an entry is NaN; an infinite entry makes max or -min infinite
     return ScalarProducts(values, columns, (p0, p1, p2, q0, q1, s0, s1, s2),
                           math.inf if total != total else max(max(flat), -min(flat)))
-
-
-def _times_x_twice(columns, v2: float, v3: float, v4: float, v5: float) -> tuple:
-    """Rows (v, x v, x^2 v) over N_{k-4}..N_{k-1}, from the values v against
-    N_{k-4}..N_{k+1}, the first two zero, and the columns of j = k-4..k.
-
-    x N_j = beta_j N_{j-1} + alpha_j N_j + gamma_j N_{j+1}, unrolled with
-    every term kept, zeros and N_{k-5} included, so that signed zeros and
-    non-finite values propagate as in the summed form.
-    """
-    (b0, a0, g0), (b1, a1, g1), (b2, a2, g2), (b3, a3, g3), (b4, a4, g4) = columns
-    x0, x1, x2, x3 = x = (b0 * 0.0 + a0 * 0.0 + g0 * 0.0, b1 * 0.0 + a1 * 0.0 + g1 * v2,
-                          b2 * 0.0 + a2 * v2 + g2 * v3, b3 * v2 + a3 * v3 + g3 * v4)
-    x4 = b4 * v3 + a4 * v4 + g4 * v5
-    return ((0.0, 0.0, v2, v3), x,
-            (b0 * 0.0 + a0 * x0 + g0 * x1, b1 * x0 + a1 * x1 + g1 * x2, b2 * x1 + a2 * x2 + g2 * x3,
-             b3 * x2 + a3 * x3 + g3 * x4))
 
 
 class A13Coeffs(NamedTuple):

@@ -168,9 +168,11 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     degree (z_1, which no step reads, is not). x_j is formed only where it
     is handed on, after the degree loop: x_4, then x_3, then the best x_j
     if that is x_1 or x_2; on early convergence (some ||r_j|| <= tol *
-    ||b||) only x_j, the best. Each x_j reads r0..A^{j-1} r0, so they are
-    written over A^4 r0, A^3 r0 and A^2 r0 in turn, which no x left to
-    form reads: forming them allocates nothing.
+    ||b||) only x_j, the best. ||b|| and each ||r_j|| are `_norm`'s, so a
+    norm whose square overflows is taken as it is: neither a convergence
+    floor of inf nor an overflowed residual. Each x_j reads
+    r0..A^{j-1} r0, so they are written over A^4 r0, A^3 r0 and A^2 r0 in
+    turn, which no x left to form reads: forming them allocates nothing.
     The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one call per
     Krylov vector, side by side on long vectors; one more gemv, with z_2,
     gives `z3_products`. The Gram products and the conditions of P1_j are
@@ -186,7 +188,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
         raise DimensionMismatch("bootstrap: inconsistent dimensions")
     if not np.any(yv):
         raise ValueError("left seed y must be nonzero")
-    conv_floor = tol * float(np.linalg.norm(bv))
+    conv_floor = tol * _norm(bv)
 
     r0 = bv - linalg.matvec(A, x0v)
     state = SolverState(k=0, best_x=x0v, best_resnorm=_norm(r0))
@@ -224,7 +226,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
         r[j % 2] = None  # r_{j-2}, which no step reads
         r[j % 2], z[j % 3] = np.empty(n), np.empty(n) if j > 1 else None
         linalg.blockwise(_degree_vectors, r[j % 2], z[j % 3], a, c, *powers[:j + 1])
-        rn = math.sqrt(float(r[j % 2].dot(r[j % 2])))  # np.linalg.norm's arithmetic, as in `step`
+        rn = _norm(r[j % 2])
         if not math.isfinite(rn):
             raise NumericOverflow("bootstrap residual overflowed")
         state.history.append((j, rn, "bootstrap"))
@@ -320,7 +322,12 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
 
 def _norm(v) -> float:
     """||v||: sqrt(v . v), np.linalg.norm's arithmetic, or, where only v . v
-    overflows (||v|| above about 1.3e154), max|v| times the norm of v / max|v|."""
+    overflows (||v|| above about 1.3e154), max|v| times the norm of v / max|v|.
+
+    The solver's one norm of an n-vector: `bootstrap` takes ||b|| and each
+    ||r_j|| through it, `step` ||r_k||, `_extend_left` gamma_j, and the
+    seed draw and a failed first start ||r0||. Where v . v is finite it
+    adds one comparison to sqrt(v . v)."""
     norm = math.sqrt(float(v.dot(v)))
     if norm == math.inf and (big := float(np.abs(v).max())) < math.inf:
         unit = v / big
@@ -337,21 +344,24 @@ def _advance_rx(r2, z3, x2, ar, a2r, az3, a2z3, ca):
     """Write r_k over a2r and x_k over ar, products that die with the step,
     from the vectors of degree k - 2 and k - 3 and their products:
 
-        r_k = ca.a_k * (a2r + ca.b_k * ar + ca.c_k * r2 + ca.e_k * a2z3 + ca.f_k * az3)
-        x_k = x2 - ca.a_k * (ar + ca.b_k * r2 + ca.e_k * az3 + ca.f_k * z3)
+        r_k = a_k * (a2r + b_k * ar + c_k * r2 + e_k * a2z3 + f_k * az3)
+        x_k = x2 - a_k * (ar + b_k * r2 + e_k * az3 + f_k * z3)
 
-    In that order, since r_k still reads ar. The ufunc calls are those into
-    new vectors, so the bits are too."""
+    In that order, since r_k still reads ar. The coefficients of `ca` are
+    made 0-d arrays once per call, which numpy multiplies by faster than
+    by Python floats, with the same bits; four of the five are read twice.
+    The ufunc calls are those into new vectors, so the bits are too."""
     add, multiply, r, x = np.add, np.multiply, a2r, ar
-    add(a2r, multiply(ca.b_k, ar), out=r)
-    add(r, multiply(ca.c_k, r2), out=r)
-    add(r, multiply(ca.e_k, a2z3), out=r)
-    add(r, multiply(ca.f_k, az3), out=r)
-    multiply(ca.a_k, r, out=r)
-    add(ar, multiply(ca.b_k, r2), out=x)
-    add(x, multiply(ca.e_k, az3), out=x)
-    add(x, multiply(ca.f_k, z3), out=x)
-    np.subtract(x2, multiply(ca.a_k, x, out=x), out=x)
+    a_k, b_k, c_k, e_k, f_k = map(np.array, ca[:5])
+    add(a2r, multiply(b_k, ar), out=r)
+    add(r, multiply(c_k, r2), out=r)
+    add(r, multiply(e_k, a2z3), out=r)
+    add(r, multiply(f_k, az3), out=r)
+    multiply(a_k, r, out=r)
+    add(ar, multiply(b_k, r2), out=x)
+    add(x, multiply(e_k, az3), out=x)
+    add(x, multiply(f_k, z3), out=x)
+    np.subtract(x2, multiply(a_k, x, out=x), out=x)
 
 
 def _advance_z(z3, z2, az3, az2, a2z2, cb):
@@ -360,7 +370,9 @@ def _advance_z(z3, z2, az3, az2, a2z2, cb):
 
         z_k = cb.c_k * az3 + cb.d_k * z3 + a2z2 + cb.f_k * az2 + cb.g_k * z2
 
-    The ufunc calls are those into a new vector, so the bits are too."""
+    The ufunc calls are those into a new vector, so the bits are too. The
+    coefficients stay Python floats: each is read once, and making it a
+    0-d array costs more than the multiplication saves."""
     add, multiply, z = np.add, np.multiply, az3
     multiply(cb.c_k, az3, out=z)
     add(z, multiply(cb.d_k, z3), out=z)
@@ -379,8 +391,9 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     the usable CPUs: after the four products with r_{k-2} and z_{k-3}, r_k
     and x_k are written over A^2 r_{k-2} and A r_{k-2}, and A^2 z_{k-3} is
     dropped; then, after the two with z_{k-2}, z_k is written over
-    A z_{k-3}. So at most five products are alive at once. r_k, x_k and z_k
-    take the slots of r_{k-2}, x_{k-2} and z_{k-3}. Returns `state`
+    A z_{k-3}. So at most five products are alive at once. ||r_k|| is
+    `_norm`'s, and z_k and x_k are scanned for non-finite entries. r_k,
+    x_k and z_k take the slots of r_{k-2}, x_{k-2} and z_{k-3}. Returns `state`
     itself. Breakdowns from the coefficient computation and overflow of
     the new iterates, read after both stages, propagate before any live
     vector or field is modified, an overflow after the six products with A
@@ -412,8 +425,8 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     linalg.blockwise(_advance_z, z3, z2, az3, az2, a2z2, cb)
     z_k, az2, a2z2 = az3, None, None  # frees the two products not reused
 
-    rn = math.sqrt(float(r_k.dot(r_k)))  # np.linalg.norm's arithmetic, without its dispatch
-    if not (math.isfinite(rn) and np.isfinite(z_k).all() and np.isfinite(x_k).all()):
+    rn = _norm(r_k)
+    if not (math.isfinite(rn) and np.logical_and.reduce(np.isfinite(z_k)) and np.logical_and.reduce(np.isfinite(x_k))):
         raise NumericOverflow(f"iterate overflowed at degree {k}")
 
     window, newest = state.u_window, (head - 1) % WINDOW

@@ -731,6 +731,61 @@ def test_fma_of_an_overflowing_or_nonfinite_operand_is_the_unfused_result(a, b, 
     assert float_bits(linalg._fma(a, b, c)) == float_bits(a * b + c)
 
 
+def _random_doubles(rng, count, exponents):
+    """Doubles of random sign and significand with the given biased exponent
+    fields (0: subnormal or zero, 1..2046: normal, 2047: infinite)."""
+    fraction = np.where(exponents == 2047, 0, rng.integers(0, 1 << 52, count, dtype=np.uint64))
+    sign = rng.integers(0, 2, count, dtype=np.uint64) << np.uint64(63)
+    return (sign | exponents.astype(np.uint64) << np.uint64(52) | fraction).view(np.float64)
+
+
+def test_fma_is_the_correctly_rounded_multiply_add_on_seeded_triples():
+    # The reference rounds the exact rational a * b + c once; where that
+    # overflows, or an operand is infinite, the result is the unfused a * b + c.
+    rng = np.random.default_rng(31)
+    count = 20000
+    field = lambda low, high: rng.integers(low, high + 1, count)  # noqa: E731  biased exponent fields
+    near_overflow = field(1, 2046)
+    kinds = {
+        # every exponent from -1074 (subnormals and zeros) to 1023, and a few infinities
+        "any": (field(0, 2047), field(0, 2047), field(0, 2047)),
+        # products and sums at and below the subnormal range
+        "tiny": (field(0, 700), field(0, 700), field(0, 200)),
+        # products within a few binades of the largest double, and sums there
+        "near overflow": (near_overflow, np.clip(3069 - near_overflow + field(-3, 1), 1, 2046), field(2030, 2046)),
+        # |a| about 1e290 = 2**963 and products about 1e280 = 2**930, bounds of the
+        # fast path (the cancellations below cover its lower bound, 2**-930)
+        "guards": (field(1023 + 890, 1023 + 970), field(1023 - 100, 1023 + 70), field(1, 2046)),
+    }
+    triples = []
+    for exponents in kinds.values():
+        triples += zip(*(_random_doubles(rng, count, e).tolist() for e in exponents))
+    # c within a few ulps of -a * b, products from 2**-1020 to 2**1000: the
+    # product's rounding error decides the result
+    product, a_share = field(-1020, 1000), field(-20, 20)
+    a = _random_doubles(rng, count, 1023 + product // 2 + a_share)
+    b = _random_doubles(rng, count, 1023 + product - product // 2 - a_share)
+    c = np.nextafter(-(a * b), rng.choice([-np.inf, np.inf], count))
+    c = np.where(rng.integers(0, 2, count) == 1, -(a * b), c)
+    triples += zip(a.tolist(), b.tolist(), c.tolist())
+    zeros = (0.0, -0.0)
+    triples += [(x, y, z) for x in (*zeros, 3.0, -1e-310) for y in (*zeros, 0.5, 1e300) for z in (*zeros, 1e-320, -2.0)]
+    # products above 1e280 whose sum with the largest double overflows, or nearly does
+    big = sys.float_info.max
+    triples += [(1e150, 1e150, big), (-1e150, 1e150, -big), (2.0 ** 500, 2.0 ** 497, big), (1e140, 1e141, -big)]
+    assert len(triples) > 100000
+    mismatches = []
+    for a, b, c in triples:
+        try:
+            want = float(Fraction(a) * Fraction(b) + Fraction(c))
+        except OverflowError:
+            want = a * b + c
+        got = linalg._fma(a, b, c)
+        if float_bits(got) != float_bits(want):
+            mismatches.append((a, b, c, got, want))
+    assert mismatches == []
+
+
 @pytest.mark.parametrize("rows, index", [
     ([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]], 0),
     ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]], 2),

@@ -242,6 +242,20 @@ def test_extend_left_scales_a_norm_whose_square_overflows():
     assert out.tolist() == [0.0, 1.0]
 
 
+def test_bootstrap_takes_norms_whose_squares_overflow():
+    # With b = 2^664 * ones every product scales exactly, so ||b|| and every
+    # ||r_j|| (about 1e200) are representable though their squares are not.
+    # The convergence floor is then not inf, which made degree 0 converge,
+    # and no ||r_j|| reads as overflowed: each is 2^664 times the unit one.
+    A, y = fs.Matrix.tridiagonal(12), np.random.default_rng(0).standard_normal(12)
+    unit = fs.bootstrap(A, np.ones(12), np.zeros(12), y)
+    with np.errstate(over="ignore"):  # r . r overflows, as it may under solve's settings
+        big = fs.bootstrap(A, np.full(12, 2.0 ** 664), np.zeros(12), y)
+    assert not big.converged and big.k == unit.k == solver.BOOTSTRAP_DEGREE + 1
+    assert big.history == [(k, math.ldexp(rn, 664), event) for k, rn, event in unit.history]
+    assert all(np.ldexp(u, 664).tobytes() == v.tobytes() for u, v in zip(unit.r + unit.x, big.r + big.x))
+
+
 # ---------------------------------------------------------------------------
 # step
 # ---------------------------------------------------------------------------
