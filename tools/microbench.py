@@ -38,7 +38,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEGREE = 12  # the degree the timed state produces next
 REPEATS = 30
 NUMBER = 1000
-STEP_NUMBER = 100  # a step is about 40 times a scalar layer
+STEP_NUMBER = 100  # a step takes about ten times as long as a scalar layer
 
 
 def per_call_us(f, args=(), fresh=None, number=NUMBER) -> float:
