@@ -18,9 +18,9 @@ class SingularSystem(Exception):
     Carries the elimination step at which the pivot failed.
     """
 
-    def __init__(self, pivot_index: int, message: str = ""):
+    def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
-        super().__init__(message or f"singular system: pivot {pivot_index} below tolerance")
+        super().__init__(f"singular system: pivot {pivot_index} below tolerance")
 
 
 class RankDeficient(Exception):

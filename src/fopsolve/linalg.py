@@ -37,6 +37,7 @@ import math
 import os
 import queue
 import threading
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -394,29 +395,22 @@ def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b, *more_b) -> list[f
     """
     try:
         rows = M.tolist() if isinstance(M, np.ndarray) else M
-        rhs = list(map(float, b.tolist() if isinstance(b, np.ndarray) else b))
+        rhs = [[*map(float, v.tolist() if isinstance(v, np.ndarray) else v)] for v in (b, *more_b)]
         n = len(rows)
         # Eliminate on the augmented rows [M | b | more_b].
-        a = [[*map(float, row), value] for row, value in zip(rows, rhs)]
-        if more_b:
-            more = [list(map(float, v.tolist() if isinstance(v, np.ndarray) else v)) for v in more_b]
+        a = [[*map(float, row), *values] for row, values in zip(rows, zip(*rhs))]
     except TypeError as exc:
         raise DimensionMismatch("solve_dense needs a matrix of rows and 1-D right-hand sides") from exc
-    if not 1 <= n <= SOLVE_DENSE_MAX_N or len(rhs) != n or list(map(len, a)) != [n + 1] * n:
-        raise DimensionMismatch(f"solve_dense needs an n x n matrix, n <= {SOLVE_DENSE_MAX_N}, and n right-hand "
-                                f"side entries; got {n} rows of lengths {[len(r) - 1 for r in a]}, {len(rhs)} entries")
+    m = len(rhs)
+    if not 1 <= n <= SOLVE_DENSE_MAX_N or list(map(len, rhs)) != [n] * m or list(map(len, a)) != [n + m] * n:
+        raise DimensionMismatch(f"solve_dense needs an n x n matrix, n <= {SOLVE_DENSE_MAX_N}, and n entries in each "
+                                f"right-hand side; got {n} rows of lengths {[len(r) - m for r in a]}, "
+                                f"right-hand sides of lengths {[*map(len, rhs)]}")
     entries = [*itertools.chain(*a)]
     if not all(map(math.isfinite, entries)):
         raise ValueError("solve_dense: entries must be finite")
-    del entries[n::n + 1]  # the right-hand side
-    if more_b:
-        if list(map(len, more)) != [n] * len(more):
-            raise DimensionMismatch(f"solve_dense needs n = {n} entries in each right-hand side, "
-                                    f"got {[n, *map(len, more)]}")
-        if not all(map(math.isfinite, itertools.chain(*more))):
-            raise ValueError("solve_dense: entries must be finite")
-        for row, values in zip(a, zip(*more)):
-            row += values
+    for width in range(n + m, n, -1):  # drop the right-hand sides, one column a pass: the floor reads M alone
+        del entries[n::width]
     solutions = eliminate(a, max(max(entries), -min(entries)))
     return solutions if more_b else solutions[0]
 
@@ -483,9 +477,11 @@ def _fma(a: float, b: float, c: float) -> float:
     largest double; an infinite or NaN c is its own result, as in
     a * b + c.
 
-    Elsewhere (a product that is zero, tiny, huge or not finite) the
-    result is exact on the operands' integer ratios, whose denominators
-    are powers of two; int true division rounds correctly.
+    With a zero operand and a nonzero c, p is exactly +-0, or NaN against
+    an infinite or NaN operand, and p + c is the result. Elsewhere (a
+    product that is tiny, huge or not finite) the result is the exact
+    rational a * b + c rounded once by `Fraction`, whose float conversion
+    is int true division.
     """
     p = a * b
     if 1e-280 < abs(p) < 1e280 and abs(a) < 1e290 and abs(b) < 1e290:
@@ -496,11 +492,9 @@ def _fma(a: float, b: float, c: float) -> float:
         b_hi = t - (t - b)
         b_lo = b - b_hi
         return math.fsum((p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo, c))
+    if c and not (a and b):
+        return p + c
     try:
-        (na, da), (nb, db), (nc, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
-        d = da * db
-        if d < dc:
-            return (na * nb * (dc // d) + nc) / dc
-        return (na * nb + nc * (d // dc)) / d
+        return float(Fraction(a) * Fraction(b) + Fraction(c))
     except (OverflowError, ValueError):  # an infinite or NaN operand, or an overflowing result
         return a * b + c

@@ -246,10 +246,9 @@ def a13_coefficients(sp: ScalarProducts) -> A13Coeffs:
     e_k = -p2[0] / q1[0]
 
     # a12 = p0[1] = c(N_{k-3} P_{k-2}) vanishes by orthogonality.
-    a11, a12, a13, a21, a22, a23, a31, a32, a33 = p1[1], p0[1], q0[1], p1[2], p0[2], q0[2], p1[3], p0[3], q0[3]
-    delta = a11 * (a22 * a33 - a32 * a23) + a13 * (a21 * a32 - a31 * a22)
-    b_k, c_k, f_k = _solve_system([[a11, a12, a13, -p2[1] - e_k * q1[1]], [a21, a22, a23, -p2[2] - e_k * q1[2]],
-                                   [a31, a32, a33, -p2[3] - e_k * q1[3]]], delta)
+    (b_k, c_k, f_k), delta = _solve_system([[p1[1], p0[1], q0[1], -p2[1] - e_k * q1[1]],
+                                            [p1[2], p0[2], q0[2], -p2[2] - e_k * q1[2]],
+                                            [p1[3], p0[3], q0[3], -p2[3] - e_k * q1[3]]])
     if abs(c_k) <= BREAKDOWN_EPS * max(1.0, abs(b_k), abs(f_k)):
         raise NormalizationBreakdown(f"C_k = {c_k:.3e}; 1/C_k is undefined")
     return A13Coeffs(1.0 / c_k, b_k, c_k, e_k, f_k, delta)
@@ -271,10 +270,9 @@ def b13_coefficients(sp: ScalarProducts) -> B13Coeffs:
     c_k = -s2[0] / q1[0]
 
     # a13 = s0[1] = c1(N_{k-3} P1_{k-2}) vanishes by orthogonality.
-    a11, a12, a13, a21, a22, a23, a31, a32, a33 = q0[1], s1[1], s0[1], q0[2], s1[2], s0[2], q0[3], s1[3], s0[3]
-    delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23)
-    d_k, f_k, g_k = _solve_system([[a11, a12, a13, -s2[1] - c_k * q1[1]], [a21, a22, a23, -s2[2] - c_k * q1[2]],
-                                   [a31, a32, a33, -s2[3] - c_k * q1[3]]], delta)
+    (d_k, f_k, g_k), delta = _solve_system([[q0[1], s1[1], s0[1], -s2[1] - c_k * q1[1]],
+                                            [q0[2], s1[2], s0[2], -s2[2] - c_k * q1[2]],
+                                            [q0[3], s1[3], s0[3], -s2[3] - c_k * q1[3]]])
     return B13Coeffs(c_k, d_k, f_k, g_k, delta)
 
 
@@ -289,18 +287,20 @@ def _step_scale(sp: ScalarProducts) -> None:
         raise TrueBreakdown(f"c1(N_(k-4) x P1_(k-3)) = {denom:.3e} underflows the step scale")
 
 
-def _solve_system(rows, delta: float) -> list[float]:
-    """GhostBreakdown test of the determinant delta, then the 3x3 solve of
-    the augmented `rows` [a_i1, a_i2, a_i3, rhs_i], three lists of Python
-    floats that the solve overwrites.
+def _solve_system(rows) -> tuple[list[float], float]:
+    """The 3x3 solve of the augmented `rows` [a_i1, a_i2, a_i3, rhs_i],
+    three lists of Python floats that the solve overwrites, and the
+    cofactor determinant delta of their a_ij, after its GhostBreakdown
+    test: (solution, delta).
 
     A pivot below the elimination's own floor is a vanishing system too, so
     SingularSystem surfaces as GhostBreakdown; with BREAKDOWN_EPS below
     about 1e-13 the determinant test alone lets such systems through.
     Entries too large for the test's max|a_ij|^3 and a right-hand side
-    that overflowed are NumericOverflow, raised before any breakdown test.
-    The a_ij are finite (`_step_scale` checked them), so the rows go to
-    `linalg.eliminate` with the max|a_ij| found here.
+    that overflowed are NumericOverflow, raised before any breakdown test;
+    below that bound every term of delta is finite. The a_ij are finite
+    (`_step_scale` checked them), so the rows go to `linalg.eliminate`
+    with the max|a_ij| found here.
     """
     (a11, a12, a13, b1), (a21, a22, a23, b2), (a31, a32, a33, b3) = rows
     entries = (a11, a12, a13, a21, a22, a23, a31, a32, a33)
@@ -311,10 +311,11 @@ def _solve_system(rows, delta: float) -> list[float]:
         raise NumericOverflow("max|a_ij|^3 of the coefficient system overflows") from None
     if not (math.isfinite(b1) and math.isfinite(b2) and math.isfinite(b3)):  # -p2[i] - e_k * q1[i] can overflow
         raise NumericOverflow("right-hand side of the coefficient system overflows")
+    delta = a11 * (a22 * a33 - a32 * a23) - a12 * (a21 * a33 - a31 * a23) + a13 * (a21 * a32 - a31 * a22)
     if abs(delta) <= BREAKDOWN_EPS * cube:
         raise GhostBreakdown(f"coefficient determinant {delta:.3e} below tolerance")
     try:
-        return linalg.eliminate(rows, max_abs)[0]
+        return linalg.eliminate(rows, max_abs)[0], delta
     except SingularSystem as exc:
         raise GhostBreakdown(f"coefficient system singular at pivot {exc.pivot_index}") from exc
 

@@ -168,9 +168,10 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     degree (z_1, which no step reads, is not). x_j is formed only where it
     is handed on, after the degree loop: x_4, then x_3, then the best x_j
     if that is x_1 or x_2; on early convergence (some ||r_j|| <= tol *
-    ||b||) only x_j, the best. ||b|| and each ||r_j|| are `_norm`'s, so a
-    norm whose square overflows is taken as it is: neither a convergence
-    floor of inf nor an overflowed residual. Each x_j reads
+    ||b||) only x_j, the best. ||b||, ||y|| and each ||r_j|| are
+    `_norm`'s, so a norm whose square overflows or underflows is taken as
+    it is: neither a convergence floor of inf nor an overflowed residual,
+    and v_0 the same at any power-of-two scale of y. Each x_j reads
     r0..A^{j-1} r0, so they are written over A^4 r0, A^3 r0 and A^2 r0 in
     turn, which no x left to form reads: forming them allocates nothing.
     The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one call per
@@ -201,7 +202,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     powers = moments.krylov_vectors(A, r0, 2 * BOOTSTRAP_DEGREE + 1)[:BOOTSTRAP_DEGREE + 1]
     n = len(bv)
     window = np.empty((WINDOW, n))
-    left = [yv / np.linalg.norm(yv), *window]  # v_0..v_7, the window rows as views
+    left = [yv / _norm(yv), *window]  # v_0..v_7, the window rows as views
     recurrence = [_extend_left(A, left[j - 1] if j else None, left[j], left[j + 1]) for j in range(WINDOW)]
     # c(N_m x^i) = (v_m, A^i r0) and c1(N_m x^i) = (A^T v_m, A^i r0), m = 0..3. `v.dot(p)`, not
     # `v @ p`, which holds the GIL on two vectors and so would run the calls one after another.
@@ -321,15 +322,19 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
 
 
 def _norm(v) -> float:
-    """||v||: sqrt(v . v), np.linalg.norm's arithmetic, or, where only v . v
-    overflows (||v|| above about 1.3e154), max|v| times the norm of v / max|v|.
+    """||v||: sqrt(v . v), np.linalg.norm's arithmetic, or, where v . v
+    overflows or underflows (||v|| above about 1.3e154, or sqrt(v . v) at
+    most 1.5e-154, about the square root of the smallest normal double) and
+    v is finite and nonzero, max|v| times the norm of v / max|v|.
 
-    The solver's one norm of an n-vector: `bootstrap` takes ||b|| and each
-    ||r_j|| through it, `step` ||r_k||, `_extend_left` gamma_j, and the
-    seed draw and a failed first start ||r0||. Where v . v is finite it
-    adds one comparison to sqrt(v . v)."""
+    The solver's one norm of an n-vector: `solve` takes ||b|| through it,
+    `bootstrap` ||b||, ||y|| for v_0 and each ||r_j||, `step` ||r_k||,
+    `_extend_left` gamma_j, the seed draw ||y|| and ||r0||, and a failed
+    first start ||r0||. So v_0 = y / ||y|| does not depend on the scale of
+    y. Where sqrt(v . v) lies between the two bounds it adds one chained
+    comparison to sqrt(v . v)."""
     norm = math.sqrt(float(v.dot(v)))
-    if norm == math.inf and (big := float(np.abs(v).max())) < math.inf:
+    if not 1.5e-154 < norm < math.inf and 0.0 < (big := float(np.abs(v).max())) < math.inf:
         unit = v / big
         norm = big * math.sqrt(float(unit.dot(unit)))
     return norm
@@ -537,7 +542,7 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
         x0v = np.zeros(n) if x0v is None else np.ldexp(x0v, -exponent)
         max_iter = cfg.max_iter if cfg.max_iter is not None else 2 * n + 10
         rng = np.random.default_rng(cfg.seed)
-        bn = float(np.linalg.norm(bv))
+        bn = _norm(bv)
         conv_floor = cfg.tol * bn
 
         cause = None
@@ -589,7 +594,7 @@ def _draw_left_seed(rng, A, b, x0) -> np.ndarray:
         raise KrylovOverflow("residual of the starting iterate overflowed")
     for _ in range(_LEFT_SEED_TRIES):
         y = rng.standard_normal(len(b))
-        if abs(float(y @ r0)) >= 1e-10 * float(np.linalg.norm(y)) * r0n:
+        if abs(float(y @ r0)) >= 1e-10 * _norm(y) * r0n:
             return y
     raise RuntimeError("could not draw a usable left seed")
 

@@ -741,7 +741,8 @@ def _random_doubles(rng, count, exponents):
 
 def test_fma_is_the_correctly_rounded_multiply_add_on_seeded_triples():
     # The reference rounds the exact rational a * b + c once; where that
-    # overflows, or an operand is infinite, the result is the unfused a * b + c.
+    # overflows, or an operand is infinite or NaN, the result is the unfused
+    # a * b + c.
     rng = np.random.default_rng(31)
     count = 20000
     field = lambda low, high: rng.integers(low, high + 1, count)  # noqa: E731  biased exponent fields
@@ -770,6 +771,10 @@ def test_fma_is_the_correctly_rounded_multiply_add_on_seeded_triples():
     triples += zip(a.tolist(), b.tolist(), c.tolist())
     zeros = (0.0, -0.0)
     triples += [(x, y, z) for x in (*zeros, 3.0, -1e-310) for y in (*zeros, 0.5, 1e300) for z in (*zeros, 1e-320, -2.0)]
+    # zero operands against infinite and NaN ones: 0 * inf, c = +-inf, c = NaN, and +-0 with a nonzero c
+    for z in (math.inf, -math.inf, math.nan, 1.5, -1e-320):
+        for y in (*zeros, 2.5, math.inf, -math.inf, math.nan):
+            triples += [(x, y, z) for x in zeros] + [(y, x, z) for x in zeros]
     # products above 1e280 whose sum with the largest double overflows, or nearly does
     big = sys.float_info.max
     triples += [(1e150, 1e150, big), (-1e150, 1e150, -big), (2.0 ** 500, 2.0 ** 497, big), (1e140, 1e141, -big)]
@@ -778,7 +783,7 @@ def test_fma_is_the_correctly_rounded_multiply_add_on_seeded_triples():
     for a, b, c in triples:
         try:
             want = float(Fraction(a) * Fraction(b) + Fraction(c))
-        except OverflowError:
+        except (OverflowError, ValueError):
             want = a * b + c
         got = linalg._fma(a, b, c)
         if float_bits(got) != float_bits(want):

@@ -256,6 +256,20 @@ def test_bootstrap_takes_norms_whose_squares_overflow():
     assert all(np.ldexp(u, 664).tobytes() == v.tobytes() for u, v in zip(unit.r + unit.x, big.r + big.x))
 
 
+@pytest.mark.parametrize("e", [600, -600])
+def test_bootstrap_left_vectors_do_not_depend_on_the_scale_of_y(e):
+    # v_0 = y / ||y||. With max|y| = 1, at 2^600 y . y overflows and at
+    # 2^-600 it underflows to 0; ||2^e y|| is then max|2^e y| times the norm
+    # of 2^e y / max|2^e y| = y, exactly 2^e ||y||, so v_0 and everything
+    # after it (window, columns, history, iterates) keep their bits.
+    A, b = fs.Matrix.tridiagonal(12), np.ones(12)
+    y = np.random.default_rng(6).uniform(-1.0, 1.0, 12)
+    y[3] = -1.0
+    want = _bootstrap_record(A, b, y)
+    with np.errstate(over="ignore"):  # y . y overflows at 2^600, as it may under solve's settings
+        assert _bootstrap_record(A, b, np.ldexp(y, e)) == want
+
+
 # ---------------------------------------------------------------------------
 # step
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ n = 60 and `tridiag:100`, fixed seeds) the solver bootstraps and steps to
 degree DEGREE; the layers are then timed on that state's own operands:
 the functional values (`assemble_scalar_products`), the two coefficient
 records, the A13 system's elimination (caught as `a13_coefficients` makes it), the
-last fused multiply-add with a nonzero product that the back
+last fused multiply-add with a nonzero product and the last with a zero
+operand (a structural zero of a coefficient system) that the back
 substitutions made on the way to that state, the step's two update
 kernels, one left-window extension and a whole `step`.
 
@@ -102,6 +103,7 @@ def layer_times(fs, A, b, y) -> dict:
         "b13_coefficients": per_call_us(recurrences.b13_coefficients, (sp,)),
         "eliminate (3x3)": per_call_us(eliminate, fresh=lambda: ([*map(list, rows)], max_abs)),
         "_fma": per_call_us(fma, next(abc for abc in reversed(fmas) if abc[0] * abc[1])),
+        "_fma (zero operand)": per_call_us(fma, next(abc for abc in reversed(fmas) if not (abc[0] and abc[1]))),
         "_advance_rx": per_call_us(solver._advance_rx,
                                    fresh=lambda: (r2, z3, x2, ar.copy(), a2r.copy(), az3, a2z3, ca)),
         "_advance_z": per_call_us(solver._advance_z, fresh=lambda: (z3, z2, az3.copy(), az2, a2z2, cb)),
