@@ -183,9 +183,11 @@ class Matrix:
     # of positive stride (so the same bits there), without the matmul
     # ufunc's dispatch; on a reversed view, where `@` leaves BLAS for a loop
     # of its own, they give the bits of the product with a contiguous copy.
+    # The length checks read `_shape` itself: a call of the `rows` or `cols`
+    # property costs more than the test, and a step makes seven products.
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if len(v) != self.cols:
+        if len(v) != self._shape[1]:
             raise DimensionMismatch(f"matvec: matrix is {self._shape}, vector has length {len(v)}")
         if self._dense is not None:
             return self._dense.dot(v)
@@ -195,7 +197,7 @@ class Matrix:
         return np.bincount(r, weights=vals * v[c], minlength=self.rows).astype(float, copy=False)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        if len(v) != self.rows:
+        if len(v) != self._shape[0]:
             raise DimensionMismatch(f"transpose matvec: matrix is {self._shape}, vector has length {len(v)}")
         if self._dense is not None:
             return self._dense.T.dot(v)

@@ -48,6 +48,9 @@ EXISTS_TOL = 1e-8
 NONEXISTENCE_TOL = 1e-3
 BREAKDOWN_EPS = 1e-12  # relative threshold of every A13/B13 breakdown test
 WINDOW = 7  # rows of the left window: v_{k-4}..v_{k+2}
+# _record(Record, fields) builds a record as its generated __new__ does,
+# without that Python frame: the three records below are built once a degree.
+_record = tuple.__new__
 
 
 class ScalarProducts(NamedTuple):
@@ -109,8 +112,8 @@ def _expand(values: tuple, columns: tuple) -> ScalarProducts:
     s2 = (head0 + g0 * sx1, head1 + a1 * sx1 + g1 * sx2, b2 * sx1 + a2 * sx2 + g2 * sx3, b3 * sx2 + a3 * sx3 + g3 * sx4)
     flat = (*p0, *p1, *p2, *q0, *q1, *s0, *s1, *s2)
     total = sum(flat)  # NaN when an entry is NaN; an infinite entry makes max or -min infinite
-    return ScalarProducts(values, columns, (p0, p1, p2, q0, q1, s0, s1, s2),
-                          math.inf if total != total else max(max(flat), -min(flat)))
+    return _record(ScalarProducts, (values, columns, (p0, p1, p2, q0, q1, s0, s1, s2),
+                                    math.inf if total != total else max(max(flat), -min(flat))))
 
 
 class A13Coeffs(NamedTuple):
@@ -251,7 +254,7 @@ def a13_coefficients(sp: ScalarProducts) -> A13Coeffs:
                                             [p1[3], p0[3], q0[3], -p2[3] - e_k * q1[3]]])
     if abs(c_k) <= BREAKDOWN_EPS * max(1.0, abs(b_k), abs(f_k)):
         raise NormalizationBreakdown(f"C_k = {c_k:.3e}; 1/C_k is undefined")
-    return A13Coeffs(1.0 / c_k, b_k, c_k, e_k, f_k, delta)
+    return _record(A13Coeffs, (1.0 / c_k, b_k, c_k, e_k, f_k, delta))
 
 
 def b13_coefficients(sp: ScalarProducts) -> B13Coeffs:
@@ -273,7 +276,7 @@ def b13_coefficients(sp: ScalarProducts) -> B13Coeffs:
     (d_k, f_k, g_k), delta = _solve_system([[q0[1], s1[1], s0[1], -s2[1] - c_k * q1[1]],
                                             [q0[2], s1[2], s0[2], -s2[2] - c_k * q1[2]],
                                             [q0[3], s1[3], s0[3], -s2[3] - c_k * q1[3]]])
-    return B13Coeffs(c_k, d_k, f_k, g_k, delta)
+    return _record(B13Coeffs, (c_k, d_k, f_k, g_k, delta))
 
 
 def _step_scale(sp: ScalarProducts) -> None:

@@ -20,6 +20,10 @@ rho(A)^j. Degrees 1..4 are bootstrapped from the same conditions applied
 to Krylov vectors, the closed-form recurrences take over at k = 5.
 Breakdowns are caught and answered by a minimal restart policy: keep the
 best iterate, reseed y, bootstrap again, as the first start does (`_start`).
+An iterate has overflowed where its 2-norm, `_norm`'s, is not finite: one
+rule for a step's r_k, x_k and z_k, the bootstrap's r_j and the r0 of a
+seed draw, which also rejects a finite vector whose norm exceeds the double
+range.
 
 Cost contract per step: 6 applications of A (A*r_{k-2} and A*z_{k-3}
 products are reused between the r and x updates) plus one of A^T to
@@ -329,6 +333,7 @@ def _norm(v) -> float:
 
     The solver's one norm of an n-vector: `solve` takes ||b|| through it,
     `bootstrap` ||b||, ||y|| for v_0 and each ||r_j||, `step` ||r_k||,
+    ||z_k|| and ||x_k||,
     `_extend_left` gamma_j, the seed draw ||y|| and ||r0||, and a failed
     first start ||r0||. So v_0 = y / ||y|| does not depend on the scale of
     y. Where sqrt(v . v) lies between the two bounds it adds one chained
@@ -396,8 +401,12 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     the usable CPUs: after the four products with r_{k-2} and z_{k-3}, r_k
     and x_k are written over A^2 r_{k-2} and A r_{k-2}, and A^2 z_{k-3} is
     dropped; then, after the two with z_{k-2}, z_k is written over
-    A z_{k-3}. So at most five products are alive at once. ||r_k|| is
-    `_norm`'s, and z_k and x_k are scanned for non-finite entries. r_k,
+    A z_{k-3}. So at most five products are alive at once. The new
+    iterates overflow where `_norm` of one, ||r_k||, ||z_k|| or ||x_k||, is
+    not finite: on every vector with a NaN or an infinite entry, and on a
+    finite one whose 2-norm exceeds the double range, the rule of the
+    bootstrap's r_j and the seed draw's r0 too. That takes one BLAS dot
+    product per vector and no boolean temporary. r_k,
     x_k and z_k take the slots of r_{k-2}, x_{k-2} and z_{k-3}. Returns `state`
     itself. Breakdowns from the coefficient computation and overflow of
     the new iterates, read after both stages, propagate before any live
@@ -431,7 +440,7 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     z_k, az2, a2z2 = az3, None, None  # frees the two products not reused
 
     rn = _norm(r_k)
-    if not (math.isfinite(rn) and np.logical_and.reduce(np.isfinite(z_k)) and np.logical_and.reduce(np.isfinite(x_k))):
+    if not (math.isfinite(rn) and math.isfinite(_norm(z_k)) and math.isfinite(_norm(x_k))):
         raise NumericOverflow(f"iterate overflowed at degree {k}")
 
     window, newest = state.u_window, (head - 1) % WINDOW

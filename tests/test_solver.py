@@ -30,6 +30,8 @@ from helpers import (
     iterate,
     outcome,
     poly_matrix_apply,
+    reference_a13,
+    reference_b13,
     reference_scalar_products,
     reference_solve_dense,
     within,
@@ -366,24 +368,28 @@ def _step_to(A, r0, y, k):
     return state
 
 
-def _overflowing(kernel, written):
-    """`kernel`, then an inf in the last row of its argument `written`."""
-    def overflowing_kernel(*args):
+def _overwriting(kernel, written, value, rows=-1):
+    """`kernel`, then `value` in the rows `rows` (the last by default) of
+    its argument `written`."""
+    def overwriting_kernel(*args):
         kernel(*args)
-        args[written][-1] = np.inf
-    return overflowing_kernel
+        args[written][rows] = value
+    return overwriting_kernel
 
 
 def test_failed_step_leaves_state_untouched(monkeypatch):
     # A breakdown, before any product, then an overflowing iterate from each
     # stage of the step: x_k, written over A r_{k-2}, and z_k, over
-    # A z_{k-3}. Overflow is read after both stages, so the step has made
-    # its six products with A, and stops before the one with A^T.
+    # A z_{k-3}, with an inf or a NaN entry, and z_k with every entry 1e308,
+    # finite, but with a 2-norm past the double range. Overflow is read
+    # after both stages, so the step has made its six products with A, and
+    # stops before the one with A^T.
     A, r0, y = ring_spectrum_fixture(12, 2)
     for module, name, value, error, products in (
             (recurrences, "BREAKDOWN_EPS", 0.5, BreakdownError, (0, 0)),
-            (solver, "_advance_rx", _overflowing(solver._advance_rx, 3), NumericOverflow, (6, 0)),
-            (solver, "_advance_z", _overflowing(solver._advance_z, 2), NumericOverflow, (6, 0))):
+            *[(solver, kernel.__name__, _overwriting(kernel, written, bad), NumericOverflow, (6, 0))
+              for kernel, written in ((solver._advance_rx, 3), (solver._advance_z, 2)) for bad in (np.inf, np.nan)],
+            (solver, "_advance_z", _overwriting(solver._advance_z, 2, 1e308, slice(None)), NumericOverflow, (6, 0))):
         state = _step_to(A, r0, y, 9)
         live = _live_slots(state)
         before = [v.copy() for v in live]
@@ -393,7 +399,7 @@ def test_failed_step_leaves_state_untouched(monkeypatch):
         columns, column_bits = state.u_columns, [float_bits(c) for c in state.u_columns]
         k, history, iterations = state.k, list(state.history), state.iterations
         counter = CountingMatrix(A)
-        with monkeypatch.context() as patch:
+        with monkeypatch.context() as patch, np.errstate(over="ignore"):  # z_k . z_k overflows at 1e308
             patch.setattr(module, name, value)
             with pytest.raises(error):
                 fs.step(state, counter)
@@ -406,6 +412,34 @@ def test_failed_step_leaves_state_untouched(monkeypatch):
         assert all(np.array_equal(u, v) for u, v in zip(state.u_window, u_before))
         assert state.z3_products is z3_products and float_bits(z3_products) == z3_bits
         assert state.u_columns is columns and [float_bits(c) for c in columns] == column_bits
+
+
+def _scaled(kernel, *written):
+    """`kernel`, then its arguments `written` scaled in place by 2^600."""
+    def scaling_kernel(*args):
+        kernel(*args)
+        for i in written:
+            np.ldexp(args[i], 600, out=args[i])
+    return scaling_kernel
+
+
+def test_a_step_takes_iterates_whose_squares_overflow(monkeypatch):
+    # r_k, x_k and z_k scaled by 2^600 are finite, and so are their 2-norms,
+    # though their squares are not: the step is no overflow and records
+    # degree k, ||r_k|| 2^600 times that of the unscaled step.
+    A, r0, y = ring_spectrum_fixture(12, 2)
+    state = _step_to(A, r0, y, 9)
+    want = fs.step(_step_to(A, r0, y, 9), A).history[-1][1]
+    monkeypatch.setattr(solver, "_advance_rx", _scaled(solver._advance_rx, 3, 4))
+    monkeypatch.setattr(solver, "_advance_z", _scaled(solver._advance_z, 2))
+    with np.errstate(over="ignore"):  # v . v overflows, as it may under solve's settings
+        fs.step(state, A)
+        _, x_k, z_k = iterate(state, 9)
+        squares = float(x_k.dot(x_k)), float(z_k.dot(z_k))
+    k, rn, event = state.history[-1]
+    assert (state.k, k, event) == (10, 9, "step")
+    assert rn == pytest.approx(math.ldexp(want, 600), rel=1e-14)
+    assert np.isfinite(x_k).all() and np.isfinite(z_k).all() and squares == (math.inf, math.inf)
 
 
 def test_a_step_writes_no_array_the_state_held():
@@ -691,11 +725,26 @@ def test_solve_reports_numerical_failure_under_strict_float_settings(A, b, x0):
     assert repr(report) == repr(want_report)
 
 
+def _keyword_built_records(sp, ref) -> list:
+    """(record, the same record built by keyword from the reference path's
+    fields) of `sp` and of each coefficient record computed from it."""
+    pairs = [(sp, recurrences.ScalarProducts(values=ref.values, columns=ref.columns,
+                                             rows=tuple(map(tuple, ref.rows)), scale=ref.scale))]
+    for fn, ref_fn, cls in ((fs.a13_coefficients, reference_a13, recurrences.A13Coeffs),
+                            (fs.b13_coefficients, reference_b13, recurrences.B13Coeffs)):
+        got, want = outcome(fn, sp), outcome(ref_fn, ref)
+        if got[0] == "ok":
+            pairs.append((got[1], cls(**dict(zip(cls._fields, want[1])))))
+    return pairs
+
+
 @pytest.mark.parametrize("problem", ["ring:40", "tridiag:30", "tridiag:100"])
 def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, monkeypatch):
     # Every step's functional values, rows and coefficients, and every
     # elimination (the bootstrap's systems and the coefficient systems, all
-    # straight through eliminate), against the reference path.
+    # straight through eliminate), against the reference path. Each record
+    # is of its class and equals, field by field and in repr, the one built
+    # by keyword from the reference's fields.
     A = ring_spectrum_fixture(40, 3)[0] if problem == "ring:40" else build_generator(problem)[0]
     b = np.random.default_rng(8).standard_normal(A.rows)
     assemble, eliminate = recurrences.assemble_scalar_products, linalg.eliminate
@@ -703,8 +752,10 @@ def test_coefficient_path_matches_the_reference_along_seeded_solves(problem, mon
 
     def checked_assemble(r_products, z3_products, z2_products, columns):
         sp = assemble(r_products, z3_products, z2_products, columns)
-        steps.append(assert_same_coefficient_path(sp, reference_scalar_products(r_products, z3_products,
-                                                                                z2_products, columns)))
+        ref = reference_scalar_products(r_products, z3_products, z2_products, columns)
+        steps.append(assert_same_coefficient_path(sp, ref))
+        assert all(type(got) is type(want) and got == want and repr(got) == repr(want)
+                   for got, want in _keyword_built_records(sp, ref))
         return sp
 
     def checked_eliminate(a, max_abs):
