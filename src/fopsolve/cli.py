@@ -192,9 +192,9 @@ def ring_spectrum_fixture(n: int, seed: int) -> tuple[linalg.Matrix, np.ndarray,
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     a = q @ m @ q.T
     r0 = rng.standard_normal(n)
-    r0 /= np.linalg.norm(r0)
+    r0 /= math.sqrt(r0.dot(r0))  # np.linalg.norm's arithmetic for a vector
     y = rng.standard_normal(n)
-    y /= np.linalg.norm(y)
+    y /= math.sqrt(y.dot(y))
     return linalg.Matrix.from_dense(a), r0, y
 
 

@@ -55,7 +55,7 @@ def as_vector(values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise DimensionMismatch(f"expected a 1-D vector of length >= 1, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -85,7 +85,7 @@ class Matrix:
         a = np.array(array, dtype=float)
         if a.ndim != 2:
             raise DimensionMismatch(f"dense matrix must be 2-D, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
         a.setflags(write=False)
         return cls(a.shape, dense=a)
@@ -103,7 +103,7 @@ class Matrix:
         v = np.asarray(vals, dtype=float)
         if r.size and (r.min() < 0 or r.max() >= nr or c.min() < 0 or c.max() >= nc):
             raise DimensionMismatch("triplet index out of range")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("matrix entries must be finite")
         order = np.lexsort((c, r))  # no r * nc + c key: it wraps past 2**63
         r_sorted, c_sorted = r[order], c[order]

@@ -14,24 +14,26 @@ from . import linalg
 from .errors import DimensionMismatch, KrylovOverflow, MomentRangeExceeded, NumericOverflow
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSequence:
     """Cached moments c_0..c_m.
 
     `hankel_solutions` is the oracle's memo: per degree k, the P_k and
     P1_k solved from one elimination of `hankel_matrix(self, k)`, or the
     SingularSystem that elimination raised. The moments are a read-only
-    copy of `values`, so the memo never goes stale.
+    copy of `values`, so the memo never goes stale. Sequences compare and
+    hash by identity: `==` on the moment arrays would give an array, not
+    a truth value.
     """
 
     values: np.ndarray
-    hankel_solutions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    hankel_solutions: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)  # a copy: no caller keeps a writable alias
         if v.ndim != 1 or v.size < 1:
             raise DimensionMismatch("moment sequence must hold at least c_0")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NumericOverflow("non-finite moment value")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -52,7 +54,7 @@ def krylov_vectors(A: linalg.Matrix, v, count: int) -> list[np.ndarray]:
     vs = [linalg.as_vector(v)]
     for _ in range(count):
         nxt = linalg.matvec(A, vs[-1])
-        if not np.all(np.isfinite(nxt)):
+        if not np.isfinite(nxt).all():
             raise KrylovOverflow("matrix power overflowed")
         vs.append(nxt)
     return vs
@@ -69,7 +71,7 @@ def compute_moments(A: linalg.Matrix, r0, y, m: int) -> MomentSequence:
     if len(r) != A.cols or len(yv) != A.rows:
         raise DimensionMismatch("compute_moments: vector lengths do not match the matrix")
     powers = krylov_vectors(A, r, m)
-    return MomentSequence(np.array([float(yv @ p) for p in powers]))
+    return MomentSequence([float(yv.dot(p)) for p in powers])
 
 
 def hankel_matrix(c: MomentSequence, k: int) -> np.ndarray:

@@ -22,13 +22,14 @@ FAMILY_P1 = "P1"
 ORACLE_MAX_DEGREE = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polynomial:
     """Dense polynomial with ascending coefficients.
 
     family tags membership: "P" requires coeffs[0] == 1 exactly, "P1"
     requires a unit leading coefficient (monic). Untagged polynomials
-    are unconstrained.
+    are unconstrained. Polynomials compare and hash by identity: `==` on
+    the coefficient arrays would give an array, not a truth value.
     """
 
     coeffs: np.ndarray
@@ -38,7 +39,7 @@ class Polynomial:
         a = np.asarray(self.coeffs, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise DimensionMismatch("polynomial needs at least one coefficient")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("polynomial coefficients must be finite")
         if self.family == FAMILY_P and a[0] != 1.0:
             raise ValueError("family P requires value 1 at x = 0")
@@ -86,11 +87,11 @@ def _hankel_solutions(c: moments.MomentSequence, k: int, family: str) -> tuple[P
         h = moments.hankel_matrix(c, k)
         try:
             if 2 * k > c.m:
-                solved = (Polynomial(np.concatenate([[1.0], linalg.solve_dense(h, -c.values[:k])]), FAMILY_P), None)
+                solved = (Polynomial(np.array([1.0, *linalg.solve_dense(h, -c.values[:k])]), FAMILY_P), None)
             else:
                 alphas, betas = linalg.solve_dense(h, -c.values[:k], -c.values[k + 1:2 * k + 1])
-                solved = (Polynomial(np.concatenate([[1.0], alphas]), FAMILY_P),
-                          Polynomial(np.concatenate([betas, [1.0]]), FAMILY_P1))
+                solved = (Polynomial(np.array([1.0, *alphas]), FAMILY_P),
+                          Polynomial(np.array([*betas, 1.0]), FAMILY_P1))
         except SingularSystem as exc:
             solved = exc.with_traceback(None)  # no frame, so no reference cycle through `c`
         c.hankel_solutions[k] = solved

@@ -340,44 +340,44 @@ def fit_relation(form: RelationForm, c: moments.MomentSequence, k: int) -> FitRe
     greater than one raises RankDeficient.
     """
     target_fn = oracle.oracle_p if form.target_family == oracle.FAMILY_P else oracle.oracle_p1
-    target_poly = target_fn(c, k)
-    t = np.zeros(k + 1)
-    t[:target_poly.coeffs.size] = target_poly.coeffs
+    target = target_fn(c, k).coeffs
+    ncols = sum(d + 1 for _, _, d in form.terms)
 
-    cols = []
+    # [m | t] over the k + 1 coefficient rows and the normalization row, in
+    # the Fortran order of column-stacked candidates: the column norms sum
+    # down each column, and their rounding follows the layout.
+    aug = np.zeros((k + 2, ncols + 1), order="F")
     splits = [0]
     for fam, off, d in form.terms:
-        base_fn = oracle.oracle_p if fam == oracle.FAMILY_P else oracle.oracle_p1
-        base = base_fn(c, k + off)
+        base = (oracle.oracle_p if fam == oracle.FAMILY_P else oracle.oracle_p1)(c, k + off).coeffs
         for j in range(d + 1):
-            col = np.zeros(k + 1)
-            col[j:j + base.coeffs.size] = base.coeffs
-            cols.append(col)
+            aug[j:j + base.size, splits[-1] + j] = base
         splits.append(splits[-1] + d + 1)
-    m = np.array(cols).T
+    aug[k + 1, :ncols] = aug[0 if form.target_family == oracle.FAMILY_P else k, :ncols]
+    aug[:target.size, ncols] = target
+    aug[k + 1, ncols] = 1.0
 
-    norm_row = m[0, :] if form.target_family == oracle.FAMILY_P else m[k, :]
-    m_aug = np.vstack([m, norm_row])
-    t_aug = np.concatenate([t, [1.0]])
-
-    w = _fit_multipliers(m_aug, t_aug)
-    fitted = m @ w
-    residual = float(np.linalg.norm(fitted - t) / np.linalg.norm(t))
-    multipliers = tuple(tuple(w[splits[i]:splits[i + 1]]) for i in range(len(form.terms)))
+    w = _fit_multipliers(aug[:, :ncols], aug[:, ncols])
+    m, t = aug[:k + 1, :ncols], aug[:k + 1, ncols]
+    diff = m @ w - t
+    residual = math.sqrt(diff.dot(diff)) / math.sqrt(t.dot(t))  # np.linalg.norm's arithmetic for a vector
+    ws = tuple(w)
+    multipliers = tuple(ws[a:b] for a, b in zip(splits, splits[1:]))
     return FitReport(form=form, k=k, multipliers=multipliers, relative_residual=residual)
 
 
 def _fit_multipliers(m_aug: np.ndarray, t_aug: np.ndarray) -> np.ndarray:
     """Equilibrated least-squares solve with sparsest-member canonicalization."""
-    col_norms = np.linalg.norm(m_aug, axis=0)
+    col_norms = np.sqrt(np.add.reduce(m_aug * m_aug, axis=0))  # np.linalg.norm(m_aug, axis=0)'s ufuncs
     col_norms[col_norms == 0.0] = 1.0
     m_eq = m_aug / col_norms
 
     u, s, vt = np.linalg.svd(m_eq, full_matrices=False)
     tol = 1e-12 * s[0] if s[0] > 0 else 0.0
-    rank = int(np.sum(s > tol))
+    kept = s > tol
+    rank = np.count_nonzero(kept)
     ncols = m_eq.shape[1]
-    s_inv = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
+    s_inv = np.divide(1.0, s, out=np.zeros(s.size), where=kept)
     w_eq = vt.T @ (s_inv * (u.T @ t_aug))
 
     deficiency = ncols - rank

@@ -108,7 +108,7 @@ class SolverConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverState:
     """Iteration state positioned to produce degree k next.
 
@@ -127,6 +127,8 @@ class SolverState:
     of its own: once no x slot holds best_x, best_x is copied into it, so
     no other vector stays alive for it. A state without one (from
     `bootstrap` alone) keeps the vector that held best_x alive instead.
+    States compare by identity: `==` on their vectors would give arrays,
+    not a truth value.
     """
 
     k: int

@@ -10,12 +10,16 @@ import types
 import numpy as np
 
 import fopsolve as fs
-from fopsolve import linalg, moments, recurrences, solver
+from fopsolve import linalg, moments, oracle, recurrences, solver
 from fopsolve.errors import (
     DimensionMismatch,
     GhostBreakdown,
+    KrylovOverflow,
+    MomentRangeExceeded,
+    NonexistentPolynomial,
     NormalizationBreakdown,
     NumericOverflow,
+    RankDeficient,
     SingularSystem,
     TrueBreakdown,
 )
@@ -368,6 +372,120 @@ def _reference_fma(a: float, b: float, c: float) -> float:
 
 def _reference_as_list(values):
     return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+# The verify path as the list-of-columns code wrote it: the moments, the
+# oracle's Hankel solves and the least-squares fits, the reference that
+# pins the certificate tool bit for bit.
+
+def reference_compute_moments(A, r0, y, m: int) -> moments.MomentSequence:
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    r = linalg.as_vector(r0)
+    yv = linalg.as_vector(y)
+    if A.rows != A.cols:
+        raise DimensionMismatch("compute_moments needs a square matrix")
+    if len(r) != A.cols or len(yv) != A.rows:
+        raise DimensionMismatch("compute_moments: vector lengths do not match the matrix")
+    powers = [r]
+    for _ in range(m):
+        nxt = linalg.matvec(A, powers[-1])
+        if not np.all(np.isfinite(nxt)):
+            raise KrylovOverflow("matrix power overflowed")
+        powers.append(nxt)
+    return moments.MomentSequence(np.array([float(yv @ p) for p in powers]))
+
+
+def reference_oracle(c, k: int, family: str, memo: dict):
+    """oracle_p (family P) or oracle_p1 (family P1), memoized in `memo`
+    instead of on `c`."""
+    if k == 0:
+        return fs.Polynomial(np.array([1.0]), family)
+    if family == oracle.FAMILY_P1 and 2 * k > c.m:
+        raise MomentRangeExceeded(2 * k, c.m)
+    return reference_hankel_solutions(c, k, family, memo)[family == oracle.FAMILY_P1]
+
+
+def reference_hankel_solutions(c, k: int, family: str, memo: dict):
+    solved = memo.get(k)
+    if solved is None:
+        h = moments.hankel_matrix(c, k)
+        try:
+            if 2 * k > c.m:
+                solved = (fs.Polynomial(np.concatenate([[1.0], linalg.solve_dense(h, -c.values[:k])]), oracle.FAMILY_P),
+                          None)
+            else:
+                alphas, betas = linalg.solve_dense(h, -c.values[:k], -c.values[k + 1:2 * k + 1])
+                solved = (fs.Polynomial(np.concatenate([[1.0], alphas]), oracle.FAMILY_P),
+                          fs.Polynomial(np.concatenate([betas, [1.0]]), oracle.FAMILY_P1))
+        except SingularSystem as exc:
+            solved = exc.with_traceback(None)
+        memo[k] = solved
+    if isinstance(solved, SingularSystem):
+        raise NonexistentPolynomial(k, family) from solved
+    return solved
+
+
+def reference_fit_relation(form, c, k: int, memo: dict | None = None) -> recurrences.FitReport:
+    memo = {} if memo is None else memo
+    target_poly = reference_oracle(c, k, form.target_family, memo)
+    t = np.zeros(k + 1)
+    t[:target_poly.coeffs.size] = target_poly.coeffs
+
+    cols = []
+    splits = [0]
+    for fam, off, d in form.terms:
+        base = reference_oracle(c, k + off, fam, memo)
+        for j in range(d + 1):
+            col = np.zeros(k + 1)
+            col[j:j + base.coeffs.size] = base.coeffs
+            cols.append(col)
+        splits.append(splits[-1] + d + 1)
+    m = np.array(cols).T
+
+    norm_row = m[0, :] if form.target_family == oracle.FAMILY_P else m[k, :]
+    m_aug = np.vstack([m, norm_row])
+    t_aug = np.concatenate([t, [1.0]])
+
+    w = reference_fit_multipliers(m_aug, t_aug)
+    fitted = m @ w
+    residual = float(np.linalg.norm(fitted - t) / np.linalg.norm(t))
+    multipliers = tuple(tuple(w[splits[i]:splits[i + 1]]) for i in range(len(form.terms)))
+    return recurrences.FitReport(form=form, k=k, multipliers=multipliers, relative_residual=residual)
+
+
+def reference_fit_multipliers(m_aug, t_aug):
+    col_norms = np.linalg.norm(m_aug, axis=0)
+    col_norms[col_norms == 0.0] = 1.0
+    m_eq = m_aug / col_norms
+
+    u, s, vt = np.linalg.svd(m_eq, full_matrices=False)
+    tol = 1e-12 * s[0] if s[0] > 0 else 0.0
+    rank = int(np.sum(s > tol))
+    ncols = m_eq.shape[1]
+    s_inv = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
+    w_eq = vt.T @ (s_inv * (u.T @ t_aug))
+
+    deficiency = ncols - rank
+    if deficiency == 0:
+        return w_eq / col_norms
+    if deficiency > 1:
+        raise RankDeficient(f"candidate dictionary has rank {rank} < {ncols} columns")
+
+    null_eq = vt[-1, :]
+    w0 = w_eq / col_norms
+    null = null_eq / col_norms
+    candidates = [w0]
+    for j in range(ncols):
+        if abs(null[j]) > 1e-8 * np.abs(null).max():
+            candidates.append(w0 - (w0[j] / null[j]) * null)
+
+    def sparsity_key(vec):
+        zero_tol = 1e-8 * max(1.0, float(np.abs(vec).max()))
+        zeros = int(np.sum(np.abs(vec) <= zero_tol))
+        return (zeros, -float(np.linalg.norm(vec)))
+
+    return max(candidates, key=sparsity_key)
 
 
 def assert_same_coefficient_path(sp, ref):

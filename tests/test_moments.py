@@ -38,6 +38,14 @@ def test_moments_match_direct_inner_products():
         assert abs(c[i] - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
+def test_moment_sequences_compare_and_hash_by_identity():
+    _, c = d2_fixture()
+    twin = fs.MomentSequence(c.values)
+    assert c == c and hash(c) == hash(c) and {c: 1}[c] == 1
+    assert c != twin  # equal moments, another sequence with a memo of its own
+    assert repr(c) == repr(twin) == "MomentSequence(values=array([ 2.,  3.,  5.,  9., 17.]))"
+
+
 def test_compute_moments_dimension_checks():
     with pytest.raises(DimensionMismatch):
         fs.compute_moments(fs.Matrix.identity(3), np.ones(2), np.ones(3), 2)

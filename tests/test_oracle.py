@@ -43,6 +43,14 @@ def test_oracle_normalizations_exact():
     assert fs.oracle_p1(c, 2).coeffs[-1] == 1.0
 
 
+def test_polynomials_compare_and_hash_by_identity():
+    p = fs.Polynomial(np.array([1.0, 2.0]), fs.FAMILY_P)
+    assert p == p and hash(p) == hash(p) and len({p, p}) == 1
+    assert p != fs.Polynomial(np.array([1.0]), fs.FAMILY_P)
+    assert p != fs.Polynomial(np.array([1.0, 2.0]), fs.FAMILY_P)  # equal coefficients, another polynomial
+    assert repr(p) == "Polynomial(coeffs=array([1., 2.]), family='P')"
+
+
 def test_orthogonal_sequence_conditions():
     # c(x^i P_k) vanishes for i < k and stays away from zero at i = k
     for seed in range(3):

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import fopsolve as fs
+from fopsolve import cli, moments
 from fopsolve.cli import ring_spectrum_fixture
 from fopsolve.errors import (
     DimensionMismatch,
@@ -26,12 +28,16 @@ from helpers import (
     d3b_fixture,
     expand_a13_multipliers,
     expand_b13_multipliers,
+    float_bits,
     in_degree_order,
     iterate,
+    outcome,
     poly_matrix_apply,
     power_scalar_products,
     power_window,
     reconstruct_from_relation,
+    reference_compute_moments,
+    reference_fit_relation,
     reference_scalar_products,
     window_products,
 )
@@ -407,6 +413,40 @@ def test_residual_homogeneous_under_moment_scaling():
         base = fs.fit_relation(fs.FORMS[name], c, 6).relative_residual
         dec = fs.fit_relation(fs.FORMS[name], c_dec, 6).relative_residual
         assert abs(dec - base) <= 1e-10 * base
+
+
+def test_verify_path_matches_its_reference_bit_for_bit(monkeypatch):
+    # All five forms on the verify command's twenty fixtures (n = 10, k = 6)
+    # and on odd-sized ones at k = 4, where three forms have more candidate
+    # columns than rows and are RankDeficient, at k = 5, where the candidates are dependent and the sparsest member is
+    # picked, and at k = 7: the moments, multipliers, residuals and the
+    # class of what a fit raises equal those of the list-of-columns code in
+    # helpers.py, and so does the verify document.
+    outcomes = set()
+    for n, k in ((cli.VERIFY_N, cli.VERIFY_DEGREE), (11, 4), (11, 5), (11, 7)):
+        for seed in range(cli.VERIFY_SEEDS):
+            fixture = ring_spectrum_fixture(n, seed)
+            c, ref_c = fs.compute_moments(*fixture, 2 * k), reference_compute_moments(*fixture, 2 * k)
+            assert float_bits(c.values) == float_bits(ref_c.values)
+            memo = {}
+            for name, form in fs.FORMS.items():
+                got, want = outcome(fs.fit_relation, form, c, k), outcome(reference_fit_relation, form, c, k, memo)
+                assert got[0] == want[0], (n, k, seed, name)
+                if got[0] == "raised":
+                    assert got[1] is want[1]
+                    outcomes.add(got[1])
+                    continue
+                assert [len(block) for block in got[1].multipliers] == [len(block) for block in want[1].multipliers]
+                assert float_bits([w for block in got[1].multipliers for w in block]) == \
+                    float_bits([w for block in want[1].multipliers for w in block]), (n, k, seed, name)
+                assert float_bits(got[1].relative_residual) == float_bits(want[1].relative_residual)
+                outcomes.add(got[1].classification)
+    assert {"exists", "nonexistent", RankDeficient} <= outcomes
+
+    doc = cli.run_verification()
+    monkeypatch.setattr(moments, "compute_moments", reference_compute_moments)
+    monkeypatch.setattr(recurrences, "fit_relation", reference_fit_relation)
+    assert json.dumps(doc, sort_keys=True) == json.dumps(cli.run_verification(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

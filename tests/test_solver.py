@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import math
@@ -90,6 +91,14 @@ def test_bootstrap_d2_converges_at_two():
     assert state.converged
     assert max(k for k, _, _ in state.history) <= 2
     assert np.allclose(state.best_x, [1.0, 1.0], atol=1e-10)
+
+
+def test_solver_states_compare_by_identity():
+    state = fs.bootstrap(fs.Matrix.tridiagonal(8), np.ones(8), np.zeros(8), np.ones(8))
+    twin = copy.deepcopy(state)
+    assert state == state and hash(state) == hash(state)
+    assert state != twin
+    assert repr(twin) == repr(state)
 
 
 def test_bootstrap_tridiag30_partial_progress_and_consistency():

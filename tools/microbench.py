@@ -1,4 +1,5 @@
-"""Per-call times of one degree's scalar path and vector updates, in microseconds.
+"""Per-call times of one degree's scalar path and vector updates, and of
+the verify command's layers, in microseconds.
 
     python3 tools/microbench.py [CHECKOUT]
 
@@ -16,12 +17,18 @@ substitutions made on the way to that state, one product with A
 stencil on `tridiag:100`; a step makes six and `_extend_left` one with
 A^T), one `solver._norm` of r_{k-2} (a step takes three, of r_k, z_k and
 x_k), the step's two update kernels, one left-window extension and a
-whole `step`.
+whole `step`. A second table times the layers of `fopsolve verify` on
+its n = 10 fixture of seed VERIFY_SEED: the fixture
+(`cli.ring_spectrum_fixture`), its moments c_0..c_12 (`compute_moments`),
+one Hankel solve that misses the memo (`oracle.oracle_p` at k = 6 on a
+fresh `MomentSequence` of those moments) and one `fit_relation` of A13 and
+of B13 at k = 6, whose oracle polynomials the memo then holds.
 
 Each figure is the minimum over REPEATS runs of NUMBER calls (stdlib
 `timeit`), per call. A call that writes into its operands (`eliminate`,
 the update kernels, `step`) gets a fresh copy of them, made before each
-run and outside its timing. BLAS runs on one thread, as in
+run and outside its timing; the verify layers, of tens of microseconds,
+take VERIFY_NUMBER calls a run. BLAS runs on one thread, as in
 `tools/digest.py` and `perfbench/run.py`. The traced spans of
 `perfbench/run.py` carry a fixed cost per call that is too coarse for
 layers of a few microseconds; this is their finer view.
@@ -44,6 +51,8 @@ DEGREE = 12  # the degree the timed state produces next
 REPEATS = 30
 NUMBER = 1000
 STEP_NUMBER = 100  # a step takes about ten times as long as a scalar layer
+VERIFY_NUMBER = 100  # so does each verify layer
+VERIFY_SEED = 3
 
 
 def per_call_us(f, args=(), fresh=None, number=NUMBER) -> float:
@@ -119,6 +128,22 @@ def layer_times(fs, A, b, y) -> dict:
     }
 
 
+def verify_times(fs, cli) -> dict:
+    """Per-call microseconds of the verify command's layers on its fixture of VERIFY_SEED."""
+    moments, oracle, recurrences = fs.moments, fs.oracle, fs.recurrences
+    n, k = cli.VERIFY_N, cli.VERIFY_DEGREE
+    fixture = cli.ring_spectrum_fixture(n, VERIFY_SEED)
+    c = moments.compute_moments(*fixture, 2 * k)
+    return {
+        "ring_spectrum_fixture": per_call_us(cli.ring_spectrum_fixture, (n, VERIFY_SEED), number=VERIFY_NUMBER),
+        "compute_moments": per_call_us(moments.compute_moments, (*fixture, 2 * k), number=VERIFY_NUMBER),
+        "oracle_p (memo miss)": per_call_us(oracle.oracle_p, fresh=lambda: (moments.MomentSequence(c.values), k),
+                                            number=VERIFY_NUMBER),
+        "fit_relation (A13)": per_call_us(recurrences.fit_relation, (recurrences.A13, c, k), number=VERIFY_NUMBER),
+        "fit_relation (B13)": per_call_us(recurrences.fit_relation, (recurrences.B13, c, k), number=VERIFY_NUMBER),
+    }
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -136,6 +161,10 @@ def main(argv: list[str]) -> int:
     print(f"{'layer':<26}" + "".join(f"{label:>13}" for label in columns))
     for layer in next(iter(columns.values())):
         print(f"{layer:<26}" + "".join(f"{times[layer]:>13.2f}" for times in columns.values()))
+    print(f"\nus per call, min of {REPEATS} runs (verify, degree {cli.VERIFY_DEGREE})")
+    print(f"{'layer':<26}{f'ring:{cli.VERIFY_N}':>13}")
+    for layer, us in verify_times(fs, cli).items():
+        print(f"{layer:<26}{us:>13.2f}")
     return 0
 
 
