@@ -10,7 +10,9 @@ stencil) or coordinate triplets (general sparse input). Matrix and
 vector products run in numpy; the small pivoted solve (`eliminate`, and
 `solve_dense`, n <= 10, which checks its input for it) runs on Python
 floats, because at that size numpy's per-call overhead costs more than
-the arithmetic.
+the arithmetic. `eliminate` is generated per shape: the first call for
+each number of rows and columns compiles a straight-line kernel, so a
+solve costs no loop or list indexing in the interpreter.
 
 On vectors longer than `BLOCK` rows, the element-wise kernels that
 callers hand to `blockwise` work one block of rows at a time, so that
@@ -38,7 +40,7 @@ import os
 import queue
 import threading
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -383,7 +385,9 @@ def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b, *more_b) -> list[f
     """Solve a small square system by Gaussian elimination with row pivoting.
 
     Checks and converts its input, then calls `eliminate`, the package's
-    one elimination routine. Its consumer is the oracle, whose Hankel
+    one elimination routine, generated per shape (a process compiles each
+    n and number of right-hand sides once, on its first solve). Its
+    consumer is the oracle, whose Hankel
     moment systems have n <= 10; the solver's systems (the bootstrap's
     degree 1..4 orthogonality systems, the recurrences' 3x3 systems) are
     Python floats it has checked itself, and go to `eliminate` directly.
@@ -417,45 +421,77 @@ def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b, *more_b) -> list[f
     return solutions if more_b else solutions[0]
 
 
+_kernels: dict[tuple[int, int], Callable] = {}  # eliminate's kernel of each shape (n, n + m)
+
+
 def eliminate(a: list[list[float]], max_abs: float) -> list[list[float]]:
     """Solve the augmented rows `a` = [M | b_1 | ... | b_m], n rows of
-    n + m finite Python floats, in place, given `max_abs` = max|M|: one
-    solution list per right-hand side, in order. The package's one
-    elimination loop. The pivot of each column is the first row with the
-    largest |entry|; one at or below 1e-13 * max_abs raises
-    SingularSystem, carrying the offending elimination step. The back
-    substitution of each right-hand side follows in the same loop,
-    accumulating each row's dot product with the solved entries from the
-    last column on, the first term rounded alone and each further one
-    fused (`_fma`).
+    n + m finite Python floats, given `max_abs` = max|M|: one solution
+    list per right-hand side, in order. `a` is not written. The package's
+    one elimination routine, generated per shape: the first call for a
+    shape (n, n + m) compiles its straight-line kernel (`_kernel_source`),
+    which later calls reuse. The pivot of each column is the first row
+    with the largest |entry|; one at or below 1e-13 * max_abs raises
+    SingularSystem, carrying the offending elimination step. Each
+    right-hand side is then back-substituted from the last row up, each
+    row's dot product with the solved entries accumulated left to right,
+    the first term rounded alone and each further one fused (`_fma`) while
+    the sum so far is nonzero.
     """
-    n, width = len(a), len(a[0])
-    pivot_floor = _PIVOT_RTOL * max_abs
+    shape = len(a), len(a[0])
+    kernel = _kernels.get(shape)
+    if kernel is None:  # two threads may both compile a shape; setdefault keeps the first
+        kernel = _kernels.setdefault(shape, _compile_kernel(*shape))
+    return kernel(a, max_abs)
+
+
+def _compile_kernel(n: int, width: int):
+    """The kernel of `_kernel_source(n, width)`, run in this module's
+    globals, so that it looks up `_fma`, `SingularSystem` and
+    `_PIVOT_RTOL` when it is called."""
+    space = {}
+    exec(compile(_kernel_source(n, width), f"<eliminate {n}x{width}>", "exec"), globals(), space)
+    return space["kernel"]
+
+
+def _kernel_source(n: int, width: int) -> str:
+    """The source of `kernel(a, max_abs)`, `eliminate` for n rows of
+    `width` entries, written out as straight-line code on local variables:
+    `a{i}_{j}` is entry j of the row in slot i, `x{r}_{i}` entry i of the
+    solution of column r. It makes the arithmetic of the loop that the
+    tests keep as `reference_eliminate`, operation for operation: the
+    pivot search compares with a strict `>`, so the first of equal
+    candidates wins; the pivot row and
+    slot `col` swap their entries from column `col` on, the only ones read
+    again; each row below subtracts its multiple of the pivot row. Built
+    from the two integers alone.
+    """
+    def row(i: int, first: int) -> str:
+        return ", ".join(f"a{i}_{j}" for j in range(first, width))
+
+    lines = ["def kernel(a, max_abs):",
+             "    " + ", ".join(f"({row(i, 0)})" for i in range(n)) + ", = a",
+             "    floor = _PIVOT_RTOL * max_abs"]
     for col in range(n):
-        p, big = col, abs(a[col][col])
-        for i in range(col + 1, n):
-            if (candidate := abs(a[i][col])) > big:
-                p, big = i, candidate
-        if big <= pivot_floor:
-            raise SingularSystem(col)
-        a[col], a[p] = a[p], a[col]
-        pivot_row = a[col]
-        pivot = pivot_row[col]
-        for row in a[col + 1:]:
-            factor = row[col] / pivot
-            for j in range(col + 1, width):
-                row[j] -= factor * pivot_row[j]
-    solutions = []
-    for rhs in range(n, width):
-        x = [0.0] * n
-        for i in range(n - 1, -1, -1):
-            row = a[i]
-            dot = 0.0
-            for j in range(i + 1, n):
-                dot = _fma(row[j], x[j], dot) if dot else row[j] * x[j] + dot
-            x[i] = (row[rhs] - dot) / row[i]
-        solutions.append(x)
-    return solutions
+        below = range(col + 1, n)
+        lines.append(f"    p, big = {col}, abs(a{col}_{col})" if below else f"    big = abs(a{col}_{col})")
+        lines += [f"    if (candidate := abs(a{i}_{col})) > big: p, big = {i}, candidate" for i in below]
+        lines.append(f"    if big <= floor: raise SingularSystem({col})")
+        lines += [f"    {'elif' if i > col + 1 else 'if'} p == {i}: {row(col, col)}, {row(i, col)} = "
+                  f"{row(i, col)}, {row(col, col)}" for i in below]
+        for i in below:
+            lines.append(f"    factor = a{i}_{col} / a{col}_{col}")
+            lines += [f"    a{i}_{j} -= factor * a{col}_{j}" for j in range(col + 1, width)]
+    for r in range(n, width):
+        lines.append(f"    x{r}_{n - 1} = a{n - 1}_{r} / a{n - 1}_{n - 1}")  # b - 0.0, with no term, is b
+        for i in range(n - 2, -1, -1):
+            lines.append(f"    dot = a{i}_{i + 1} * x{r}_{i + 1} + 0.0")  # + 0.0 turns a -0.0 product into +0.0
+            lines += [f"    dot = _fma(a{i}_{j}, x{r}_{j}, dot) if dot else a{i}_{j} * x{r}_{j} + dot"
+                      for j in range(i + 2, n)]
+            lines.append(f"    x{r}_{i} = (a{i}_{r} - dot) / a{i}_{i}")
+    lines.append("    return [" + ", ".join("[" + ", ".join(f"x{r}_{i}" for i in range(n)) + "]"
+                                      for r in range(n, width)) + "]")
+    return "\n".join(lines) + "\n"
 
 
 _SPLIT = 2.0 ** 27 + 1.0  # Veltkamp's constant: a double splits into two halves of 26 bits

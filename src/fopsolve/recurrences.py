@@ -292,9 +292,8 @@ def _step_scale(sp: ScalarProducts) -> None:
 
 def _solve_system(rows) -> tuple[list[float], float]:
     """The 3x3 solve of the augmented `rows` [a_i1, a_i2, a_i3, rhs_i],
-    three lists of Python floats that the solve overwrites, and the
-    cofactor determinant delta of their a_ij, after its GhostBreakdown
-    test: (solution, delta).
+    three lists of Python floats, and the cofactor determinant delta of
+    their a_ij, after its GhostBreakdown test: (solution, delta).
 
     A pivot below the elimination's own floor is a vanishing system too, so
     SingularSystem surfaces as GhostBreakdown; with BREAKDOWN_EPS below

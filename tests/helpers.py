@@ -23,6 +23,7 @@ from fopsolve.errors import (
     SingularSystem,
     TrueBreakdown,
 )
+from fopsolve.linalg import _PIVOT_RTOL, _fma
 
 # (beta_j, alpha_j, gamma_j) of the power basis N_j = x^j: x N_j = N_{j+1}.
 PURE_SHIFT = ((0.0, 0.0, 1.0),) * 5
@@ -357,6 +358,38 @@ def reference_solve_dense(M, b) -> np.ndarray:
             dot = _reference_fma(row[j], x[j], dot)
         x[i] = (rhs[i] - dot) / row[i]
     return np.array(x)
+
+
+def reference_eliminate(a: list[list[float]], max_abs: float) -> list[list[float]]:
+    """`linalg.eliminate` as the loop that its generated kernels replaced,
+    word for word: it solves the augmented rows `a` in place."""
+    n, width = len(a), len(a[0])
+    pivot_floor = _PIVOT_RTOL * max_abs
+    for col in range(n):
+        p, big = col, abs(a[col][col])
+        for i in range(col + 1, n):
+            if (candidate := abs(a[i][col])) > big:
+                p, big = i, candidate
+        if big <= pivot_floor:
+            raise SingularSystem(col)
+        a[col], a[p] = a[p], a[col]
+        pivot_row = a[col]
+        pivot = pivot_row[col]
+        for row in a[col + 1:]:
+            factor = row[col] / pivot
+            for j in range(col + 1, width):
+                row[j] -= factor * pivot_row[j]
+    solutions = []
+    for rhs in range(n, width):
+        x = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            dot = 0.0
+            for j in range(i + 1, n):
+                dot = _fma(row[j], x[j], dot) if dot else row[j] * x[j] + dot
+            x[i] = (row[rhs] - dot) / row[i]
+        solutions.append(x)
+    return solutions
 
 
 def _reference_fma(a: float, b: float, c: float) -> float:

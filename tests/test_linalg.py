@@ -21,7 +21,8 @@ import fopsolve as fs
 from fopsolve import linalg
 from fopsolve.errors import DimensionMismatch, SingularSystem
 
-from helpers import float_bits, outcome, reference_solve_dense, within
+import helpers
+from helpers import float_bits, outcome, reference_eliminate, reference_solve_dense, within
 
 
 def test_matvec_identity():
@@ -896,37 +897,133 @@ def _solution_or_pivot(fn, *args):
     return "ok", [float_bits(x) for x in solutions]
 
 
-def _eliminate_matches_solve_dense(m, *bs) -> tuple:
-    """Both paths on the system M x = b for each b in `bs`: `eliminate` on the
-    augmented rows and max|M|, `solve_dense` on M and the right-hand sides.
-    Asserts the two agree and returns the outcome."""
+def _fma_calls(module, fn, *args) -> tuple:
+    """(`_solution_or_pivot(fn, *args)`, the (a, b, c) of each `_fma` call
+    it made through `module`, in order)."""
+    calls, fma = [], module._fma
+    module._fma = lambda *abc: calls.append(abc) or fma(*abc)
+    try:
+        return _solution_or_pivot(fn, *args), calls
+    finally:
+        module._fma = fma
+
+
+def _fma_path(a: float, b: float, c: float) -> str:
+    """Which path of `linalg._fma` the call _fma(a, b, c) takes."""
+    if 1e-280 < abs(a * b) < 1e280 and abs(a) < 1e290 and abs(b) < 1e290:
+        return "Dekker"
+    return "zero operand" if c and not (a and b) else "Fraction"
+
+
+def _eliminate_matches_the_loop(m, *bs) -> tuple:
+    """`eliminate` on the system M x = b for each b in `bs`, as augmented
+    rows with max|M|, against the loop it replaced
+    (`helpers.reference_eliminate`, on a copy of the rows) and against
+    `solve_dense` on M and the right-hand sides. Asserts that all three
+    give the same solution bits or SingularSystem pivot, that `eliminate`
+    and the loop make the same `_fma` calls in the same order, and that
+    `eliminate` leaves the rows unchanged. Returns the outcome and the
+    `_fma` calls."""
     rows = [[*row, *b] for row, b in zip(m, zip(*bs))]
-    want = _solution_or_pivot(lambda: fs.solve_dense(m, *bs) if len(bs) > 1 else [fs.solve_dense(m, bs[0])])
-    assert _solution_or_pivot(linalg.eliminate, rows, max(map(abs, [x for row in m for x in row]))) == want
-    return want
+    before = [float_bits(row) for row in rows]
+    max_abs = max(map(abs, [x for row in m for x in row]))
+    got, calls = _fma_calls(linalg, linalg.eliminate, rows, max_abs)
+    assert [float_bits(row) for row in rows] == before
+    want, want_calls = _fma_calls(helpers, reference_eliminate, [row[:] for row in rows], max_abs)
+    assert got == want and [*map(float_bits, calls)] == [*map(float_bits, want_calls)]
+    assert _solution_or_pivot(lambda: fs.solve_dense(m, *bs) if len(bs) > 1 else [fs.solve_dense(m, bs[0])]) == got
+    return got, calls
 
 
-@pytest.mark.parametrize("kind", ["normal", "small integers", "signed zeros"])
+@pytest.mark.parametrize("kind", ["normal", "small integers", "signed zeros", "fma paths"])
 def test_eliminate_matches_solve_dense_bit_for_bit(kind):
-    # Seeded systems of n = 1..4, with one and with two right-hand sides:
-    # normal entries; small integers, so pivot candidates tie and systems
-    # are exactly singular; normal entries with many 0.0 and -0.0.
+    # Seeded systems of n = 1..10, with one, two and three right-hand
+    # sides: normal entries; small integers, so pivot candidates tie and
+    # systems are exactly singular; normal entries with many 0.0 and -0.0;
+    # and upper-triangular systems, rows shuffled, with zeros above the
+    # diagonal and right-hand sides scaled to 1e-300..1e295, whose back
+    # substitutions reach each path of `_fma`: Dekker's product, a zero
+    # operand and the exact Fraction beyond 1e+-280.
     rng = np.random.default_rng(28)
-    seen = set()
-    for i in range(2000):
-        n = 1 + i % 4
+    seen, paths = set(), set()
+    for i in range(1200):
+        n, width = 1 + i % 10, 1 + i % 10 + 1 + i // 10 % 3
         if kind == "small integers":
-            a = rng.integers(-2, 3, size=(n, n + 2)).astype(float)
+            a = rng.integers(-2, 3, size=(n, width)).astype(float)
+        elif kind == "fma paths":
+            a = np.triu(rng.standard_normal((n, width)))
+            a[rng.random((n, width)) < 0.3] = 0.0
+            a[range(n), range(n)] = rng.choice([-1.0, 1.0], n) * (1.0 + rng.random(n))
+            a[:, n:] *= rng.choice([1e-300, 1e-290, 1.0, 1e285, 1e295])
+            a = a[rng.permutation(n)]
         else:
-            a = rng.standard_normal((n, n + 2))
+            a = rng.standard_normal((n, width))
             if kind == "signed zeros":
-                a[rng.random((n, n + 2)) < 0.4] = -0.0
-                a[rng.random((n, n + 2)) < 0.2] = 0.0
-        m, b, b2 = a[:, :n].tolist(), a[:, n].tolist(), a[:, n + 1].tolist()
-        got = _eliminate_matches_solve_dense(m, b)
-        assert _eliminate_matches_solve_dense(m, b, b2)[0] == got[0]
+                a[rng.random((n, width)) < 0.4] = -0.0
+                a[rng.random((n, width)) < 0.2] = 0.0
+        m, bs = a[:, :n].tolist(), a[:, n:].T.tolist()
+        got, calls = _eliminate_matches_the_loop(m, *bs)
+        if len(bs) > 1:
+            alone = _eliminate_matches_the_loop(m, bs[0])[0]
+            assert alone == (got if got[0] == "singular" else (got[0], got[1][:1]))
         seen.add(got[0])
-    assert seen == ({"ok"} if kind == "normal" else {"ok", "singular"})
+        paths.update(_fma_path(*abc) for abc in calls)
+    assert seen == ({"ok"} if kind in ("normal", "fma paths") else {"ok", "singular"})
+    if kind == "fma paths":
+        assert paths == {"Dekker", "zero operand", "Fraction"}
+
+
+def test_concurrent_first_calls_compile_one_kernel_per_shape(monkeypatch):
+    # Eight threads, more than the CPUs, solve systems of 16 shapes n x
+    # (n + m), n = 1..8, m = 1..2, from an empty kernel cache, each from
+    # its own first shape on, while the interpreter switches threads every
+    # microsecond. Every result is the loop's, bit for bit, the cache ends
+    # with exactly one kernel per shape, compiled for it, and every call
+    # ran that kernel: a thread whose compile lost a race uses the winner's.
+    compile_kernel, compiled, ran = linalg._compile_kernel, [], []
+
+    def counted_kernel(n, width):
+        kernel = compile_kernel(n, width)
+        compiled.append(((n, width), kernel))
+
+        def run(a, max_abs):
+            ran.append(((n, width), run))
+            return kernel(a, max_abs)
+        return run
+
+    monkeypatch.setattr(linalg, "_kernels", {})
+    monkeypatch.setattr(linalg, "_compile_kernel", counted_kernel)
+    rng = np.random.default_rng(35)
+    shapes = [(n, n + m) for n in range(1, 9) for m in (1, 2)]
+    systems = [rng.standard_normal(shape).tolist() for shape in shapes]
+    max_abs = [max(abs(x) for row in rows for x in row[:len(rows)]) for rows in systems]
+    want = [_solution_or_pivot(reference_eliminate, [row[:] for row in rows], top)
+            for rows, top in zip(systems, max_abs)]
+    got, errors = [[None] * len(systems) for _ in range(8)], []
+
+    def solver(t):
+        try:
+            for s in range(len(systems)):
+                i = (s + 2 * t) % len(systems)
+                got[t][i] = _solution_or_pivot(linalg.eliminate, systems[i], max_abs[i])
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=solver, args=(t,), daemon=True) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and got == [want] * 8
+    assert sorted(linalg._kernels) == shapes
+    assert len(ran) == 8 * len(shapes) and all(linalg._kernels[shape] is run for shape, run in ran)
+    assert all(kernel.__code__.co_filename == f"<eliminate {n}x{width}>" for (n, width), kernel in compiled)
 
 
 @pytest.mark.parametrize("m, b, want", [
@@ -940,7 +1037,7 @@ def test_eliminate_matches_solve_dense_bit_for_bit(kind):
     ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]], [1.0, 1.0, 1.0], ("singular", 2)),
 ])
 def test_eliminate_edge_cases_match_solve_dense(m, b, want):
-    got = _eliminate_matches_solve_dense(m, b)
+    got = _eliminate_matches_the_loop(m, b)[0]
     assert (got[0] if want == "ok" else got) == want
-    two = _eliminate_matches_solve_dense(m, b, [1.0] * len(b))
+    two = _eliminate_matches_the_loop(m, b, [1.0] * len(b))[0]
     assert (two if got[0] == "singular" else (two[0], two[1][:1])) == got

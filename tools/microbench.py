@@ -9,8 +9,12 @@ script on the same inputs. On each problem (the ring-spectrum fixture of
 n = 60 and `tridiag:100`, fixed seeds) the solver bootstraps and steps to
 degree DEGREE; the layers are then timed on that state's own operands:
 the functional values (`assemble_scalar_products`), the two coefficient
-records, the A13 system's elimination (caught as `a13_coefficients` makes it), the
-last fused multiply-add with a nonzero product and the last with a zero
+records, two eliminations (`linalg.eliminate`, named by the shape n x
+(n + m) of their augmented rows, n equations and m right-hand sides): the
+A13 system as `a13_coefficients` hands it over (3x4) and the bootstrap's
+first degree-4 system (4x5), each also on its first call for its shape,
+which compiles the shape's kernel; the last fused multiply-add with a
+nonzero product and the last with a zero
 operand (a structural zero of a coefficient system) that the back
 substitutions made on the way to that state, one product with A
 (`linalg.matvec`: the dense gemv on `ring:60`, the diagonal-storage
@@ -21,14 +25,17 @@ whole `step`. A second table times the layers of `fopsolve verify` on
 its n = 10 fixture of seed VERIFY_SEED: the fixture
 (`cli.ring_spectrum_fixture`), its moments c_0..c_12 (`compute_moments`),
 one Hankel solve that misses the memo (`oracle.oracle_p` at k = 6 on a
-fresh `MomentSequence` of those moments) and one `fit_relation` of A13 and
-of B13 at k = 6, whose oracle polynomials the memo then holds.
+fresh `MomentSequence` of those moments), the elimination of that Hankel
+system with its two right-hand sides (6x8), also on its first call, and
+one `fit_relation` of A13 and of B13 at k = 6, whose oracle polynomials
+the memo then holds.
 
 Each figure is the minimum over REPEATS runs of NUMBER calls (stdlib
-`timeit`), per call. A call that writes into its operands (`eliminate`,
-the update kernels, `step`) gets a fresh copy of them, made before each
-run and outside its timing; the verify layers, of tens of microseconds,
-take VERIFY_NUMBER calls a run. BLAS runs on one thread, as in
+`timeit`), per call; a first call is one call a run, its shape's kernel
+dropped from `linalg._kernels` before it. A call that writes into its
+operands (the update kernels, `step`) gets a fresh copy of them, made
+before each run and outside its timing; the verify layers, of tens of
+microseconds, take VERIFY_NUMBER calls a run. BLAS runs on one thread, as in
 `tools/digest.py` and `perfbench/run.py`. The traced spans of
 `perfbench/run.py` carry a fixed cost per call that is too coarse for
 layers of a few microseconds; this is their finer view.
@@ -69,6 +76,26 @@ def per_call_us(f, args=(), fresh=None, number=NUMBER) -> float:
     return min(timer.repeat(REPEATS, number)) / number * 1e6
 
 
+def first_call_us(linalg, rows, max_abs) -> float:
+    """Min over REPEATS runs of one `linalg.eliminate(rows, max_abs)`, the
+    kernel of its shape dropped before each run: the compile and the
+    solve, in microseconds."""
+    shape = len(rows), len(rows[0])
+    timer = timeit.Timer(lambda: linalg.eliminate(rows, max_abs), setup=lambda: linalg._kernels.pop(shape, None))
+    return min(timer.repeat(REPEATS, 1)) * 1e6
+
+
+def eliminations(linalg, fn, *args) -> list:
+    """The (rows, max_abs) of each `linalg.eliminate` call that fn(*args) makes."""
+    systems, eliminate = [], linalg.eliminate
+    linalg.eliminate = lambda a, max_abs: systems.append((a, max_abs)) or eliminate(a, max_abs)
+    try:
+        fn(*args)
+    finally:
+        linalg.eliminate = eliminate
+    return systems
+
+
 def problems(cli, linalg):
     """(label, A, b, y) of the timed problems."""
     a, r0, y = cli.ring_spectrum_fixture(60, 3)
@@ -97,14 +124,9 @@ def layer_times(fs, A, b, y) -> dict:
     assembly = (r_products, state.z3_products, z2_products, state.u_columns)
     sp = recurrences.assemble_scalar_products(*assembly)
     ca, cb = recurrences.a13_coefficients(sp), recurrences.b13_coefficients(sp)
-    # The A13 system, as `a13_coefficients` hands it to the elimination.
-    systems, eliminate = [], linalg.eliminate
-    linalg.eliminate = lambda a, max_abs: systems.append(([*map(list, a)], max_abs)) or eliminate(a, max_abs)
-    try:
-        recurrences.a13_coefficients(sp)
-    finally:
-        linalg.eliminate = eliminate
-    (rows, max_abs), = systems
+    (a13_system,) = eliminations(linalg, recurrences.a13_coefficients, sp)
+    degree_4 = next(system for system in eliminations(linalg, solver.bootstrap, A, b, np.zeros(len(b)), y, 1e-14)
+                    if len(system[0]) == 4)
 
     ar, az3, az2 = (linalg.matvec(A, v) for v in (r2, z3, z2))
     a2r, a2z3, a2z2 = (linalg.matvec(A, v) for v in (ar, az3, az2))
@@ -114,7 +136,10 @@ def layer_times(fs, A, b, y) -> dict:
         "assemble_scalar_products": per_call_us(recurrences.assemble_scalar_products, assembly),
         "a13_coefficients": per_call_us(recurrences.a13_coefficients, (sp,)),
         "b13_coefficients": per_call_us(recurrences.b13_coefficients, (sp,)),
-        "eliminate (3x3)": per_call_us(eliminate, fresh=lambda: ([*map(list, rows)], max_abs)),
+        "eliminate (3x4)": per_call_us(linalg.eliminate, a13_system),
+        "eliminate (4x5)": per_call_us(linalg.eliminate, degree_4),
+        "eliminate (3x4, 1st call)": first_call_us(linalg, *a13_system),
+        "eliminate (4x5, 1st call)": first_call_us(linalg, *degree_4),
         "_fma": per_call_us(fma, next(abc for abc in reversed(fmas) if abc[0] * abc[1])),
         "_fma (zero operand)": per_call_us(fma, next(abc for abc in reversed(fmas) if not (abc[0] and abc[1]))),
         "matvec": per_call_us(linalg.matvec, (A, r2)),
@@ -130,15 +155,18 @@ def layer_times(fs, A, b, y) -> dict:
 
 def verify_times(fs, cli) -> dict:
     """Per-call microseconds of the verify command's layers on its fixture of VERIFY_SEED."""
-    moments, oracle, recurrences = fs.moments, fs.oracle, fs.recurrences
+    linalg, moments, oracle, recurrences = fs.linalg, fs.moments, fs.oracle, fs.recurrences
     n, k = cli.VERIFY_N, cli.VERIFY_DEGREE
     fixture = cli.ring_spectrum_fixture(n, VERIFY_SEED)
     c = moments.compute_moments(*fixture, 2 * k)
+    (hankel,) = eliminations(linalg, oracle.oracle_p, moments.MomentSequence(c.values), k)
     return {
         "ring_spectrum_fixture": per_call_us(cli.ring_spectrum_fixture, (n, VERIFY_SEED), number=VERIFY_NUMBER),
         "compute_moments": per_call_us(moments.compute_moments, (*fixture, 2 * k), number=VERIFY_NUMBER),
         "oracle_p (memo miss)": per_call_us(oracle.oracle_p, fresh=lambda: (moments.MomentSequence(c.values), k),
                                             number=VERIFY_NUMBER),
+        "eliminate (6x8)": per_call_us(linalg.eliminate, hankel),
+        "eliminate (6x8, 1st call)": first_call_us(linalg, *hankel),
         "fit_relation (A13)": per_call_us(recurrences.fit_relation, (recurrences.A13, c, k), number=VERIFY_NUMBER),
         "fit_relation (B13)": per_call_us(recurrences.fit_relation, (recurrences.B13, c, k), number=VERIFY_NUMBER),
     }
