@@ -8,11 +8,13 @@ Two commands:
 `solve` writes a JSON report and a CSV residual history; its exit code
 encodes the outcome (0 converged, 1 iteration cap, 2 breakdown budget
 exhausted, 64 usage error, a problem too large for memory among them, 65
-unreadable input or unwritable output).
+unreadable input or unwritable output, standard output among them).
 `verify` fits the five candidate recurrence shapes on twenty seeded
 fixtures and exits 0 iff the existence consensus matches the expected
 dichotomy: A13, A14 and B13 representable, A11 and B11 not; it also
-exits 65 on an unwritable --report path.
+exits 65 on an unwritable --report path or standard output. Each command
+writes standard output first, each print flushed, and stops at the first
+output it cannot write.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import statistics
 import sys
 
@@ -192,9 +195,9 @@ def ring_spectrum_fixture(n: int, seed: int) -> tuple[linalg.Matrix, np.ndarray,
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     a = q @ m @ q.T
     r0 = rng.standard_normal(n)
-    r0 /= math.sqrt(r0.dot(r0))  # np.linalg.norm's arithmetic for a vector
+    r0 /= linalg.norm(r0)
     y = rng.standard_normal(n)
-    y /= math.sqrt(y.dot(y))
+    y /= linalg.norm(y)
     return linalg.Matrix.from_dense(a), r0, y
 
 
@@ -254,7 +257,7 @@ def cmd_solve(args) -> int:
         "rhs": args.rhs,
     }
     text = json.dumps(doc, sort_keys=True, indent=2)
-    print(text)
+    print(text, flush=True)
     if args.report:
         with _output(args.report) as fh:
             fh.write(text + "\n")
@@ -305,19 +308,14 @@ def run_verification(seeds: int = VERIFY_SEEDS, n: int = VERIFY_N, k: int = VERI
         residuals = results[name]
         expected = VERIFY_EXPECTED[name]
         runs = len(residuals)
-        if runs == 0:
-            rows.append({"form": name, "runs": 0, "skipped": skipped[name],
-                         "exists_consensus": None, "median_residual": None,
-                         "expected_exists": expected, "ok": False})
-            continue
-        median = statistics.median(residuals)
-        frac_exists = np.mean([r < recurrences.EXISTS_TOL for r in residuals])
-        frac_nonexistent = np.mean([r > recurrences.NONEXISTENCE_TOL for r in residuals])
-        consensus = bool(frac_exists >= 0.5)
-        if expected:
-            ok = consensus and median < recurrences.EXISTS_TOL
-        else:
-            ok = (not consensus) and frac_nonexistent >= 0.95
+        consensus = median = ok = None  # no run: no consensus, and not ok
+        if runs:
+            median = statistics.median(residuals)
+            frac_exists = np.mean([r < recurrences.EXISTS_TOL for r in residuals])
+            frac_nonexistent = np.mean([r > recurrences.NONEXISTENCE_TOL for r in residuals])
+            consensus = bool(frac_exists >= 0.5)
+            ok = ((consensus and median < recurrences.EXISTS_TOL) if expected
+                  else not consensus and frac_nonexistent >= 0.95)
         rows.append({"form": name, "runs": runs, "skipped": skipped[name],
                      "exists_consensus": consensus, "median_residual": median,
                      "expected_exists": expected, "ok": bool(ok)})
@@ -327,19 +325,19 @@ def run_verification(seeds: int = VERIFY_SEEDS, n: int = VERIFY_N, k: int = VERI
 
 def cmd_verify(args) -> int:
     doc = run_verification()
-    print(f"{'form':<6} {'runs':>4} {'skip':>4} {'exists':>7} {'median residual':>16} {'expected':>9} {'ok':>4}")
+    table = [f"{'form':<6} {'runs':>4} {'skip':>4} {'exists':>7} {'median residual':>16} {'expected':>9} {'ok':>4}"]
     for row in doc["forms"]:
         median = "-" if row["median_residual"] is None else f"{row['median_residual']:.3e}"
         exists = "-" if row["exists_consensus"] is None else str(row["exists_consensus"])
-        print(f"{row['form']:<6} {row['runs']:>4} {row['skipped']:>4} {exists:>7} "
-              f"{median:>16} {str(row['expected_exists']):>9} {str(row['ok']):>4}")
-    print("all_ok:", doc["all_ok"])
+        table.append(f"{row['form']:<6} {row['runs']:>4} {row['skipped']:>4} {exists:>7} "
+                     f"{median:>16} {str(row['expected_exists']):>9} {str(row['ok']):>4}")
+    print(*table, f"all_ok: {doc['all_ok']}", sep="\n", flush=True)
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.report:
         with _output(args.report) as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)
     return EXIT_CONVERGED if doc["all_ok"] else EXIT_MAX_ITERATIONS
 
 
@@ -384,6 +382,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # the commands' files fail as InputError: this is a print to standard output
+        print(f"input error: standard output: cannot write ({exc})", file=sys.stderr)
+        # The unwritten text stays buffered: point standard output at devnull, or the
+        # interpreter's flush at exit fails again and prints "Exception ignored".
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT
 
 

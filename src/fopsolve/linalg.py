@@ -12,7 +12,8 @@ vector products run in numpy; the small pivoted solve (`eliminate`, and
 floats, because at that size numpy's per-call overhead costs more than
 the arithmetic. `eliminate` is generated per shape: the first call for
 each number of rows and columns compiles a straight-line kernel, so a
-solve costs no loop or list indexing in the interpreter.
+solve costs no loop or list indexing in the interpreter. `norm` is the
+package's one 2-norm of an n-vector.
 
 On vectors longer than `BLOCK` rows, the element-wise kernels that
 callers hand to `blockwise` work one block of rows at a time, so that
@@ -379,6 +380,28 @@ def matvec(M: Matrix, v) -> np.ndarray:
 def transpose_matvec(M: Matrix, v) -> np.ndarray:
     """Return M^T @ v without forming the transpose."""
     return M.rmatvec(np.asarray(v, dtype=float))
+
+
+def norm(v: np.ndarray) -> float:
+    """||v||, the package's one 2-norm of an n-vector: sqrt(v . v), one
+    BLAS dot product and np.linalg.norm's arithmetic, or, where v . v
+    overflows or underflows (||v|| above about 1.3e154, or sqrt(v . v) at
+    most 1.5e-154, about the square root of the smallest normal double) and
+    v is finite and nonzero, max|v| times the norm of v / max|v|.
+
+    So ||v|| is inf only for a finite v past the double range, a vector
+    holding an inf or a NaN gives inf or NaN, and ||2^s v|| = 2^s ||v||
+    bit for bit where 2^s v stays in v's branch and makes no entry or
+    square subnormal: y / ||y|| does not depend on the power-of-two scale
+    of y. max|v| is max(v.max(), -v.min()), which allocates no |v|. Where
+    sqrt(v . v) lies between the two bounds it adds one chained comparison
+    to sqrt(v . v). An overflowing v . v warns or raises as the caller's
+    numpy error settings say; `solver.solve` ignores them."""
+    length = math.sqrt(float(v.dot(v)))
+    if not 1.5e-154 < length < math.inf and 0.0 < (big := max(float(v.max()), -float(v.min()))) < math.inf:
+        unit = v / big
+        length = big * math.sqrt(float(unit.dot(unit)))
+    return length
 
 
 def solve_dense(M: np.ndarray | Sequence[Sequence[float]], b, *more_b) -> list[float] | list[list[float]]:

@@ -359,7 +359,7 @@ def fit_relation(form: RelationForm, c: moments.MomentSequence, k: int) -> FitRe
     w = _fit_multipliers(aug[:, :ncols], aug[:, ncols])
     m, t = aug[:k + 1, :ncols], aug[:k + 1, ncols]
     diff = m @ w - t
-    residual = math.sqrt(diff.dot(diff)) / math.sqrt(t.dot(t))  # np.linalg.norm's arithmetic for a vector
+    residual = linalg.norm(diff) / linalg.norm(t)
     ws = tuple(w)
     multipliers = tuple(ws[a:b] for a, b in zip(splits, splits[1:]))
     return FitReport(form=form, k=k, multipliers=multipliers, relative_residual=residual)
@@ -399,6 +399,6 @@ def _fit_multipliers(m_aug: np.ndarray, t_aug: np.ndarray) -> np.ndarray:
     def sparsity_key(vec):
         zero_tol = 1e-8 * max(1.0, float(np.abs(vec).max()))
         zeros = int(np.sum(np.abs(vec) <= zero_tol))
-        return (zeros, -float(np.linalg.norm(vec)))
+        return (zeros, -linalg.norm(vec))
 
     return max(candidates, key=sparsity_key)

@@ -20,10 +20,9 @@ rho(A)^j. Degrees 1..4 are bootstrapped from the same conditions applied
 to Krylov vectors, the closed-form recurrences take over at k = 5.
 Breakdowns are caught and answered by a minimal restart policy: keep the
 best iterate, reseed y, bootstrap again, as the first start does (`_start`).
-An iterate has overflowed where its 2-norm, `_norm`'s, is not finite: one
-rule for a step's r_k, x_k and z_k, the bootstrap's r_j and the r0 of a
-seed draw, which also rejects a finite vector whose norm exceeds the double
-range.
+An iterate has overflowed where its 2-norm, `linalg.norm`'s, is not
+finite: one rule for a step's r_k, x_k and z_k, the bootstrap's r_j and
+the r0 of a seed draw.
 
 Cost contract per step: 6 applications of A (A*r_{k-2} and A*z_{k-3}
 products are reused between the r and x updates) plus one of A^T to
@@ -175,9 +174,9 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     is handed on, after the degree loop: x_4, then x_3, then the best x_j
     if that is x_1 or x_2; on early convergence (some ||r_j|| <= tol *
     ||b||) only x_j, the best. ||b||, ||y|| and each ||r_j|| are
-    `_norm`'s, so a norm whose square overflows or underflows is taken as
-    it is: neither a convergence floor of inf nor an overflowed residual,
-    and v_0 the same at any power-of-two scale of y. Each x_j reads
+    `linalg.norm`'s, so a norm whose square overflows or underflows is
+    neither a convergence floor of inf nor an overflowed residual, and v_0
+    is the same at any power-of-two scale of y. Each x_j reads
     r0..A^{j-1} r0, so they are written over A^4 r0, A^3 r0 and A^2 r0 in
     turn, which no x left to form reads: forming them allocates nothing.
     The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one call per
@@ -195,10 +194,10 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
         raise DimensionMismatch("bootstrap: inconsistent dimensions")
     if not np.any(yv):
         raise ValueError("left seed y must be nonzero")
-    conv_floor = tol * _norm(bv)
+    conv_floor = tol * linalg.norm(bv)
 
     r0 = bv - linalg.matvec(A, x0v)
-    state = SolverState(k=0, best_x=x0v, best_resnorm=_norm(r0))
+    state = SolverState(k=0, best_x=x0v, best_resnorm=linalg.norm(r0))
     state.history.append((0, state.best_resnorm, "bootstrap"))
     if state.best_resnorm <= conv_floor:
         state.converged = True
@@ -208,7 +207,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     powers = moments.krylov_vectors(A, r0, 2 * BOOTSTRAP_DEGREE + 1)[:BOOTSTRAP_DEGREE + 1]
     n = len(bv)
     window = np.empty((WINDOW, n))
-    left = [yv / _norm(yv), *window]  # v_0..v_7, the window rows as views
+    left = [yv / linalg.norm(yv), *window]  # v_0..v_7, the window rows as views
     recurrence = [_extend_left(A, left[j - 1] if j else None, left[j], left[j + 1]) for j in range(WINDOW)]
     # c(N_m x^i) = (v_m, A^i r0) and c1(N_m x^i) = (A^T v_m, A^i r0), m = 0..3. `v.dot(p)`, not
     # `v @ p`, which holds the GIL on two vectors and so would run the calls one after another.
@@ -233,7 +232,7 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
         r[j % 2] = None  # r_{j-2}, which no step reads
         r[j % 2], z[j % 3] = np.empty(n), np.empty(n) if j > 1 else None
         linalg.blockwise(_degree_vectors, r[j % 2], z[j % 3], a, c, *powers[:j + 1])
-        rn = _norm(r[j % 2])
+        rn = linalg.norm(r[j % 2])
         if not math.isfinite(rn):
             raise NumericOverflow("bootstrap residual overflowed")
         state.history.append((j, rn, "bootstrap"))
@@ -312,8 +311,8 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
     a unit vector (a zero remainder stays zero). One transpose product.
     Each projection and the division run through `linalg.blockwise`; the
     dot products stay whole-vector calls, whose summation order a blocked
-    reduction would change. gamma_j is `_norm` of the remainder w. Returns
-    (beta_j, alpha_j, gamma_j).
+    reduction would change. gamma_j is `linalg.norm` of the remainder w.
+    Returns (beta_j, alpha_j, gamma_j).
     """
     w = linalg.transpose_matvec(A, v)
     beta = 0.0
@@ -322,29 +321,9 @@ def _extend_left(A: linalg.Matrix, v_prev, v, out) -> tuple[float, float, float]
         linalg.blockwise(_subtract_multiple, w, v_prev, beta)
     alpha = float(v.dot(w))
     linalg.blockwise(_subtract_multiple, w, v, alpha)
-    gamma = _norm(w)
+    gamma = linalg.norm(w)
     linalg.blockwise(np.divide, w, gamma if gamma > 0.0 else 1.0, out)
     return beta, alpha, gamma
-
-
-def _norm(v) -> float:
-    """||v||: sqrt(v . v), np.linalg.norm's arithmetic, or, where v . v
-    overflows or underflows (||v|| above about 1.3e154, or sqrt(v . v) at
-    most 1.5e-154, about the square root of the smallest normal double) and
-    v is finite and nonzero, max|v| times the norm of v / max|v|.
-
-    The solver's one norm of an n-vector: `solve` takes ||b|| through it,
-    `bootstrap` ||b||, ||y|| for v_0 and each ||r_j||, `step` ||r_k||,
-    ||z_k|| and ||x_k||,
-    `_extend_left` gamma_j, the seed draw ||y|| and ||r0||, and a failed
-    first start ||r0||. So v_0 = y / ||y|| does not depend on the scale of
-    y. Where sqrt(v . v) lies between the two bounds it adds one chained
-    comparison to sqrt(v . v)."""
-    norm = math.sqrt(float(v.dot(v)))
-    if not 1.5e-154 < norm < math.inf and 0.0 < (big := float(np.abs(v).max())) < math.inf:
-        unit = v / big
-        norm = big * math.sqrt(float(unit.dot(unit)))
-    return norm
 
 
 def _subtract_multiple(w, u, coefficient) -> None:
@@ -404,12 +383,11 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     and x_k are written over A^2 r_{k-2} and A r_{k-2}, and A^2 z_{k-3} is
     dropped; then, after the two with z_{k-2}, z_k is written over
     A z_{k-3}. So at most five products are alive at once. The new
-    iterates overflow where `_norm` of one, ||r_k||, ||z_k|| or ||x_k||, is
-    not finite: on every vector with a NaN or an infinite entry, and on a
-    finite one whose 2-norm exceeds the double range, the rule of the
-    bootstrap's r_j and the seed draw's r0 too. That takes one BLAS dot
-    product per vector and no boolean temporary. r_k,
-    x_k and z_k take the slots of r_{k-2}, x_{k-2} and z_{k-3}. Returns `state`
+    iterates overflow where `linalg.norm` of one, ||r_k||, ||z_k|| or
+    ||x_k||, is not finite, the rule of the bootstrap's r_j and the seed
+    draw's r0 too. That takes one BLAS dot product per vector and no
+    boolean temporary. r_k, x_k and z_k take the slots of r_{k-2}, x_{k-2}
+    and z_{k-3}. Returns `state`
     itself. Breakdowns from the coefficient computation and overflow of
     the new iterates, read after both stages, propagate before any live
     vector or field is modified, an overflow after the six products with A
@@ -441,8 +419,8 @@ def step(state: SolverState, A: linalg.Matrix) -> SolverState:
     linalg.blockwise(_advance_z, z3, z2, az3, az2, a2z2, cb)
     z_k, az2, a2z2 = az3, None, None  # frees the two products not reused
 
-    rn = _norm(r_k)
-    if not (math.isfinite(rn) and math.isfinite(_norm(z_k)) and math.isfinite(_norm(x_k))):
+    rn = linalg.norm(r_k)
+    if not (math.isfinite(rn) and math.isfinite(linalg.norm(z_k)) and math.isfinite(linalg.norm(x_k))):
         raise NumericOverflow(f"iterate overflowed at degree {k}")
 
     window, newest = state.u_window, (head - 1) % WINDOW
@@ -553,7 +531,7 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
         x0v = np.zeros(n) if x0v is None else np.ldexp(x0v, -exponent)
         max_iter = cfg.max_iter if cfg.max_iter is not None else 2 * n + 10
         rng = np.random.default_rng(cfg.seed)
-        bn = _norm(bv)
+        bn = linalg.norm(bv)
         conv_floor = cfg.tol * bn
 
         cause = None
@@ -561,7 +539,7 @@ def solve(A: linalg.Matrix, b, x0=None, config: SolverConfig | None = None):
         try:
             state = _start(state, A, bv, rng, cfg.tol)
         except (BreakdownError, NumericOverflow) as exc:
-            state.best_resnorm = _norm(bv - linalg.matvec(A, x0v))
+            state.best_resnorm = linalg.norm(bv - linalg.matvec(A, x0v))
             state.history.append((0, state.best_resnorm, "bootstrap"))
             cause = exc.cause
         # Not read again (x0v lives on as `kept`; a restart scales b afresh); at n = 1e6 each holds 8 MB.
@@ -600,12 +578,12 @@ def _draw_left_seed(rng, A, b, x0) -> np.ndarray:
     Raises KrylovOverflow when that residual is not finite.
     """
     r0 = b - linalg.matvec(A, x0)
-    r0n = _norm(r0)
+    r0n = linalg.norm(r0)
     if not math.isfinite(r0n):
         raise KrylovOverflow("residual of the starting iterate overflowed")
     for _ in range(_LEFT_SEED_TRIES):
         y = rng.standard_normal(len(b))
-        if abs(float(y @ r0)) >= 1e-10 * _norm(y) * r0n:
+        if abs(float(y.dot(r0))) >= 1e-10 * linalg.norm(y) * r0n:
             return y
     raise RuntimeError("could not draw a usable left seed")
 

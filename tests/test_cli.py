@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +431,29 @@ def test_cmd_verify_unwritable_report_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "missing" / "verify.json"
     assert run(["verify", "--report", str(path)]) == cli.EXIT_INPUT
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["verify", "--report", "report.json"],
+                                  ["solve", "--gen", "tridiag:16", "--seed", "3", "--report", "report.json"]])
+def test_a_closed_standard_output_is_an_input_error(tmp_path, argv, unbuffered):
+    # A pipe whose read end is closed before the child starts: its first print
+    # fails, buffered or not, and the command stops there, before its --report.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "fopsolve", *argv], stdout=write_end, stderr=subprocess.PIPE,
+                              cwd=tmp_path, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == cli.EXIT_INPUT
+    assert done.stderr.startswith("input error: standard output: cannot write (")
+    assert done.stderr.count("\n") == 1  # no traceback, and no "Exception ignored" at exit
+    assert not (tmp_path / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------

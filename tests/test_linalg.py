@@ -614,6 +614,60 @@ def test_vector_validation():
         fs.as_vector([])
 
 
+NORM_SIZES = [1, 7, 1000, 2 * linalg.BLOCK + 1]
+
+
+@pytest.mark.parametrize("n", NORM_SIZES)
+def test_norm_in_range_is_numpys_bit_for_bit(n):
+    v = np.random.default_rng(n).standard_normal(n)
+    for s in (-400, 0, 400):
+        w = np.ldexp(v, s)
+        assert float_bits(linalg.norm(w)) == float_bits(float(np.linalg.norm(w)))
+
+
+@pytest.mark.parametrize("n", NORM_SIZES)
+def test_norm_where_the_square_overflows_or_underflows_is_the_rescaled_norm(n):
+    v = np.random.default_rng(n).standard_normal(n)
+    with np.errstate(all="ignore"):
+        for s in (-600, 600):
+            w = np.ldexp(v, s)
+            assert not 1.5e-154 < math.sqrt(float(w.dot(w))) < math.inf  # the rescale branch
+            assert math.isclose(linalg.norm(w), math.hypot(*w), rel_tol=1e-13)
+            big = float(np.abs(w).max())
+            assert float_bits(linalg.norm(w)) == float_bits(big * float(np.linalg.norm(w / big)))
+            assert float_bits(linalg.norm(-np.abs(w))) == float_bits(linalg.norm(np.abs(w)))  # max|v| of either sign
+
+
+@pytest.mark.parametrize("n", NORM_SIZES)
+def test_norm_scales_exactly_by_powers_of_two_within_a_branch(n):
+    v = np.random.default_rng(n).standard_normal(n)
+    # Each base vector and the shifts that keep it in its branch: in range,
+    # v . v overflowing, v . v underflowing.
+    with np.errstate(all="ignore"):
+        for base, shifts in ((0, range(-400, 401, 100)), (600, range(0, 401, 100)), (-600, range(0, -301, -100))):
+            w = np.ldexp(v, base)
+            for s in shifts:
+                assert float_bits(linalg.norm(np.ldexp(w, s))) == float_bits(math.ldexp(linalg.norm(w), s))
+
+
+def test_norm_of_one_entry_is_its_magnitude_across_the_double_range():
+    # sqrt(x * x) misses |x| where x * x is subnormal or overflows: 1.2e-154 and below, 1e160 and above.
+    for x in (5e-324, 1e-310, 2e-160, 3e-157, 1.2e-154, 1.4e-154, 0.3, 1e154, 1e160, 1.7e308):
+        for v in (x, -x):
+            with np.errstate(all="ignore"):
+                assert float_bits(linalg.norm(np.array([v]))) == float_bits(x)
+
+
+def test_norm_edge_cases():
+    with np.errstate(all="ignore"):
+        assert linalg.norm(np.array([1.5e308, 1.5e308])) == math.inf  # finite, past the double range
+        assert float_bits(linalg.norm(np.zeros(5))) == float_bits(0.0)
+        for bad in ([np.inf], [-np.inf], [np.nan], [np.inf, np.nan], [-np.inf, np.nan]):
+            v = np.random.default_rng(4).standard_normal(7)
+            v[2:2 + len(bad)] = bad
+            assert not math.isfinite(linalg.norm(v))
+
+
 def test_solve_dense_identity():
     assert np.allclose(fs.solve_dense(np.eye(2), [5.0, 7.0]), [5.0, 7.0])
 

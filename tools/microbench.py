@@ -19,7 +19,7 @@ operand (a structural zero of a coefficient system) that the back
 substitutions made on the way to that state, one product with A
 (`linalg.matvec`: the dense gemv on `ring:60`, the diagonal-storage
 stencil on `tridiag:100`; a step makes six and `_extend_left` one with
-A^T), one `solver._norm` of r_{k-2} (a step takes three, of r_k, z_k and
+A^T), one `linalg.norm` of r_{k-2} (a step takes three, of r_k, z_k and
 x_k), the step's two update kernels, one left-window extension and a
 whole `step`. A second table times the layers of `fopsolve verify` on
 its n = 10 fixture of seed VERIFY_SEED: the fixture
@@ -143,7 +143,7 @@ def layer_times(fs, A, b, y) -> dict:
         "_fma": per_call_us(fma, next(abc for abc in reversed(fmas) if abc[0] * abc[1])),
         "_fma (zero operand)": per_call_us(fma, next(abc for abc in reversed(fmas) if not (abc[0] and abc[1]))),
         "matvec": per_call_us(linalg.matvec, (A, r2)),
-        "_norm": per_call_us(solver._norm, (r2,)),
+        "norm": per_call_us(linalg.norm, (r2,)),
         "_advance_rx": per_call_us(solver._advance_rx,
                                    fresh=lambda: (r2, z3, x2, ar.copy(), a2r.copy(), az3, a2z3, ca)),
         "_advance_z": per_call_us(solver._advance_z, fresh=lambda: (z3, z2, az3.copy(), az2, a2z2, cb)),
