@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import math
 import os
@@ -201,6 +202,15 @@ def ring_spectrum_fixture(n: int, seed: int) -> tuple[linalg.Matrix, np.ndarray,
     return linalg.Matrix.from_dense(a), r0, y
 
 
+def _print(*lines: str) -> None:
+    """Print `lines` to standard output, one a line, flushed. Where file
+    descriptor 1 was closed at start, Python sets `sys.stdout` to None and
+    `print` drops the text; that fails here as a write to it would."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "standard output is closed")
+    print(*lines, sep="\n", flush=True)
+
+
 @contextlib.contextmanager
 def _output(path: str, newline: str | None = None):
     """An output file opened for writing; failing to open or write it is an InputError."""
@@ -257,7 +267,7 @@ def cmd_solve(args) -> int:
         "rhs": args.rhs,
     }
     text = json.dumps(doc, sort_keys=True, indent=2)
-    print(text, flush=True)
+    _print(text)
     if args.report:
         with _output(args.report) as fh:
             fh.write(text + "\n")
@@ -331,13 +341,13 @@ def cmd_verify(args) -> int:
         exists = "-" if row["exists_consensus"] is None else str(row["exists_consensus"])
         table.append(f"{row['form']:<6} {row['runs']:>4} {row['skipped']:>4} {exists:>7} "
                      f"{median:>16} {str(row['expected_exists']):>9} {str(row['ok']):>4}")
-    print(*table, f"all_ok: {doc['all_ok']}", sep="\n", flush=True)
+    _print(*table, f"all_ok: {doc['all_ok']}")
     text = json.dumps(doc, sort_keys=True, indent=2)
     if args.report:
         with _output(args.report) as fh:
             fh.write(text + "\n")
     else:
-        print(text, flush=True)
+        _print(text)
     return EXIT_CONVERGED if doc["all_ok"] else EXIT_MAX_ITERATIONS
 
 
@@ -387,7 +397,8 @@ def main(argv=None) -> int:
         print(f"input error: standard output: cannot write ({exc})", file=sys.stderr)
         # The unwritten text stays buffered: point standard output at devnull, or the
         # interpreter's flush at exit fails again and prints "Exception ignored".
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INPUT
 
 

@@ -1,8 +1,13 @@
 """Recurrence coefficients between adjacent orthogonal polynomials.
 
-Two jobs:
+`solver` holds the vectors and takes their products; this module holds
+what the products become, the coefficients, and decides every breakdown
+and every non-finite functional value. Two jobs:
 
-* compute the closed-form coefficients of the degree-gap recurrences
+* compute the bootstrap's coefficients of P_j and P1_j, j = 1..4, from
+  the Gram products of the left vectors with the Krylov vectors
+  (`bootstrap_coefficients`), and the closed-form coefficients of the
+  degree-gap recurrences
 
       P_k  = A_k [ (x^2 + B_k x + C_k) P_{k-2} + (E_k x^2 + F_k x) P1_{k-3} ]
       P1_k = (C_k x + D_k) P1_{k-3} + (x^2 + F_k x + G_k) P1_{k-2}
@@ -27,6 +32,7 @@ algorithm literature to index relations between the families P and P1.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,6 +41,7 @@ import numpy as np
 
 from . import linalg, moments, oracle
 from .errors import (
+    BootstrapBreakdown,
     DimensionMismatch,
     GhostBreakdown,
     NormalizationBreakdown,
@@ -320,6 +327,47 @@ def _solve_system(rows) -> tuple[list[float], float]:
         return linalg.eliminate(rows, max_abs)[0], delta
     except SingularSystem as exc:
         raise GhostBreakdown(f"coefficient system singular at pivot {exc.pivot_index}") from exc
+
+
+def bootstrap_coefficients(gram, columns):
+    """Yield the solutions (a, c) of the bootstrap's degree j = 1..len(columns)
+    conditions, one degree per `next()`, so a caller that stops early never
+    forms the later systems.
+
+    `gram[m][i]` is c(N_m x^i) = (v_m, A^i r0), m = 0..len(columns), and
+    `columns` the tuples (beta_m, alpha_m, gamma_m) of m = 0..len(columns)-1,
+    all Python floats. The c1 values c1(N_m x^i) = beta_m c(N_{m-1} x^i) +
+    alpha_m c(N_m x^i) + gamma_m c(N_{m+1} x^i) (N_{-1} enters as zero) are
+    formed once. P_j = 1 + sum(a[i - 1] x^i for i = 1..j) and
+    P1_j = x^j + sum(c[i] x^i for i < j) satisfy c(N_m P_j) = 0 and
+    c1(N_m P1_j) = 0 for m = 0..j-1; each degree's two systems go to
+    `linalg.eliminate` as augmented rows [M | b] with max|M|, once their
+    entries are found finite. Non-finite entries of degree j raise
+    NumericOverflow (they depend on y, so another seed may pass), a singular
+    degree-j system BootstrapBreakdown(j).
+    """
+    shifted = [[beta * below + alpha * at + gamma * above
+                for below, at, above in zip(gram[m - 1] if m else [0.0] * len(gram[m]), gram[m], gram[m + 1])]
+               for m, (beta, alpha, gamma) in enumerate(columns)]
+    for j in range(1, len(columns) + 1):
+        # The augmented rows [M | b] of a's conditions and of c's, m = 0..j-1.
+        a_rows = [[*gram[m][1:j + 1], -gram[m][0]] for m in range(j)]
+        c_rows = [[*shifted[m][:j], -shifted[m][j]] for m in range(j)]
+        if not all(map(math.isfinite, itertools.chain(*a_rows, *c_rows))):
+            raise NumericOverflow(f"bootstrap Gram products of degree {j} overflowed")
+        try:
+            a, c = _solve_conditions(a_rows), _solve_conditions(c_rows)
+        except SingularSystem as exc:
+            raise BootstrapBreakdown(j) from exc
+        yield a, c
+
+
+def _solve_conditions(rows) -> list[float]:
+    """The solution of one degree's augmented rows [M | b], finite Python
+    floats: `linalg.eliminate` with max|M|, as `linalg.solve_dense` would
+    call it."""
+    entries = [value for row in rows for value in row[:-1]]
+    return linalg.eliminate(rows, max(max(entries), -min(entries)))[0]
 
 
 def fit_relation(form: RelationForm, c: moments.MomentSequence, k: int) -> FitReport:

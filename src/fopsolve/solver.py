@@ -21,8 +21,8 @@ to Krylov vectors, the closed-form recurrences take over at k = 5.
 Breakdowns are caught and answered by a minimal restart policy: keep the
 best iterate, reseed y, bootstrap again, as the first start does (`_start`).
 An iterate has overflowed where its 2-norm, `linalg.norm`'s, is not
-finite: one rule for a step's r_k, x_k and z_k, the bootstrap's r_j and
-the r0 of a seed draw.
+finite: one rule for a step's r_k, x_k and z_k, the bootstrap's r0 and
+r_j and the r0 of a seed draw.
 
 Cost contract per step: 6 applications of A (A*r_{k-2} and A*z_{k-3}
 products are reused between the r and x updates) plus one of A^T to
@@ -49,31 +49,25 @@ own products, so no iterate is written once formed. On vectors longer than
 across the usable CPUs. Each element sees the same operations in the same
 order, so iterates and reports are bit-identical at any block size and CPU
 count, at a fixed BLAS thread count. Inner products stay whole-vector BLAS
-calls, which a multithreaded BLAS may split and round differently. This
-module takes each once and hands `recurrences` only the products: a step
-takes two window gemvs and keeps the one with z_{k-2} for the next step,
-the bootstrap the one with z_2 for the first. On long vectors
+calls, which a multithreaded BLAS may split and round differently.
+
+This module holds the vectors and takes their products; `recurrences`
+holds the coefficients and decides the breakdowns. It takes each product
+once and hands `recurrences` only the products: a step takes two window
+gemvs and keeps the one with z_{k-2} for the next step, the bootstrap
+the one with z_2 for the first. On long vectors
 `linalg.parallel_map` runs them, and the bootstrap's Gram products, side
 by side, each the same BLAS call as alone.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg, moments, recurrences
-from .errors import (
-    BootstrapBreakdown,
-    BreakdownError,
-    DimensionMismatch,
-    KrylovOverflow,
-    NumericOverflow,
-    RestartsExhausted,
-    SingularSystem,
-)
+from .errors import BreakdownError, DimensionMismatch, KrylovOverflow, NumericOverflow, RestartsExhausted
 from .recurrences import WINDOW
 
 BOOTSTRAP_DEGREE = 4
@@ -164,10 +158,12 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     """Set up the iteration by solving the degree 1..4 orthogonality conditions directly.
 
     Builds the Krylov vectors A^i r0 once, and the left window v_1..v_7
-    from v_0 = y / ||y|| with seven transpose products. For each degree
-    j, P_j and P1_j solve their conditions against v_0..v_{j-1} (those of
-    P1_j through A^T v_i = beta_i v_{i-1} + alpha_i v_i + gamma_i v_{i+1})
-    applied to the Krylov vectors; r_j, z_j and x_j are linear
+    from v_0 = y / ||y|| with seven transpose products; r0 whose
+    `linalg.norm` is not finite raises KrylovOverflow, as the seed draw
+    does. For each degree j, the coefficients of P_j and P1_j are
+    `recurrences.bootstrap_coefficients`', drawn one degree at a time, so
+    a degree's systems are formed only while the degree before has not
+    converged. r_j, z_j and x_j are linear
     combinations of them (no further matvecs), formed block by block on
     long vectors, into the state's slots. r_j and z_j are formed degree by
     degree (z_1, which no step reads, is not). x_j is formed only where it
@@ -179,15 +175,12 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     is the same at any power-of-two scale of y. Each x_j reads
     r0..A^{j-1} r0, so they are written over A^4 r0, A^3 r0 and A^2 r0 in
     turn, which no x left to form reads: forming them allocates nothing.
-    The 25 Gram products (v_m, A^i r0), m, i = 0..4, run one call per
-    Krylov vector, side by side on long vectors; one more gemv, with z_2,
-    gives `z3_products`. The Gram products and the conditions of P1_j are
-    Python floats, and each degree's two systems go to `linalg.eliminate`
-    as augmented rows, once their entries are found finite. A singular
-    degree-j system raises
-    BootstrapBreakdown(j), Gram products of degree j that overflowed
-    NumericOverflow (they depend on y, so another seed may pass), and a
-    failed bootstrap forms no x at all.
+    The 25 Gram products (v_m, A^i r0), m, i = 0..4, Python floats, run
+    one call per Krylov vector, side by side on long vectors; one more
+    gemv, with z_2, gives `z3_products`. The breakdowns and overflows of
+    the coefficients (BootstrapBreakdown(j), NumericOverflow) are
+    `bootstrap_coefficients`' and propagate; a failed bootstrap forms no
+    x at all.
     """
     bv, x0v, yv = map(linalg.as_vector, (b, x0, y))
     if A.rows != A.cols or A.rows != len(bv) or len(x0v) != len(bv) or len(yv) != len(bv):
@@ -198,6 +191,8 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
 
     r0 = bv - linalg.matvec(A, x0v)
     state = SolverState(k=0, best_x=x0v, best_resnorm=linalg.norm(r0))
+    if not math.isfinite(state.best_resnorm):
+        raise KrylovOverflow("residual of the starting iterate overflowed")
     state.history.append((0, state.best_resnorm, "bootstrap"))
     if state.best_resnorm <= conv_floor:
         state.converged = True
@@ -213,22 +208,10 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     # `v @ p`, which holds the GIL on two vectors and so would run the calls one after another.
     gram = [*zip(*linalg.parallel_map(lambda p: [float(v.dot(p)) for v in left[:len(powers)]], powers))]
     left = None  # frees v_0, which nothing reads again
-    shifted = [[beta * below + alpha * at + gamma * above
-                for below, at, above in zip(gram[m - 1] if m else [0.0] * len(powers), gram[m], gram[m + 1])]
-               for m, (beta, alpha, gamma) in enumerate(recurrence[:BOOTSTRAP_DEGREE])]
 
     r, z = [None] * 2, [None] * 3  # SolverState's slots of r_j and z_j
     solutions, best = [None], 0  # a of each degree, read by x_j; the degree of least ||r_j||
-    for j in range(1, BOOTSTRAP_DEGREE + 1):
-        # The augmented rows [M | b] of a's conditions and of c's, m = 0..j-1.
-        a_rows = [[*gram[m][1:j + 1], -gram[m][0]] for m in range(j)]
-        c_rows = [[*shifted[m][:j], -shifted[m][j]] for m in range(j)]
-        if not all(map(math.isfinite, itertools.chain(*a_rows, *c_rows))):
-            raise NumericOverflow(f"bootstrap Gram products of degree {j} overflowed")
-        try:
-            a, c = _solve_conditions(a_rows), _solve_conditions(c_rows)
-        except SingularSystem as exc:
-            raise BootstrapBreakdown(j) from exc
+    for j, (a, c) in enumerate(recurrences.bootstrap_coefficients(gram, recurrence[:BOOTSTRAP_DEGREE]), 1):
         r[j % 2] = None  # r_{j-2}, which no step reads
         r[j % 2], z[j % 3] = np.empty(n), np.empty(n) if j > 1 else None
         linalg.blockwise(_degree_vectors, r[j % 2], z[j % 3], a, c, *powers[:j + 1])
@@ -259,14 +242,6 @@ def bootstrap(A: linalg.Matrix, b, x0, y, tol: float = SolverConfig.tol) -> Solv
     state.u_window, state.u_columns = window, recurrence[1:]  # the columns of v_1..v_6
     state.z3_products = window.dot(z[2]).tolist()[:6]  # z_2, the first step's z_{k-3}, against v_1..v_6
     return state
-
-
-def _solve_conditions(rows) -> list[float]:
-    """The solution of one degree's augmented rows [M | b], finite Python
-    floats: `linalg.eliminate` with max|M|, as `linalg.solve_dense` would
-    call it."""
-    entries = [value for row in rows for value in row[:-1]]
-    return linalg.eliminate(rows, max(max(entries), -min(entries)))[0]
 
 
 def _degree_vectors(r, z, a, c, *p):

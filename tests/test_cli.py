@@ -433,9 +433,12 @@ def test_cmd_verify_unwritable_report_is_an_input_error(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+REPORTING_ARGV = [["verify", "--report", "report.json"],
+                  ["solve", "--gen", "tridiag:16", "--seed", "3", "--report", "report.json"]]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("argv", [["verify", "--report", "report.json"],
-                                  ["solve", "--gen", "tridiag:16", "--seed", "3", "--report", "report.json"]])
+@pytest.mark.parametrize("argv", REPORTING_ARGV)
 def test_a_closed_standard_output_is_an_input_error(tmp_path, argv, unbuffered):
     # A pipe whose read end is closed before the child starts: its first print
     # fails, buffered or not, and the command stops there, before its --report.
@@ -453,6 +456,19 @@ def test_a_closed_standard_output_is_an_input_error(tmp_path, argv, unbuffered):
     assert done.returncode == cli.EXIT_INPUT
     assert done.stderr.startswith("input error: standard output: cannot write (")
     assert done.stderr.count("\n") == 1  # no traceback, and no "Exception ignored" at exit
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", REPORTING_ARGV)
+def test_a_standard_output_closed_at_start_is_an_input_error(tmp_path, argv):
+    # File descriptor 1 closed before exec: Python sets sys.stdout to None,
+    # where print would drop the text and the command exit 0.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "fopsolve", *argv],
+                          stderr=subprocess.PIPE, cwd=tmp_path, env=env, text=True, timeout=120)
+    assert done.returncode == cli.EXIT_INPUT
+    assert done.stderr.startswith("input error: standard output: cannot write (")
+    assert done.stderr.count("\n") == 1  # no traceback
     assert not (tmp_path / "report.json").exists()
 
 

@@ -8,6 +8,7 @@ import fopsolve as fs
 from fopsolve import cli, moments
 from fopsolve.cli import ring_spectrum_fixture
 from fopsolve.errors import (
+    BootstrapBreakdown,
     DimensionMismatch,
     GhostBreakdown,
     NormalizationBreakdown,
@@ -499,6 +500,62 @@ def test_b13_zero_entries_of_a_regular_system_are_no_breakdown():
     # neither entry. repr tells the signed zeros apart.
     sp = sp_from_values([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
     assert repr(fs.b13_coefficients(sp)) == repr(fs.B13Coeffs(-0.0, -1.0, 0.0, 0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# bootstrap coefficients
+# ---------------------------------------------------------------------------
+
+def random_bootstrap_case(seed):
+    """Gram products (v_m, A^i r0), m, i = 0..4, and the columns of m = 0..3,
+    as the bootstrap hands them over: lists of Python floats."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((5, 5)).tolist(), [tuple(column) for column in rng.standard_normal((4, 3)).tolist()]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bootstrap_coefficients_of_degree_one_are_the_quotient(seed):
+    gram, columns = random_bootstrap_case(seed)
+    a, c = next(recurrences.bootstrap_coefficients(gram, columns))
+    assert float_bits(a) == float_bits([-gram[0][0] / gram[0][1]])
+    beta, alpha, gamma = columns[0]
+    shifted = [beta * 0.0 + alpha * gram[0][i] + gamma * gram[1][i] for i in range(2)]  # N_{-1} enters as zero
+    assert float_bits(c) == float_bits([-shifted[1] / shifted[0]])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bootstrap_coefficients_solve_the_conditions_of_each_degree(seed):
+    # c(N_m P_j) = 0 and c1(N_m P1_j) = 0 for m < j, with c1(N_m x^i) from
+    # x N_m = beta_m N_{m-1} + alpha_m N_m + gamma_m N_{m+1}.
+    gram, columns = random_bootstrap_case(seed)
+    g = np.array(gram)
+    shift = np.array([beta * (g[m - 1] if m else 0.0) + alpha * g[m] + gamma * g[m + 1]
+                      for m, (beta, alpha, gamma) in enumerate(columns)])
+    solutions = list(recurrences.bootstrap_coefficients(gram, columns))
+    assert [len(a) for a, _ in solutions] == [len(c) for _, c in solutions] == [1, 2, 3, 4]
+    for j, (a, c) in enumerate(solutions, 1):
+        np.testing.assert_allclose(g[:j, 1:j + 1] @ a, -g[:j, 0], rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(shift[:j, :j] @ c, -shift[:j, j], rtol=1e-9, atol=1e-9)
+
+
+def test_bootstrap_coefficients_break_down_only_when_the_singular_degree_is_drawn():
+    # Rows 0 and 1 of the degree-2 Gram system are proportional; degree 1
+    # reads row 0 alone.
+    gram, columns = random_bootstrap_case(7)
+    gram[1][1:3] = [2.0 * value for value in gram[0][1:3]]
+    degrees = recurrences.bootstrap_coefficients(gram, columns)
+    next(degrees)
+    with pytest.raises(BootstrapBreakdown) as info:
+        next(degrees)
+    assert info.value.degree == 2
+
+
+@pytest.mark.parametrize("m, i", [(0, 0), (1, 4)])
+def test_a_nonfinite_gram_product_is_numeric_overflow(m, i):
+    gram, columns = random_bootstrap_case(8)
+    gram[m][i] = math.inf
+    with pytest.raises(NumericOverflow, match="Gram"):
+        list(recurrences.bootstrap_coefficients(gram, columns))
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,15 @@ def test_an_overflowing_bootstrap_gram_product_is_not_a_krylov_overflow(seed):
     assert np.array_equal(x, np.zeros(3))
 
 
+def test_a_bootstrap_whose_residual_is_not_finite_is_a_krylov_overflow():
+    # A x0 overflows in its first entry, so r0 = b - A x0 holds inf: a failure
+    # of A, b and x0 alone, as the seed draw reports it, not a bad vector.
+    A = fs.Matrix.diagonal([1e300, 2.0, 3.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(KrylovOverflow, match="starting iterate"):
+            fs.bootstrap(A, [1e300, 1.0, 1.0], [-1e10, 0.0, 0.0], np.ones(3))
+
+
 def test_extend_left_scales_a_norm_whose_square_overflows():
     # ||w|| = 1e200 is representable though w . w is not: gamma takes the
     # norm of w / max|w| times max|w|, so v_1 is a unit vector, not zero.

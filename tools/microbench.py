@@ -20,9 +20,11 @@ substitutions made on the way to that state, one product with A
 (`linalg.matvec`: the dense gemv on `ring:60`, the diagonal-storage
 stencil on `tridiag:100`; a step makes six and `_extend_left` one with
 A^T), one `linalg.norm` of r_{k-2} (a step takes three, of r_k, z_k and
-x_k), the step's two update kernels, one left-window extension and a
-whole `step`. A second table times the layers of `fopsolve verify` on
-its n = 10 fixture of seed VERIFY_SEED: the fixture
+x_k), the step's two update kernels, one left-window extension, a
+whole `step` and a whole `bootstrap` of that problem (x0 = 0, the tol of
+the timed state), the last two at STEP_NUMBER calls a run. A second
+table times the layers of `fopsolve verify` on its n = 10 fixture of
+seed VERIFY_SEED: the fixture
 (`cli.ring_spectrum_fixture`), its moments c_0..c_12 (`compute_moments`),
 one Hankel solve that misses the memo (`oracle.oracle_p` at k = 6 on a
 fresh `MomentSequence` of those moments), the elimination of that Hankel
@@ -57,7 +59,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEGREE = 12  # the degree the timed state produces next
 REPEATS = 30
 NUMBER = 1000
-STEP_NUMBER = 100  # a step takes about ten times as long as a scalar layer
+STEP_NUMBER = 100  # a step or a bootstrap takes ten times as long as a scalar layer or more
 VERIFY_NUMBER = 100  # so does each verify layer
 VERIFY_SEED = 3
 
@@ -150,6 +152,7 @@ def layer_times(fs, A, b, y) -> dict:
         "_extend_left": per_call_us(solver._extend_left,
                                     (A, window[(head - 2) % recurrences.WINDOW], window[newest], out)),
         "step": per_call_us(solver.step, fresh=lambda: (copy.deepcopy(state), A), number=STEP_NUMBER),
+        "bootstrap": per_call_us(solver.bootstrap, (A, b, np.zeros(len(b)), y, 1e-14), number=STEP_NUMBER),
     }
 
 
